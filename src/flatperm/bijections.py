@@ -23,7 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .perm_core import (CycleForm, Permutation, VincularPattern3,
+from .perm_core import (DEFAULT_MAX_N, CycleForm, Permutation,
+                        VincularPattern3, _check_cap, _flat_words,
                         count_occurrences, flatten_cycle_form)
 
 _PAT_23_1 = VincularPattern3.from_string("23-1")
@@ -182,12 +183,11 @@ def inverse_32_1_to_23_1(c: CycleForm) -> CycleForm:
     return _resplit_like(_chain_reversal(word), c)
 
 
-def check_31_2_equivalence(n: int, max_n: int = 10) -> bool:
+def check_31_2_equivalence(n: int, max_n: int = DEFAULT_MAX_N) -> bool:
     """True when, over all of S_n, the flattened form avoids the vincular
     31-2 exactly when it avoids the classical 3-1-2."""
-    from .perm_core import _check_cap, _flat_counter
     _check_cap(n, max_n)
-    for word in _flat_counter(n):
+    for word, _ in _flat_words(n):
         host = Permutation(word)
         vincular = count_occurrences(host, _PAT_31_2)
         classical = count_occurrences(host, _PAT_3_1_2)

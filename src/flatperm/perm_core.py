@@ -9,6 +9,12 @@ element; flattening erases the parentheses; an occurrence of a pattern
 xy-z / x-yz / x-y-z is an order-isomorphic triple with the glued positions
 adjacent in the host.
 
+The sweeps walk the (n-1)! flattened words (the arrangements of [n] that
+start with 1), not S_n, by one lemma: cycles open at 1 and at any subset of
+the word's later right-to-left minima, nowhere else, so a word with r such
+minima has 2^(r-1) preimages.  tests/test_perm_core.py checks the lemma on
+the literal n! flatten sweep for n <= 8, and every brute counter for n <= 7.
+
 All types are immutable values, safe to share between threads; the
 exhaustive sweeps are deterministic, so splitting a sweep and merging the
 per-chunk counts is sound if a caller wants parallelism.
@@ -19,17 +25,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .qpoly import QPoly
 
 #: Default refusal bound for full-S_n sweeps (10! hosts is the practical
 #: ceiling for an exhaustive run on one core).
 DEFAULT_MAX_N = 10
-
-# Flattened-word multisets are memoized only up to this size; 9 keeps the
-# cache a few MB while covering every oracle sweep the test suite runs.
-_CACHE_MAX_N = 9
 
 
 class CapExceeded(ValueError):
@@ -269,36 +270,33 @@ def enumerate_permutations(n: int, max_n: int = DEFAULT_MAX_N):
         yield Permutation(word)
 
 
-def _build_flat_counter(n: int) -> Counter:
-    counter: Counter = Counter()
-    for word in itertools.permutations(range(1, n + 1)):
-        counter[_flatten_word(word)] += 1
-    return counter
+def _flat_words(n: int, second: int | None = None):
+    """Yield each flattened word of S_n (starting 1, or 1, second) with its
+    number of preimages 2^(r-1), r = its number of right-to-left minima."""
+    head = (1,) if second is None else (1, second)
+    rest = [x for x in range(2, n + 1) if x not in head]
+    for tail in itertools.permutations(rest):
+        word = head + tail
+        low, r = n + 1, 0
+        for x in reversed(word):
+            if x < low:
+                low, r = x, r + 1
+        yield word, 1 << (r - 1)
 
 
-@lru_cache(maxsize=None)
-def _flat_counter_cached(n: int) -> Counter:
-    return _build_flat_counter(n)
-
-
-def _flat_counter(n: int) -> Counter:
-    """Multiset of flattened words over S_n (word -> number of preimages)."""
-    if n <= _CACHE_MAX_N:
-        return _flat_counter_cached(n)
-    return _build_flat_counter(n)
+def _bucket(words, pat: VincularPattern3) -> QPoly:
+    """Sum of weight * q^(occurrences of pat in word) over (word, weight)."""
+    buckets: Counter = Counter()
+    for word, weight in words:
+        buckets[_count_word(word, pat)] += weight
+    return QPoly([buckets[i] for i in range(max(buckets, default=-1) + 1)])
 
 
 def brute_distribution(n: int, pat: VincularPattern3,
                        max_n: int = DEFAULT_MAX_N) -> QPoly:
     """Sum of q^(occurrences of pat in flatten(p)) over all p in S_n."""
     _check_cap(n, max_n)
-    buckets: Counter = Counter()
-    for word, mult in _flat_counter(n).items():
-        buckets[_count_word(word, pat)] += mult
-    coeffs = [0] * (max(buckets) + 1)
-    for occ, count in buckets.items():
-        coeffs[occ] = count
-    return QPoly(coeffs)
+    return _bucket(_flat_words(n), pat)
 
 
 def brute_refined_distribution(n: int, pat: VincularPattern3, k: int,
@@ -307,29 +305,16 @@ def brute_refined_distribution(n: int, pat: VincularPattern3, k: int,
     _check_cap(n, max_n)
     if not 2 <= k <= n:
         raise ValueError(f"prefix letter k={k} out of range 2..{n}")
-    buckets: Counter = Counter()
-    for word, mult in _flat_counter(n).items():
-        if word[1] == k:
-            buckets[_count_word(word, pat)] += mult
-    if not buckets:
-        return QPoly()
-    coeffs = [0] * (max(buckets) + 1)
-    for occ, count in buckets.items():
-        coeffs[occ] = count
-    return QPoly(coeffs)
+    return _bucket(_flat_words(n, k), pat)
 
 
 def brute_total_occurrences(n: int, pat: VincularPattern3,
                             max_n: int = DEFAULT_MAX_N) -> int:
     """Total occurrences of pat in flatten(p) summed over all p in S_n."""
-    _check_cap(n, max_n)
-    return sum(mult * _count_word(word, pat)
-               for word, mult in _flat_counter(n).items())
+    return brute_distribution(n, pat, max_n).derivative().evaluate(1)
 
 
 def brute_avoider_count(n: int, pat: VincularPattern3,
                         max_n: int = DEFAULT_MAX_N) -> int:
     """Number of p in S_n whose flattened form avoids pat."""
-    _check_cap(n, max_n)
-    return sum(mult for word, mult in _flat_counter(n).items()
-               if _count_word(word, pat) == 0)
+    return brute_distribution(n, pat, max_n).constant_term()

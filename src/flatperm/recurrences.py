@@ -23,7 +23,9 @@ contains a division (by q, [k-3] or [n-k+1]) is then asserted on the
 computed values in cleared-denominator form.
 
 Tables are memoized per pattern and grown incrementally, so repeated calls
-with increasing n_max reuse all earlier work.  Builders are not thread safe;
+with increasing n_max reuse all earlier work.  A build that stops with any
+exception, an interrupt included, drops that pattern's builder, so the next
+call starts again from scratch.  Builders are not thread safe;
 the returned tables are immutable values.
 """
 
@@ -504,7 +506,11 @@ def distribution_table(pattern: PatternId, n_max: int) -> DistributionTable:
     builder = _BUILDERS.get(pattern)
     if builder is None:
         builder = _BUILDERS[pattern] = _BUILDER_CLASSES[pattern]()
-    builder.extend(n_max)
+    try:
+        builder.extend(n_max)
+    except BaseException:
+        _BUILDERS.pop(pattern, None)
+        raise
     return DistributionTable(pattern, tuple(builder.g[1:n_max + 1]))
 
 
@@ -698,7 +704,11 @@ def refined_g1k(pattern: PatternId, n: int, k: int) -> QPoly:
     builder = _REFINED.get(pattern)
     if builder is None:
         builder = _REFINED[pattern] = _RefinedBuilder(pattern)
-    builder.extend(n)
+    try:
+        builder.extend(n)
+    except BaseException:
+        _REFINED.pop(pattern, None)
+        raise
     return builder.rows[n][k]
 
 

@@ -1,10 +1,13 @@
 import math
+from collections import Counter
 
 import pytest
 
 from flatperm.perm_core import (CapExceeded, CycleForm, Permutation,
-                                VincularPattern3, brute_distribution,
+                                VincularPattern3, _flat_words,
+                                brute_avoider_count, brute_distribution,
                                 brute_refined_distribution,
+                                brute_total_occurrences,
                                 count_in_flattened_sense, count_occurrences,
                                 enumerate_permutations, flatten,
                                 to_standard_cycle_form)
@@ -170,3 +173,39 @@ def test_flattened_31_2_avoidance_equals_classical():
             assert (vinc == 0) == (classical == 0)
             if classical > 0:
                 assert vinc > 0
+
+
+def test_flat_words_are_the_preimage_counts():
+    """A flattened word with r right-to-left minima has 2^(r-1) preimages."""
+    for n in range(1, 9):
+        literal = Counter(flatten(p).word for p in enumerate_permutations(n))
+        assert dict(_flat_words(n)) == literal
+        for k in range(2, n + 1):
+            assert dict(_flat_words(n, k)) \
+                == {w: c for w, c in literal.items() if w[1] == k}
+
+
+@pytest.mark.parametrize("text", ["12-3", "21-3", "23-1", "32-1", "31-2",
+                                  "13-2", "3-21", "3-12"])
+def test_oracle_matches_literal_sweep(text):
+    """Every brute-force counter against the definition: flatten each of the
+    n! permutations and count occurrences."""
+    pat = VincularPattern3.from_string(text)
+
+    def as_counter(poly):
+        return Counter({occ: c for occ, c in enumerate(poly.coeffs) if c})
+
+    for n in range(1, 8):
+        sweep = Counter((flatten(p).word[1:2], count_in_flattened_sense(p, pat))
+                        for p in enumerate_permutations(n))
+        whole = Counter()
+        for (_, occ), count in sweep.items():
+            whole[occ] += count
+        assert as_counter(brute_distribution(n, pat)) == whole
+        assert brute_total_occurrences(n, pat) \
+            == sum(occ * c for occ, c in whole.items())
+        assert brute_avoider_count(n, pat) == whole[0]
+        for k in range(2, n + 1):
+            assert as_counter(brute_refined_distribution(n, pat, k)) \
+                == Counter({occ: c for (second, occ), c in sweep.items()
+                            if second == (k,)})

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from flatperm import perm_core
-from flatperm.qpoly import QPoly, q_int
+from flatperm import perm_core, recurrences
+from flatperm.qpoly import IdentityViolation, QPoly, q_int
 from flatperm.recurrences import (ALL_PATTERNS, DistributionTable, PatternId,
                                   a_coeff_table_31_2, b2_poly_21_3,
                                   b2_poly_23_1, b2_rational_identity_21_3,
@@ -12,7 +12,7 @@ from flatperm.recurrences import (ALL_PATTERNS, DistributionTable, PatternId,
                                   g_12_3, g_21_3, g_23_1, g_31_2, g_32_1,
                                   refined_g1k, qbinom_coefficient_12_3,
                                   qbinom_form_consistency_12_3)
-from flatperm.recurrences import _Builder31_2
+from flatperm.recurrences import _Builder31_2, _RefinedBuilder
 
 QM1 = QPoly([-1, 1])
 
@@ -225,3 +225,84 @@ def test_cross_pattern_equalities_small():
         assert g23.g(n).constant_term() == g32.g(n).constant_term()
         assert g21.g(n).derivative().evaluate(1) \
             == g31.g(n).derivative().evaluate(1)
+
+
+# ---------------------------------------------------------------------------
+# Memo state after a step that stops midway
+# ---------------------------------------------------------------------------
+
+def _interrupt_every_call(monkeypatch, method, memo, build_to):
+    """Build to n = 6 on an empty memo, then run step 7 with the i-th call of
+    QPoly.<method> raising KeyboardInterrupt, for every call i the step
+    makes.  Yields after each interrupted step, for the caller's retry."""
+    original = getattr(QPoly, method)
+    calls, fail_at = 0, None
+
+    def wrapped(self, other):
+        nonlocal calls
+        calls += 1
+        if calls == fail_at:
+            raise KeyboardInterrupt
+        return original(self, other)
+
+    monkeypatch.setattr(QPoly, method, wrapped)
+    monkeypatch.setattr(recurrences, memo, {})
+    build_to(6)
+    calls = 0
+    build_to(7)
+    step_calls = calls
+    assert step_calls > 0
+    for fail_at in range(1, step_calls + 1):
+        monkeypatch.setattr(recurrences, memo, {})
+        build_to(6)
+        calls = 0
+        with pytest.raises(KeyboardInterrupt):
+            build_to(7)
+        yield
+
+
+@pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+def test_table_rebuilt_after_interrupted_step(pattern, monkeypatch):
+    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    fresh = distribution_table(pattern, 9).polys
+    for _ in _interrupt_every_call(
+            monkeypatch, "__mul__", "_BUILDERS",
+            lambda n: distribution_table(pattern, n)):
+        assert distribution_table(pattern, 9).polys == fresh
+
+
+@pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+def test_refined_rebuilt_after_interrupted_step(pattern, monkeypatch):
+    def rows(n_max):
+        return {(n, k): refined_g1k(pattern, n, k)
+                for n in range(2, n_max + 1) for k in range(2, n + 1)}
+
+    monkeypatch.setattr(recurrences, "_REFINED", {})
+    fresh = rows(9)
+    for _ in _interrupt_every_call(
+            monkeypatch, "__add__", "_REFINED",
+            lambda n: refined_g1k(pattern, n, 2)):
+        assert rows(9) == fresh
+
+
+@pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+def test_refined_failed_check_raises_again(pattern, monkeypatch):
+    original = _RefinedBuilder._assert_difference_recurrence
+
+    def failing(self, n):
+        if n == 7:
+            self._fail(n, 3)
+        original(self, n)
+
+    monkeypatch.setattr(recurrences, "_REFINED", {})
+    monkeypatch.setattr(_RefinedBuilder, "_assert_difference_recurrence",
+                        failing)
+    for _ in range(2):
+        with pytest.raises(IdentityViolation):
+            refined_g1k(pattern, 7, 3)
+        with pytest.raises(IdentityViolation):
+            refined_g1k(pattern, 8, 3)
+    monkeypatch.setattr(_RefinedBuilder, "_assert_difference_recurrence",
+                        original)
+    assert refined_g1k(pattern, 7, 3) \
+        == perm_core.brute_refined_distribution(7, pattern.vincular(), 3)
