@@ -38,6 +38,9 @@ class SpecialNumberCache:
 
     def __init__(self):
         self._stirling: list[list[int]] = [[1]]
+        # Bell and complementary Bell numbers by row, from index 0
+        self._bell: list[int] = [1]
+        self._complementary_bell: list[int] = [1]
         self._harmonic: list[Fraction] = [Fraction(0)]
 
     def _grow(self, n: int):
@@ -56,10 +59,18 @@ class SpecialNumberCache:
         self._grow(n)
         return self._stirling[n][k]
 
+    def _grow_bell(self, n: int):
+        self._grow(n)
+        while len(self._bell) <= n:
+            row = self._stirling[len(self._bell)]
+            self._bell.append(sum(row))
+            self._complementary_bell.append(sum(row[0::2]) - sum(row[1::2]))
+
     def bell(self, n: int) -> int:
         if n < 0:
             raise ValueError("Bell numbers start at index 0")
-        return sum(self.stirling2(n, k) for k in range(n + 1))
+        self._grow_bell(n)
+        return self._bell[n]
 
     def complementary_bell(self, n: int) -> int:
         """Alternating-sign row sums of the Stirling triangle; index -1 is -1."""
@@ -67,7 +78,8 @@ class SpecialNumberCache:
             return -1
         if n < -1:
             raise ValueError("complementary Bell numbers start at index -1")
-        return sum((-1) ** k * self.stirling2(n, k) for k in range(n + 1))
+        self._grow_bell(n)
+        return self._complementary_bell[n]
 
     def harmonic(self, n: int) -> Fraction:
         if n < 0:

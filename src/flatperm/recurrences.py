@@ -1,32 +1,65 @@
-"""Distribution polynomials for the five adjacent-pair patterns, computed by
-exact recurrences with polynomial coefficient tables.
+"""Distribution polynomials g_n and their prefix refinement g_n(1k) for the
+five adjacent-pair patterns, computed by exact recurrences.
 
-For every pattern the table g_1, g_2, ... of occurrence-count distribution
-polynomials over flattened permutations satisfies a recurrence of the shape
+Production route.  ``distribution_table`` and ``refined_g1k`` run the same
+recurrence: the rows g_n(1k), 2 <= k <= n, of the prefix refinement (the
+distribution restricted to permutations whose flattened form starts 1,k),
+grown level by level, with g_n = sum_k g_n(1k).  A row is built from the
+row before it and g_{n-1}, g_{n-2} by shifts, adds and subtracts alone: by
+the pattern's difference recurrence where that is division free (31-2,
+32-1), otherwise by the underlying refinement recurrence (12-3 carries its
+rows q-lowered, low_n(k) = g_n(1k) / q^(n-k), which keeps every shift
+nonnegative).  Every difference recurrence that divides (12-3 by q, 23-1 by
+[k-3], 21-3 by [n-k+1]) is asserted on every row in cleared-denominator
+form, and a failure raises IdentityViolation.
+
+Packing.  Every polynomial of that recurrence is carried as one Python int,
+its value at q = 2^s.  Evaluation at an integer is a ring homomorphism
+Z[q] -> Z, so each row step and each assertion is integer ``+``, ``-`` and
+``<<`` (q^t p is p << s*t), and a polynomial is cut out of its s-bit slots
+only on the way out: per read in ``refined_g1k``, once per g_n for the
+table.  A builder of capacity N serves n <= N with s the least multiple of
+8 such that 8 N! < 2^(s-2).  That bound is enough:
+
+* every packed value (g_n, g_n(1k), low_n(k) for n <= N) counts permutations
+  of S_n by occurrences, so its coefficients lie in [0, N!], below 2^s, and
+  its slots are its coefficients;
+* each side of an asserted identity is a sum of terms c q^e X with X one of
+  those values and sum |c| <= 8.  The [m] denominators are cleared by
+  multiplying both sides by q - 1 ((q - 1) [m] = q^m - 1; in the third term
+  the (1 - q) or (q - 1) factor absorbs the second [m]), and 12-3's checks
+  are divided by the power of q its lowered rows drop.  So every coefficient
+  of either side lies below 8 N! < 2^(s-2) in absolute value, and those of
+  their difference D below 2^(s-1).  If D(2^s) = 0 and d is D's lowest
+  nonzero coefficient, at q^j, then D(2^s) / 2^(s j) = d + 2^s (...) = 0
+  makes 2^s divide d, which is impossible.  So equality at q = 2^s is
+  equality of polynomials.
+
+A request past a builder's capacity N starts a new builder at capacity
+max(n, 2N) instead of repacking the old one; a pattern's first builder gets
+capacity max(n, 40), so every size that ``verify`` and the tests ask for
+fits it.
+
+Retention.  ``distribution_table`` reads ``_BUILDERS``, whose builders keep
+only the last two rows plus g_1 .. g_n unpacked; ``refined_g1k`` reads
+``_REFINED``, whose builders keep every row.  A step computes into locals
+and commits its level in one assignment, and a build that stops with any
+exception, an interrupt included, drops that pattern's builder, so the next
+call starts again from scratch.  Builders are not thread safe; the returned
+tables and polynomials are immutable values.
+
+Independent check.  The paper's coefficient-table recurrences
 
     g_n = (leading term) * g_{n-1} + sum_{j>=2} c_{n,j} * g_{n-j},
 
-where each c_{n,j} is an exact integer polynomial in q obtained by literal
-summation (never by rational-function shortcuts).  The coefficient sums are
-evaluated incrementally: products of q-integer runs are carried with their
-(1-q)- or (q-1)-power prefactors already multiplied in, which turns every
-table update into a shift-and-subtract.  Where the source formulas offer two
-routes to the same coefficient (32-1's alternating q-binomial triple sum vs
-its elementary-symmetric-function form), both are evaluated and compared,
-and disagreement raises IdentityViolation.
-
-The prefix-refined family g_n(1k), the same sum restricted to permutations
-whose flattened form starts 1,k, is computed per pattern by its difference
-recurrence when that recurrence is division free (31-2, 32-1) and otherwise
-by the underlying refinement recurrence; every difference recurrence that
-contains a division (by q, [k-3] or [n-k+1]) is then asserted on the
-computed values in cleared-denominator form.
-
-Tables are memoized per pattern and grown incrementally, so repeated calls
-with increasing n_max reuse all earlier work.  A build that stops with any
-exception, an interrupt included, drops that pattern's builder, so the next
-call starts again from scratch.  Builders are not thread safe;
-the returned tables are immutable values.
+with each c_{n,j} an exact polynomial obtained by literal summation
+(products of q-integer runs carried with their (1-q)- or (q-1)-power
+prefactors already multiplied in), are kept as the ``_Builder*`` classes.
+They run only through ``coefficient_table``, which the tests compare with
+``distribution_table`` for n <= 40.  Building 32-1 that way also evaluates
+its two coefficient routes (the alternating q-binomial triple sum and the
+elementary-symmetric-function form) and raises IdentityViolation where they
+disagree; ``verify`` runs that to n = max(n_max, 20).
 """
 
 from __future__ import annotations
@@ -34,6 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import perm_core
 from .qpoly import IdentityViolation, QPoly, q_binomial, q_int
@@ -115,15 +149,6 @@ class DistributionTable:
 # Small helpers shared by the builders
 # ---------------------------------------------------------------------------
 
-def _one_minus_qt(p: QPoly, t: int) -> QPoly:
-    """(1 - q^t) * p as a shift and subtract."""
-    return p - p.shifted(t)
-
-
-def _qt_minus_one(p: QPoly, t: int) -> QPoly:
-    return p.shifted(t) - p
-
-
 # Coefficient-table state lives in plain mutable lists of ints (index =
 # exponent); these accumulate in place, which is what keeps table builds at
 # a handful of machine operations per stored coefficient.
@@ -168,7 +193,7 @@ def _qint_times(p: QPoly, m: int) -> QPoly:
     """[m] * p in O(deg) via (p - q^m p)/(1 - q)."""
     if m == 0 or p.is_zero():
         return _ZERO
-    return _one_minus_qt(p, m).exact_div(_ONE_MINUS_Q)
+    return (p - p.shifted(m)).exact_div(_ONE_MINUS_Q)
 
 
 def _binom(m: int, r: int) -> int:
@@ -492,26 +517,272 @@ _BUILDER_CLASSES = {
     PatternId.P21_3: _Builder21_3,
 }
 
-_BUILDERS: dict[PatternId, _TableBuilder] = {}
+
+def coefficient_table(pattern: PatternId, n_max: int) -> DistributionTable:
+    """g_1 .. g_{n_max} by the pattern's coefficient-table recurrence.
+
+    Not memoized: every call builds from scratch.  This is the independent
+    check on ``distribution_table``, not a production route; for 32-1 the
+    build itself compares its two coefficient routes on every entry.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    builder = _BUILDER_CLASSES[pattern]()
+    builder.extend(n_max)
+    return DistributionTable(pattern, tuple(builder.g[1:n_max + 1]))
+
+
+# ---------------------------------------------------------------------------
+# The production route: prefix-refined rows on packed integers
+# ---------------------------------------------------------------------------
+
+#: Bound on sum |c| over the terms c q^e X of either side of an asserted
+#: difference recurrence (see the module docstring).
+_SIDE_WEIGHT = 8
+
+#: Least capacity of a pattern's first builder: the largest n that verify
+#: (CROSS_PATTERN_N_MAX) and the tests ask for.
+_MIN_CAPACITY = 40
+
+
+def _slot_bytes(capacity: int) -> int:
+    """Bytes per slot for capacity N: the least s = 8 * bytes with
+    _SIDE_WEIGHT * N! < 2^(s-2)."""
+    bits = (_SIDE_WEIGHT * math.factorial(capacity)).bit_length() + 2
+    return (bits + 7) // 8
+
+
+def _unpack(value: int, width: int) -> QPoly:
+    """The polynomial with coefficients in [0, 2^(8 width)) whose value at
+    q = 2^(8 width) is ``value``."""
+    if value < 0:
+        raise IdentityViolation(
+            "packed polynomial is negative: a coefficient left [0, N!]")
+    size = -(-value.bit_length() // (8 * width)) * width
+    raw = memoryview(value.to_bytes(size, "little"))
+    from_bytes = int.from_bytes
+    return QPoly([from_bytes(raw[i:i + width], "little")
+                  for i in range(0, size, width)])
+
+
+class _Level(NamedTuple):
+    """A builder's state after level n, replaced whole by each step."""
+
+    rows: tuple    # packed rows; rows[-1] is level n, and rows[m] is
+                   # level m when every row is kept
+    g: tuple       # packed g_{n-1}, g_n
+    polys: tuple   # g_1 .. g_n, unpacked
+
+
+class _RefinedBuilder:
+    """Rows of g_n(1k), 2 <= k <= n, as packed integers, grown level by level.
+
+    A row is a tuple indexed by k (entries 0 and 1 unused), each entry the
+    polynomial's value at q = 2^s, s = 8 * width; 12-3 rows hold the
+    q-lowered low_n(k) = g_n(1k) / q^(n-k).  ``keep_rows`` keeps every row,
+    for reads of g_n(1k); otherwise only the last row is kept.
+
+    A step builds the next level as ``pending``, asserts the difference
+    recurrences on it against ``level``, and then commits it by one
+    assignment, so an interrupted step leaves ``level`` whole.
+    """
+
+    def __init__(self, pattern: PatternId, capacity: int, keep_rows: bool):
+        self.pattern = pattern
+        self.capacity = capacity
+        self.keep_rows = keep_rows
+        self.width = _slot_bytes(capacity)
+        self.s = 8 * self.width
+        self._row = getattr(self, "_row_" + pattern.name.lower())
+        self.level = _Level(rows=((), (0, 0)), g=(0, 1), polys=(_ONE,))
+        self.pending = self.level
+
+    @property
+    def top(self) -> int:
+        return len(self.level.polys)
+
+    def extend(self, n_max: int):
+        if n_max > self.capacity:
+            raise ValueError(f"n={n_max} exceeds the builder's capacity "
+                             f"{self.capacity}")
+        while self.top < n_max:
+            self._append(self.top + 1)
+
+    def g1k(self, n: int, k: int) -> QPoly:
+        """g_n(1k), unpacked from a kept row."""
+        value = _unpack(self.level.rows[n][k], self.width)
+        return value.shifted(n - k) if self.pattern is PatternId.P12_3 \
+            else value
+
+    def _append(self, n: int):
+        level = self.level
+        g2, g1 = level.g
+        row = self._row(n, level.rows[-1], g1, g2)
+        if self.pattern is PatternId.P12_3:
+            s = self.s
+            g = sum(row[k] << s * (n - k) for k in range(2, n + 1))
+        else:
+            g = sum(row[2:])
+        rows = level.rows + (row,) if self.keep_rows else (row,)
+        self.pending = _Level(rows, (g1, g),
+                              level.polys + (_unpack(g, self.width),))
+        self._assert_difference_recurrence(n)
+        self.level = self.pending
+
+    # -- per-pattern rows: q^t p is p << s*t --------------------------
+
+    def _row_p31_2(self, n, prev, g1, g2):
+        # g_n(1k) = (q+1) g_n(1,k-1) - q g_n(1,k-2) + (q-1) g_{n-1}(1,k-2)
+        s = self.s
+        row = [0, 0, 2 * g1]
+        if n >= 3:
+            row.append(g1)
+        if n >= 4:
+            row.append(g1 + ((2 * g2) << s) - 2 * g2)
+        for k in range(5, n + 1):
+            r1, r2, p = row[k - 1], row[k - 2], prev[k - 2]
+            row.append(((r1 - r2 + p) << s) + r1 - p)
+        return tuple(row)
+
+    def _row_p32_1(self, n, prev, g1, g2):
+        # g_n(1k) = g_n(1,k-1) + (q^(k-3) - 1) g_{n-1}(1,k-1)
+        s = self.s
+        row = [0, 0, 2 * g1]
+        if n >= 3:
+            row.append(g1)
+        for k in range(4, n + 1):
+            p = prev[k - 1]
+            row.append(row[k - 1] + (p << s * (k - 3)) - p)
+        return tuple(row)
+
+    def _row_p23_1(self, n, prev, g1, g2):
+        # g_n(1k) = q^(k-2) g_{n-1} + (1 - q^(k-2)) sum_{j<k} g_{n-1}(1j)
+        s = self.s
+        row = [0, 0, 2 * g1]
+        prefix = 0
+        for k in range(3, n + 1):
+            prefix += prev[k - 1]
+            t = s * (k - 2)
+            row.append((g1 << t) + prefix - (prefix << t))
+        return tuple(row)
+
+    def _row_p21_3(self, n, prev, g1, g2):
+        # g_n(1k) = g_{n-1} - (1 - q^(n-k)) sum_{j<k} g_{n-1}(1j)
+        s = self.s
+        row = [0, 0, 2 * g1]
+        prefix = 0
+        for k in range(3, n + 1):
+            prefix += prev[k - 1]
+            row.append(g1 - prefix + (prefix << s * (n - k)))
+        return tuple(row)
+
+    def _row_p12_3(self, n, prev, g1, g2):
+        # Rows are carried q-lowered, which turns the refinement recurrence
+        # into nonnegative-shift prefix and suffix sums, for k >= 3:
+        # low_n(k) = sum_{j<k} low_{n-1}(j) + sum_{j>=k} q^(n-1-j) low_{n-1}(j).
+        s = self.s
+        row = [0] * (n + 1)
+        row[2] = 2 * g1
+        prefix, suffix = sum(prev[2:]), 0
+        for k in range(n, 2, -1):
+            if k < n:
+                p = prev[k]
+                prefix -= p
+                suffix += p << s * (n - 1 - k)
+            row[k] = prefix + suffix
+        return tuple(row)
+
+    # -- difference-recurrence assertions, at q = 2^s -------------------
+
+    def _assert_difference_recurrence(self, n: int):
+        checker = getattr(self, "_check_" + self.pattern.name.lower(), None)
+        if checker is not None:
+            g2, g1 = self.level.g
+            checker(n, self.pending.rows[-1], self.level.rows[-1], g1, g2)
+
+    def _fail(self, n: int, k: int):
+        raise IdentityViolation(
+            f"{self.pattern} refined difference recurrence failed "
+            f"at n={n}, k={k}")
+
+    def _check_p12_3(self, n, row, prev, g1, g2):
+        # q g_n(1k) = g_n(1,k-1) + q (1 - q^(n-k)) g_{n-1}(1,k-1) and
+        # g_n(13) = q^(n-3) (g_{n-1} - 2 (q^(n-3) - 1) g_{n-2}), both
+        # divided through by the power of q that the lowered rows carry.
+        s = self.s
+        if n >= 3 and row[3] != g1 + 2 * g2 - ((2 * g2) << s * (n - 3)):
+            self._fail(n, 3)
+        for k in range(4, n + 1):
+            p = prev[k - 1]
+            if row[k] != row[k - 1] + p - (p << s * (n - k)):
+                self._fail(n, k)
+
+    def _check_p23_1(self, n, row, prev, g1, g2):
+        # [k-3] g_n(1k) = -q^(k-3) g_{n-1} + [k-2] g_n(1,k-1)
+        #                 + (1-q) [k-2] [k-3] g_{n-1}(1,k-1),
+        # times (q - 1); and g_n(13) = q g_{n-1} + 2 (1 - q) g_{n-2}.
+        s = self.s
+        if n >= 3 and row[3] != (g1 << s) + 2 * g2 - ((2 * g2) << s):
+            self._fail(n, 3)
+        for k in range(4, n + 1):
+            a, b = s * (k - 3), s * (k - 2)
+            r, r1, p = row[k], row[k - 1], prev[k - 1]
+            pb = (p << b) - p
+            if (r << a) - r != ((g1 - (g1 << s)) << a) + (r1 << b) - r1 \
+                    - (pb << a) + pb:
+                self._fail(n, k)
+
+    def _check_p21_3(self, n, row, prev, g1, g2):
+        # [n-k+1] g_n(1k) = q^(n-k) g_{n-1} + [n-k] g_n(1,k-1)
+        #                   + (q-1) [n-k] [n-k+1] g_{n-1}(1,k-1),
+        # times (q - 1); and g_n(13) = g_{n-1} + 2 (q^(n-3) - 1) g_{n-2}.
+        s = self.s
+        if n >= 3 and row[3] != g1 + ((2 * g2) << s * (n - 3)) - 2 * g2:
+            self._fail(n, 3)
+        for k in range(4, n + 1):
+            a, b = s * (n - k + 1), s * (n - k)
+            r, r1, p = row[k], row[k - 1], prev[k - 1]
+            pb = (p << b) - p
+            if (r << a) - r != (((g1 << s) - g1) << b) + (r1 << b) - r1 \
+                    + (pb << a) - pb:
+                self._fail(n, k)
+
+
+_BUILDERS: dict[PatternId, _RefinedBuilder] = {}
+_REFINED: dict[PatternId, _RefinedBuilder] = {}
+
+
+def _grown(memo: dict, pattern: PatternId, n: int,
+           keep_rows: bool) -> _RefinedBuilder:
+    """The memoized builder of ``pattern`` in ``memo``, grown to level n.
+
+    A request past the builder's capacity N starts a new builder at
+    capacity max(n, 2N); a build that raises drops the pattern's builder.
+    """
+    builder = memo.get(pattern)
+    if builder is None or builder.capacity < n:
+        capacity = max(n, 2 * builder.capacity if builder else _MIN_CAPACITY)
+        builder = memo[pattern] = _RefinedBuilder(pattern, capacity,
+                                                  keep_rows)
+    try:
+        builder.extend(n)
+    except BaseException:
+        memo.pop(pattern, None)
+        raise
+    return builder
 
 
 def distribution_table(pattern: PatternId, n_max: int) -> DistributionTable:
     """The recurrence-computed table g_1 .. g_{n_max} for one pattern.
 
     State is memoized per pattern and grown incrementally, so asking for a
-    larger n_max later reuses everything already computed.
+    larger n_max later reuses everything already computed (up to the
+    builder's capacity; see the module docstring).
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    builder = _BUILDERS.get(pattern)
-    if builder is None:
-        builder = _BUILDERS[pattern] = _BUILDER_CLASSES[pattern]()
-    try:
-        builder.extend(n_max)
-    except BaseException:
-        _BUILDERS.pop(pattern, None)
-        raise
-    return DistributionTable(pattern, tuple(builder.g[1:n_max + 1]))
+    builder = _grown(_BUILDERS, pattern, n_max, keep_rows=False)
+    return DistributionTable(pattern, builder.level.polys[:n_max])
 
 
 def g_31_2(n_max: int) -> DistributionTable:
@@ -534,182 +805,13 @@ def g_21_3(n_max: int) -> DistributionTable:
     return distribution_table(PatternId.P21_3, n_max)
 
 
-# ---------------------------------------------------------------------------
-# Prefix-refined tables g_n(1k)
-# ---------------------------------------------------------------------------
-
-class _RefinedBuilder:
-    """Rows of g_n(1k) for 2 <= k <= n, grown level by level.
-
-    Each pattern computes its rows as described in the module docstring and
-    then asserts the pattern's difference recurrence(s) on the computed
-    values, in cleared-denominator form where the recurrence divides.
-    """
-
-    def __init__(self, pattern: PatternId):
-        self.pattern = pattern
-        # rows[n][k] = g_n(1k); rows[n] is a dict for 2 <= k <= n
-        self.rows: list[dict[int, QPoly]] = [{}, {}]
-        self.gsum: list[QPoly] = [_ZERO, _ONE]  # gsum[n] = g_n
-        # 12-3 rows are carried q-lowered: low[n][k] = g_n(1k) / q^(n-k)
-        self.low: list[dict[int, QPoly]] = [{}, {}]
-
-    @property
-    def top(self) -> int:
-        return len(self.rows) - 1
-
-    def extend(self, n_max: int):
-        while self.top < n_max:
-            self._append(self.top + 1)
-
-    def _append(self, n: int):
-        row = getattr(self, "_row_" + self.pattern.name.lower())(n)
-        self.rows.append(row)
-        total = _ZERO
-        for k in range(2, n + 1):
-            total = total + row[k]
-        self.gsum.append(total)
-        self._assert_difference_recurrence(n)
-
-    # -- per-pattern row constructions --------------------------------
-
-    def _row_p31_2(self, n: int) -> dict[int, QPoly]:
-        g1, g2 = self.gsum[n - 1], self.gsum[n - 2]
-        prev = self.rows[n - 1]
-        q = QPoly.q()
-        row = {2: 2 * g1}
-        if n >= 3:
-            row[3] = g1
-        if n >= 4:
-            row[4] = g1 + 2 * _Q_MINUS_ONE * g2
-        for k in range(5, n + 1):
-            row[k] = ((q + 1) * row[k - 1] - q * row[k - 2]
-                      + _Q_MINUS_ONE * prev[k - 2])
-        return row
-
-    def _row_p32_1(self, n: int) -> dict[int, QPoly]:
-        g1 = self.gsum[n - 1]
-        prev = self.rows[n - 1]
-        row = {2: 2 * g1}
-        if n >= 3:
-            row[3] = g1
-        for k in range(4, n + 1):
-            row[k] = row[k - 1] + _qt_minus_one(prev[k - 1], k - 3)
-        return row
-
-    def _row_p23_1(self, n: int) -> dict[int, QPoly]:
-        g1 = self.gsum[n - 1]
-        prev = self.rows[n - 1]
-        row = {2: 2 * g1}
-        prefix = _ZERO
-        for k in range(3, n + 1):
-            prefix = prefix + prev[k - 1]
-            row[k] = g1.shifted(k - 2) + _one_minus_qt(prefix, k - 2)
-        return row
-
-    def _row_p21_3(self, n: int) -> dict[int, QPoly]:
-        g1 = self.gsum[n - 1]
-        prev = self.rows[n - 1]
-        row = {2: 2 * g1}
-        prefix = _ZERO
-        for k in range(3, n + 1):
-            prefix = prefix + prev[k - 1]
-            row[k] = g1 - _one_minus_qt(prefix, n - k)
-        return row
-
-    def _row_p12_3(self, n: int) -> dict[int, QPoly]:
-        # Rows are carried q-lowered, low[n][k] = g_n(1k) / q^(n-k), which
-        # turns the refinement recurrence into nonnegative-shift prefix and
-        # suffix sums: low[n][k] = sum_{j<k} low[n-1][j]
-        #                          + sum_{j>=k} q^(n-1-j) low[n-1][j].
-        prev_low = self.low[n - 1]
-        low = {2: 2 * self.gsum[n - 1]}
-        prefix = {1: _ZERO}
-        for j in range(2, n):
-            prefix[j] = prefix[j - 1] + prev_low[j]
-        suffix = _ZERO
-        for k in range(n, 2, -1):
-            if k <= n - 1:
-                suffix = suffix + prev_low[k].shifted(n - 1 - k)
-            low[k] = prefix[k - 1] + suffix
-        self.low.append(low)
-        return {k: low[k].shifted(n - k) for k in range(2, n + 1)}
-
-    # -- difference-recurrence assertions ------------------------------
-
-    def _assert_difference_recurrence(self, n: int):
-        checker = getattr(self, "_check_" + self.pattern.name.lower(), None)
-        if checker is not None:
-            checker(n)
-
-    def _fail(self, n: int, k: int):
-        raise IdentityViolation(
-            f"{self.pattern} refined difference recurrence failed "
-            f"at n={n}, k={k}")
-
-    def _check_p12_3(self, n: int):
-        row, prev = self.rows[n], self.rows[n - 1]
-        g1, g2 = self.gsum[n - 1], self.gsum[n - 2]
-        if n >= 3:
-            qpow = QPoly.monomial(n - 3)
-            expect = qpow * g1 - 2 * qpow * (QPoly.monomial(n - 3) - 1) * g2
-            if row[3] != expect:
-                self._fail(n, 3)
-        for k in range(4, n + 1):
-            lhs = row[k].shifted(1)
-            rhs = row[k - 1] + _one_minus_qt(prev[k - 1], n - k).shifted(1)
-            if lhs != rhs:
-                self._fail(n, k)
-
-    def _check_p23_1(self, n: int):
-        row, prev = self.rows[n], self.rows[n - 1]
-        g1, g2 = self.gsum[n - 1], self.gsum[n - 2]
-        if n >= 3:
-            if row[3] != QPoly.q() * g1 + 2 * _ONE_MINUS_Q * g2:
-                self._fail(n, 3)
-        for k in range(4, n + 1):
-            lhs = _qint_times(row[k], k - 3)
-            rhs = (-g1.shifted(k - 3)
-                   + _qint_times(row[k - 1], k - 2)
-                   + _ONE_MINUS_Q * _qint_times(_qint_times(prev[k - 1], k - 2),
-                                                k - 3))
-            if lhs != rhs:
-                self._fail(n, k)
-
-    def _check_p21_3(self, n: int):
-        row, prev = self.rows[n], self.rows[n - 1]
-        g1, g2 = self.gsum[n - 1], self.gsum[n - 2]
-        if n >= 3:
-            if row[3] != g1 + 2 * _Q_MINUS_ONE * _qint_times(g2, n - 3):
-                self._fail(n, 3)
-        for k in range(4, n + 1):
-            lhs = _qint_times(row[k], n - k + 1)
-            rhs = (g1.shifted(n - k)
-                   + _qint_times(row[k - 1], n - k)
-                   + _Q_MINUS_ONE * _qint_times(_qint_times(prev[k - 1], n - k),
-                                                n - k + 1))
-            if lhs != rhs:
-                self._fail(n, k)
-
-
-_REFINED: dict[PatternId, _RefinedBuilder] = {}
-
-
 def refined_g1k(pattern: PatternId, n: int, k: int) -> QPoly:
     """g_n(1k): the distribution restricted to flattened forms starting 1,k."""
     if n < 2:
         raise ValueError("refined distributions need n >= 2")
     if not 2 <= k <= n:
         raise ValueError(f"prefix letter k={k} out of range 2..{n}")
-    builder = _REFINED.get(pattern)
-    if builder is None:
-        builder = _REFINED[pattern] = _RefinedBuilder(pattern)
-    try:
-        builder.extend(n)
-    except BaseException:
-        _REFINED.pop(pattern, None)
-        raise
-    return builder.rows[n][k]
+    return _grown(_REFINED, pattern, n, keep_rows=True).g1k(n, k)
 
 
 def g1k_via_elementary_32_1(n: int, k: int) -> QPoly:

@@ -459,8 +459,9 @@ def _suite_identities(report: Report, n_max: int):
          check_31_2_coefficient_routes)
 
     def check_32_1_routes():
-        # the builder itself raises on disagreement; building is the check
-        recurrences.distribution_table(PatternId.P32_1, max(n_max, 20))
+        # the coefficient-table builder raises on disagreement; building
+        # it is the check (distribution_table runs the refined route)
+        recurrences.coefficient_table(PatternId.P32_1, max(n_max, 20))
         return "triple-sum and symmetric-function coefficients agree"
     _run(report, "identities", "32-1 coefficient routes agree", check_32_1_routes)
 

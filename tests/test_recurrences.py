@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,7 +15,10 @@ from flatperm.recurrences import (ALL_PATTERNS, DistributionTable, PatternId,
                                   g_12_3, g_21_3, g_23_1, g_31_2, g_32_1,
                                   refined_g1k, qbinom_coefficient_12_3,
                                   qbinom_form_consistency_12_3)
-from flatperm.recurrences import _Builder31_2, _RefinedBuilder
+from flatperm.recurrences import (_SIDE_WEIGHT, _Builder31_2,
+                                  _RefinedBuilder, _slot_bytes, _unpack,
+                                  coefficient_table)
+from flatperm.verification import CROSS_PATTERN_N_MAX
 
 QM1 = QPoly([-1, 1])
 
@@ -228,36 +234,109 @@ def test_cross_pattern_equalities_small():
 
 
 # ---------------------------------------------------------------------------
+# The coefficient-table check and the packed representation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+def test_coefficient_tables_match_production(pattern):
+    # for 32-1 the build also compares its two coefficient routes
+    assert coefficient_table(pattern, CROSS_PATTERN_N_MAX).polys \
+        == distribution_table(pattern, CROSS_PATTERN_N_MAX).polys
+
+
+def test_slot_width_bounds_every_asserted_side():
+    for capacity in range(1, 201):
+        s = 8 * _slot_bytes(capacity)
+        assert _SIDE_WEIGHT * math.factorial(capacity) < 2 ** (s - 2)
+        # and a slot one byte narrower would not do
+        assert _SIDE_WEIGHT * math.factorial(capacity) >= 2 ** (s - 10)
+
+
+def test_pack_unpack_round_trip():
+    width = _slot_bytes(12)
+    q = 1 << 8 * width
+    for poly in (QPoly(), QPoly([1]), QPoly([0, 0, 5]),
+                 QPoly([math.factorial(12), 0, 3, 1]),
+                 distribution_table(PatternId.P12_3, 12).g(12)):
+        assert _unpack(poly.evaluate(q), width) == poly
+
+
+def test_unpack_negative_raises():
+    with pytest.raises(IdentityViolation):
+        _unpack(-1, 1)
+    with pytest.raises(IdentityViolation):
+        _unpack(QPoly([3, -1]).evaluate(1 << 8), 1)
+
+
+def test_request_past_capacity_starts_over(monkeypatch):
+    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    low = distribution_table(PatternId.P32_1, 5)
+    first = recurrences._BUILDERS[PatternId.P32_1]
+    high = distribution_table(PatternId.P32_1, first.capacity + 1)
+    second = recurrences._BUILDERS[PatternId.P32_1]
+    assert second is not first
+    assert second.capacity == 2 * first.capacity
+    assert high.polys[:5] == low.polys
+
+
+def test_memo_tables_empty_at_import():
+    src = os.path.dirname(os.path.dirname(recurrences.__file__))
+    # the benchmark's cold-state probe reads these by name: the two memo
+    # dicts, and every list in closed_forms.numbers by its length - 1
+    probe = (f"import sys; sys.path.insert(0, {src!r})\n"
+             "import flatperm.cli\n"
+             "from flatperm import closed_forms, recurrences as r\n"
+             "print(r._BUILDERS == {} == r._REFINED,\n"
+             "      type(r._BUILDERS) is dict is type(r._REFINED),\n"
+             "      sum(len(v) - 1 for v in vars(closed_forms.numbers).values()\n"
+             "          if isinstance(v, list)))\n")
+    out = subprocess.run([sys.executable, "-I", "-c", probe],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["True", "True", "0"]
+
+
+# ---------------------------------------------------------------------------
 # Memo state after a step that stops midway
 # ---------------------------------------------------------------------------
 
-def _interrupt_every_call(monkeypatch, method, memo, build_to):
-    """Build to n = 6 on an empty memo, then run step 7 with the i-th call of
-    QPoly.<method> raising KeyboardInterrupt, for every call i the step
-    makes.  Yields after each interrupted step, for the caller's retry."""
-    original = getattr(QPoly, method)
-    calls, fail_at = 0, None
+def _interrupt_every_line(monkeypatch, memo, build_to):
+    """Build to n = 6 (on an empty memo, if one is named), then run step 7
+    with a KeyboardInterrupt raised at the i-th line event that
+    sys.settrace reports inside ``recurrences``, for every such event of
+    the step.  Yields after each interrupted step, for the caller's retry."""
+    source = recurrences.__file__
+    events, fail_at = 0, None
 
-    def wrapped(self, other):
-        nonlocal calls
-        calls += 1
-        if calls == fail_at:
-            raise KeyboardInterrupt
-        return original(self, other)
+    def on_line(frame, event, arg):
+        nonlocal events
+        if event == "line":
+            events += 1
+            if events == fail_at:
+                raise KeyboardInterrupt
+        return on_line
 
-    monkeypatch.setattr(QPoly, method, wrapped)
-    monkeypatch.setattr(recurrences, memo, {})
-    build_to(6)
-    calls = 0
-    build_to(7)
-    step_calls = calls
-    assert step_calls > 0
-    for fail_at in range(1, step_calls + 1):
-        monkeypatch.setattr(recurrences, memo, {})
+    def on_call(frame, event, arg):
+        return on_line if frame.f_code.co_filename == source else None
+
+    def step_7():
+        nonlocal events
+        if memo:
+            monkeypatch.setattr(recurrences, memo, {})
         build_to(6)
-        calls = 0
-        with pytest.raises(KeyboardInterrupt):
+        events = 0
+        previous = sys.gettrace()
+        sys.settrace(on_call)
+        try:
             build_to(7)
+        finally:
+            sys.settrace(previous)
+
+    step_7()
+    step_events = events
+    assert step_events > 0
+    for fail_at in range(1, step_events + 1):
+        with pytest.raises(KeyboardInterrupt):
+            step_7()
         yield
 
 
@@ -265,8 +344,8 @@ def _interrupt_every_call(monkeypatch, method, memo, build_to):
 def test_table_rebuilt_after_interrupted_step(pattern, monkeypatch):
     monkeypatch.setattr(recurrences, "_BUILDERS", {})
     fresh = distribution_table(pattern, 9).polys
-    for _ in _interrupt_every_call(
-            monkeypatch, "__mul__", "_BUILDERS",
+    for _ in _interrupt_every_line(
+            monkeypatch, "_BUILDERS",
             lambda n: distribution_table(pattern, n)):
         assert distribution_table(pattern, 9).polys == fresh
 
@@ -279,10 +358,36 @@ def test_refined_rebuilt_after_interrupted_step(pattern, monkeypatch):
 
     monkeypatch.setattr(recurrences, "_REFINED", {})
     fresh = rows(9)
-    for _ in _interrupt_every_call(
-            monkeypatch, "__add__", "_REFINED",
+    for _ in _interrupt_every_line(
+            monkeypatch, "_REFINED",
             lambda n: refined_g1k(pattern, n, 2)):
         assert rows(9) == fresh
+
+
+@pytest.mark.parametrize("keep_rows", [False, True])
+@pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+def test_interrupted_step_leaves_a_whole_level(pattern, keep_rows,
+                                               monkeypatch):
+    # the builder alone, without the memo that drops it on an exception
+    def fresh(n):
+        builder = _RefinedBuilder(pattern, 40, keep_rows)
+        builder.extend(n)
+        return builder
+
+    whole = (fresh(6).level, fresh(7).level)
+    want = fresh(9).level
+    held = []
+
+    def build_to(n):
+        if n == 6:
+            held[:] = [fresh(6)]
+        else:
+            held[0].extend(n)
+
+    for _ in _interrupt_every_line(monkeypatch, None, build_to):
+        assert held[0].level in whole
+        held[0].extend(9)
+        assert held[0].level == want
 
 
 @pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
