@@ -9,11 +9,40 @@ element; flattening erases the parentheses; an occurrence of a pattern
 xy-z / x-yz / x-y-z is an order-isomorphic triple with the glued positions
 adjacent in the host.
 
-The sweeps walk the (n-1)! flattened words (the arrangements of [n] that
-start with 1), not S_n, by one lemma: cycles open at 1 and at any subset of
-the word's later right-to-left minima, nowhere else, so a word with r such
-minima has 2^(r-1) preimages.  tests/test_perm_core.py checks the lemma on
-the literal n! flatten sweep for n <= 8, and every brute counter for n <= 7.
+The oracle works on the (n-1)! flattened words (the arrangements of [n]
+that start with 1), not S_n, by one lemma: cycles open at 1 and at any
+subset of the word's later right-to-left minima, nowhere else, so a word
+with r such minima has 2^(r-1) preimages.  tests/test_perm_core.py checks
+the lemma on the literal n! flatten sweep for n <= 8, and every brute
+counter for n <= 7.
+
+Patterns x-yz and x-y-z walk those words one by one and count each in
+O(n^2) (``_flat_words``, ``_bucket``); so does ``bijections``' 31-2 check.
+
+Patterns xy-z (all five of the paper's) take one dynamic-programming pass
+over (suffix set, front letter) instead, the subset recursion of Bellman
+and Held-Karp (1962).  The letters 2..n are placed right to left; a state
+(S, b) is the set S of letters placed so far and the front letter b.
+Prepending a letter a not in S adds the occurrences with x = a, y = b and
+z in S - {b}, and makes a a right-to-left minimum exactly when a < min(S).
+Both depend on (a, b, S) alone, not on the order of S - {b}, so one value
+per state carries everything later steps need, and suffixes with equal
+(S, b) are merged.  Placing 1 last adds its occurrences and no weight (1
+opens every preimage's first cycle); the state whose front letter was k
+then holds g_n(1k).  About 2^(n-1) n^2 transitions replace (n-1)! n^2
+comparisons, and nothing from the recurrences is used, so the pass stays an
+independent check on them.  tests/test_perm_core.py compares it with the
+word walk on six xy-z patterns for n <= 8, whole and for every k.
+
+Each state's value is its distribution at q = 2^s, the slot width s the
+least multiple of 8 with n! < 2^s; a new occurrence is a shift by s, and a
+new minimum doubles the value.  That width is enough: the suffixes on an
+L-set, weighted by 2^(their right-to-left minima), total 2 * 3 * ... *
+(L + 1) = (L + 1)! (the minima's generating function over S_L is x (x + 1)
+... (x + L - 1), at x = 2).  So every coefficient of every state, and of
+every sum of states the pass forms, lies in [0, (L + 1)!] with L <= n - 1,
+below 2^s; no slot carries into the next, and each packed value is read
+back exactly by ``qpoly._unpack``.
 
 All types are immutable values, safe to share between threads; the
 exhaustive sweeps are deterministic, so splitting a sweep and merging the
@@ -23,13 +52,15 @@ per-chunk counts is sound if a caller wants parallelism.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .qpoly import QPoly
+from .qpoly import QPoly, _unpack
 
-#: Default refusal bound for full-S_n sweeps (10! hosts is the practical
-#: ceiling for an exhaustive run on one core).
+#: Default refusal bound for the oracle (for the walked x-yz and x-y-z
+#: patterns, 10! hosts is the practical ceiling of an exhaustive run on one
+#: core; the xy-z pass is far cheaper but keeps the same bound).
 DEFAULT_MAX_N = 10
 
 
@@ -292,11 +323,74 @@ def _bucket(words, pat: VincularPattern3) -> QPoly:
     return QPoly([buckets[i] for i in range(max(buckets, default=-1) + 1)])
 
 
+def _slot_bytes(n: int) -> int:
+    """Bytes per slot of the xy-z pass at n: the least s = 8 * bytes with
+    n! < 2^s."""
+    return (math.factorial(n).bit_length() + 7) // 8
+
+
+def _completions(n: int, pat: VincularPattern3) -> list[list[int]]:
+    """zs[a][b]: the set of letters z that complete an occurrence of the
+    xy-z pattern pat with x = a, y = b, as a mask with letter c at bit c - 2;
+    empty when a, b are in the wrong order."""
+    p1, p2, p3 = pat.letters
+    xy, xz, yz = p1 < p2, p1 < p3, p2 < p3
+    zs = [[0] * (n + 1) for _ in range(n + 1)]
+    for a in range(1, n + 1):
+        for b in range(2, n + 1):
+            if (a < b) == xy:
+                zs[a][b] = sum(1 << (c - 2) for c in range(2, n + 1)
+                               if (a < c) == xz and (b < c) == yz)
+    return zs
+
+
+def _xy_z_layers(n: int, zs: list[list[int]], s: int):
+    """Yield the states of the right-to-left pass after each of the n - 1
+    letters of {2..n} is placed: {(S, b): value}, with S the mask of placed
+    letters, b the front one, and value the weighted distribution of the
+    suffixes on S that start with b, evaluated at q = 2^s."""
+    # the last letter is always a right-to-left minimum
+    layer = {(1 << (b - 2), b): 2 for b in range(2, n + 1)}
+    yield layer
+    for _ in range(n - 2):
+        nxt: dict = {}
+        for (placed, b), value in layer.items():
+            zset = placed ^ (1 << (b - 2))
+            for a in range(2, n + 1):
+                bit = 1 << (a - 2)
+                if placed & bit:
+                    continue
+                v = value << s * (zs[a][b] & zset).bit_count()
+                if not placed & (bit - 1):   # a < min(S): a new minimum
+                    v <<= 1
+                key = (placed | bit, a)
+                nxt[key] = nxt.get(key, 0) + v
+        layer = nxt
+        yield layer
+
+
+def _xy_z_fronts(n: int, pat: VincularPattern3) -> tuple[dict, int]:
+    """Packed g_n(1k) for 2 <= k <= n of the xy-z pattern pat, keyed by k,
+    and the slot width in bytes (n >= 2)."""
+    width = _slot_bytes(n)
+    s = 8 * width
+    zs = _completions(n, pat)
+    for top in _xy_z_layers(n, zs, s):
+        pass
+    # prepending 1 adds its occurrences but no weight: 1 opens the first
+    # cycle of every preimage
+    return {k: value << s * (zs[1][k] & (placed ^ 1 << (k - 2))).bit_count()
+            for (placed, k), value in top.items()}, width
+
+
 def brute_distribution(n: int, pat: VincularPattern3,
                        max_n: int = DEFAULT_MAX_N) -> QPoly:
     """Sum of q^(occurrences of pat in flatten(p)) over all p in S_n."""
     _check_cap(n, max_n)
-    return _bucket(_flat_words(n), pat)
+    if not pat.glue12 or n == 1:
+        return _bucket(_flat_words(n), pat)
+    fronts, width = _xy_z_fronts(n, pat)
+    return _unpack(sum(fronts.values()), width)
 
 
 def brute_refined_distribution(n: int, pat: VincularPattern3, k: int,
@@ -305,7 +399,10 @@ def brute_refined_distribution(n: int, pat: VincularPattern3, k: int,
     _check_cap(n, max_n)
     if not 2 <= k <= n:
         raise ValueError(f"prefix letter k={k} out of range 2..{n}")
-    return _bucket(_flat_words(n, k), pat)
+    if not pat.glue12:
+        return _bucket(_flat_words(n, k), pat)
+    fronts, width = _xy_z_fronts(n, pat)
+    return _unpack(fronts[k], width)
 
 
 def brute_total_occurrences(n: int, pat: VincularPattern3,

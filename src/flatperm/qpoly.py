@@ -308,6 +308,24 @@ def _mul_kronecker(a: tuple, b: tuple) -> list:
     ]
 
 
+def _unpack(value: int, width: int) -> QPoly:
+    """The polynomial with coefficients in [0, 2^(8 width)) whose value at
+    q = 2^(8 width) is ``value``.
+
+    The reader of the packed polynomials that ``recurrences`` and the
+    ``perm_core`` oracle compute with; each module picks its own slot width
+    and proves there that every coefficient fits a slot.
+    """
+    if value < 0:
+        raise IdentityViolation(
+            "packed polynomial is negative: a coefficient left its slot")
+    size = -(-value.bit_length() // (8 * width)) * width
+    raw = memoryview(value.to_bytes(size, "little"))
+    from_bytes = int.from_bytes
+    return QPoly([from_bytes(raw[i:i + width], "little")
+                  for i in range(0, size, width)])
+
+
 _ZERO = QPoly._raw(())
 _ONE = QPoly._raw((1,))
 _Q = QPoly._raw((0, 1))

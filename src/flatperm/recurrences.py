@@ -70,7 +70,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import perm_core
-from .qpoly import IdentityViolation, QPoly, q_binomial, q_int
+from .qpoly import IdentityViolation, QPoly, _unpack, q_binomial, q_int
 
 _ONE = QPoly.one()
 _ZERO = QPoly.zero()
@@ -550,19 +550,6 @@ def _slot_bytes(capacity: int) -> int:
     _SIDE_WEIGHT * N! < 2^(s-2)."""
     bits = (_SIDE_WEIGHT * math.factorial(capacity)).bit_length() + 2
     return (bits + 7) // 8
-
-
-def _unpack(value: int, width: int) -> QPoly:
-    """The polynomial with coefficients in [0, 2^(8 width)) whose value at
-    q = 2^(8 width) is ``value``."""
-    if value < 0:
-        raise IdentityViolation(
-            "packed polynomial is negative: a coefficient left [0, N!]")
-    size = -(-value.bit_length() // (8 * width)) * width
-    raw = memoryview(value.to_bytes(size, "little"))
-    from_bytes = int.from_bytes
-    return QPoly([from_bytes(raw[i:i + width], "little")
-                  for i in range(0, size, width)])
 
 
 class _Level(NamedTuple):

@@ -4,14 +4,15 @@ from collections import Counter
 import pytest
 
 from flatperm.perm_core import (CapExceeded, CycleForm, Permutation,
-                                VincularPattern3, _flat_words,
+                                VincularPattern3, _bucket, _completions,
+                                _flat_words, _slot_bytes, _xy_z_layers,
                                 brute_avoider_count, brute_distribution,
                                 brute_refined_distribution,
                                 brute_total_occurrences,
                                 count_in_flattened_sense, count_occurrences,
                                 enumerate_permutations, flatten,
                                 to_standard_cycle_form)
-from flatperm.qpoly import QPoly
+from flatperm.qpoly import QPoly, _unpack
 
 P31_2 = VincularPattern3.from_string("31-2")
 P23_1 = VincularPattern3.from_string("23-1")
@@ -209,3 +210,52 @@ def test_oracle_matches_literal_sweep(text):
             assert as_counter(brute_refined_distribution(n, pat, k)) \
                 == Counter({occ: c for (second, occ), c in sweep.items()
                             if second == (k,)})
+
+
+XY_Z = ["12-3", "21-3", "23-1", "32-1", "31-2", "13-2"]
+
+
+@pytest.mark.parametrize("text", XY_Z)
+def test_xy_z_pass_matches_word_walk(text):
+    """The (suffix set, front letter) pass against the weighted word walk,
+    whole and for every prefix letter k."""
+    pat = VincularPattern3.from_string(text)
+    for n in range(1, 9):
+        assert brute_distribution(n, pat) == _bucket(_flat_words(n), pat)
+        for k in range(2, n + 1):
+            assert brute_refined_distribution(n, pat, k) \
+                == _bucket(_flat_words(n, k), pat)
+
+
+@pytest.mark.parametrize("text", XY_Z)
+def test_xy_z_state_weights_fit_their_slots(text):
+    """After L letters are placed, the states on each set S total (L+1)!
+    weighted suffixes, and (L+1)! <= n! < 2^s for the least byte-multiple
+    slot s."""
+    pat = VincularPattern3.from_string(text)
+    for n in range(2, 11):
+        width = _slot_bytes(n)
+        assert math.factorial(n) < 1 << 8 * width
+        assert math.factorial(n) >= 1 << 8 * (width - 1)
+        layers = _xy_z_layers(n, _completions(n, pat), 8 * width)
+        for placed_count, layer in enumerate(layers, 1):
+            totals = Counter()
+            for (placed, _), value in layer.items():
+                assert placed.bit_count() == placed_count
+                totals[placed] += _unpack(value, width).evaluate(1)
+            assert len(totals) == math.comb(n - 1, placed_count)
+            assert set(totals.values()) \
+                == {math.factorial(placed_count + 1)}
+        assert placed_count == n - 1
+
+
+def test_xy_z_pass_keeps_the_cap():
+    with pytest.raises(CapExceeded) as exc:
+        brute_distribution(11, P32_1)
+    assert str(exc.value) == ("refusing exhaustive enumeration at n=11: "
+                              "cap is 10 (raise the cap explicitly to go "
+                              "further)")
+    with pytest.raises(CapExceeded):
+        brute_refined_distribution(11, P32_1, 2)
+    with pytest.raises(ValueError):
+        brute_refined_distribution(1, P32_1, 1)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from flatperm import perm_core, recurrences
-from flatperm.qpoly import IdentityViolation, QPoly, q_int
+from flatperm.qpoly import IdentityViolation, QPoly, _unpack, q_int
 from flatperm.recurrences import (ALL_PATTERNS, DistributionTable, PatternId,
                                   a_coeff_table_31_2, b2_poly_21_3,
                                   b2_poly_23_1, b2_rational_identity_21_3,
@@ -16,7 +16,7 @@ from flatperm.recurrences import (ALL_PATTERNS, DistributionTable, PatternId,
                                   refined_g1k, qbinom_coefficient_12_3,
                                   qbinom_form_consistency_12_3)
 from flatperm.recurrences import (_SIDE_WEIGHT, _Builder31_2,
-                                  _RefinedBuilder, _slot_bytes, _unpack,
+                                  _RefinedBuilder, _slot_bytes,
                                   coefficient_table)
 from flatperm.verification import CROSS_PATTERN_N_MAX
 
@@ -108,6 +108,19 @@ def test_refined_oracle_equivalence_small(pattern):
         for k in range(2, n + 1):
             assert refined_g1k(pattern, n, k) \
                 == perm_core.brute_refined_distribution(n, vinc, k)
+
+
+@pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+def test_oracle_past_the_default_cap(pattern):
+    """The xy-z oracle pass against the recurrences beyond n = 10, with the
+    cap raised explicitly."""
+    vinc = pattern.vincular()
+    table = distribution_table(pattern, 12)
+    for n in (11, 12):
+        assert perm_core.brute_distribution(n, vinc, max_n=12) == table.g(n)
+    for k in range(2, 12):
+        assert perm_core.brute_refined_distribution(11, vinc, k, max_n=11) \
+            == refined_g1k(pattern, 11, k)
 
 
 def test_refined_sums_and_range_errors():
