@@ -20,7 +20,9 @@ All values are immutable and every operation is reentrant.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -299,13 +301,23 @@ def _mul_kronecker(a: tuple, b: tuple) -> list:
     out_len = len(a) + len(b) - 1
     product = pack(a) * pack(b)
     comb = int.from_bytes(unit * out_len, "little")
-    raw = (product + (comb << (slot - 1))).to_bytes(out_len * width, "little")
-    mv = memoryview(raw)
-    from_bytes = int.from_bytes
-    return [
-        from_bytes(mv[i:i + width], "little") - offset
-        for i in range(0, out_len * width, width)
-    ]
+    return [c - offset
+            for c in _slots(product + (comb << (slot - 1)), width, out_len)]
+
+
+def _slots(value: int, width: int, count: int) -> map:
+    """``value`` >= 0, below 2^(8 width count), cut into ``count`` slots of
+    ``width`` bytes, lowest first, as ints: one ``struct`` split of its
+    bytes and one ``int.from_bytes`` per field, with no per-slot bytecode.
+
+    The ``Struct`` is compiled fresh and dropped after the call.  The
+    module-level ``struct.unpack`` would cache every format string, and at
+    the lengths read here (hundreds to thousands of fields) its cache of up
+    to 100 compiled formats holds megabytes for the life of the process.
+    """
+    fields = struct.Struct(f"{width}s" * count).unpack(
+        value.to_bytes(width * count, "little"))
+    return map(int.from_bytes, fields, repeat("little"))
 
 
 def _unpack(value: int, width: int) -> QPoly:
@@ -314,16 +326,17 @@ def _unpack(value: int, width: int) -> QPoly:
 
     The reader of the packed polynomials that ``recurrences`` and the
     ``perm_core`` oracle compute with; each module picks its own slot width
-    and proves there that every coefficient fits a slot.
+    and proves there that every coefficient fits a slot.  The slots are read
+    by ``_slots`` with a fresh ``Struct``, not the module-level
+    ``struct.unpack``, whose format cache would keep megabytes alive.  The
+    top slot read holds the top bit of ``value``, so the coefficients are
+    already in canonical form.
     """
     if value < 0:
         raise IdentityViolation(
             "packed polynomial is negative: a coefficient left its slot")
-    size = -(-value.bit_length() // (8 * width)) * width
-    raw = memoryview(value.to_bytes(size, "little"))
-    from_bytes = int.from_bytes
-    return QPoly([from_bytes(raw[i:i + width], "little")
-                  for i in range(0, size, width)])
+    count = -(-value.bit_length() // (8 * width))
+    return QPoly._raw(tuple(_slots(value, width, count)))
 
 
 _ZERO = QPoly._raw(())

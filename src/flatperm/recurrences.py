@@ -28,7 +28,12 @@ table.  A builder of capacity N serves n <= N with s the least multiple of
   those values and sum |c| <= 8.  The [m] denominators are cleared by
   multiplying both sides by q - 1 ((q - 1) [m] = q^m - 1; in the third term
   the (1 - q) or (q - 1) factor absorbs the second [m]), and 12-3's checks
-  are divided by the power of q its lowered rows drop.  So every coefficient
+  are divided by the power of q its lowered rows drop.  23-1 and 21-3 are
+  then regrouped, as Q (X + (q - 1)(A - B)) = X with Q a power of q,
+  X = g_n(1k) - g_n(1,k-1) +- (q^m - 1) g_{n-1}(1,k-1) and A, B two of
+  g_{n-1}, g_n(1k), g_n(1,k-1) (see ``_check_p23_1`` and ``_check_p21_3``);
+  expanded, the left side has 8 unit terms and the right side 4, and the
+  regrouping leaves both sides' polynomials unchanged.  So every coefficient
   of either side lies below 8 N! < 2^(s-2) in absolute value, and those of
   their difference D below 2^(s-1).  If D(2^s) = 0 and d is D's lowest
   nonzero coefficient, at q^j, then D(2^s) / 2^(s j) = d + 2^s (...) = 0
@@ -41,8 +46,9 @@ capacity max(n, 40), so every size that ``verify`` and the tests ask for
 fits it.
 
 Retention.  ``distribution_table`` reads ``_BUILDERS``, whose builders keep
-only the last two rows plus g_1 .. g_n unpacked; ``refined_g1k`` reads
-``_REFINED``, whose builders keep every row.  A step computes into locals
+only the last row, packed g_{n-1} and g_n, and g_1 .. g_n unpacked;
+``refined_g1k`` reads ``_REFINED``, whose builders keep every row and unpack
+only the entries read.  A step computes into locals
 and commits its level in one assignment, and a build that stops with any
 exception, an interrupt included, drops that pattern's builder, so the next
 call starts again from scratch.  Builders are not thread safe; the returned
@@ -555,10 +561,11 @@ def _slot_bytes(capacity: int) -> int:
 class _Level(NamedTuple):
     """A builder's state after level n, replaced whole by each step."""
 
-    rows: tuple    # packed rows; rows[-1] is level n, and rows[m] is
-                   # level m when every row is kept
+    rows: tuple    # packed rows; rows[-1] is level n (so it has n + 1
+                   # entries), and rows[m] is level m when every row is kept
     g: tuple       # packed g_{n-1}, g_n
-    polys: tuple   # g_1 .. g_n, unpacked
+    polys: tuple   # g_1 .. g_n, unpacked; empty when every row is kept,
+                   # since refined_g1k never reads them
 
 
 class _RefinedBuilder:
@@ -581,12 +588,13 @@ class _RefinedBuilder:
         self.width = _slot_bytes(capacity)
         self.s = 8 * self.width
         self._row = getattr(self, "_row_" + pattern.name.lower())
-        self.level = _Level(rows=((), (0, 0)), g=(0, 1), polys=(_ONE,))
+        self.level = _Level(rows=((), (0, 0)), g=(0, 1),
+                            polys=() if keep_rows else (_ONE,))
         self.pending = self.level
 
     @property
     def top(self) -> int:
-        return len(self.level.polys)
+        return len(self.level.rows[-1]) - 1
 
     def extend(self, n_max: int):
         if n_max > self.capacity:
@@ -610,9 +618,11 @@ class _RefinedBuilder:
             g = sum(row[k] << s * (n - k) for k in range(2, n + 1))
         else:
             g = sum(row[2:])
-        rows = level.rows + (row,) if self.keep_rows else (row,)
-        self.pending = _Level(rows, (g1, g),
-                              level.polys + (_unpack(g, self.width),))
+        if self.keep_rows:
+            rows, polys = level.rows + (row,), ()
+        else:
+            rows, polys = (row,), level.polys + (_unpack(g, self.width),)
+        self.pending = _Level(rows, (g1, g), polys)
         self._assert_difference_recurrence(n)
         self.level = self.pending
 
@@ -707,31 +717,35 @@ class _RefinedBuilder:
     def _check_p23_1(self, n, row, prev, g1, g2):
         # [k-3] g_n(1k) = -q^(k-3) g_{n-1} + [k-2] g_n(1,k-1)
         #                 + (1-q) [k-2] [k-3] g_{n-1}(1,k-1),
-        # times (q - 1); and g_n(13) = q g_{n-1} + 2 (1 - q) g_{n-2}.
+        # times (q - 1) and regrouped as Q (X + (q-1)(g_{n-1} - g_n(1,k-1)))
+        # = X with Q = q^(k-3), X = g_n(1k) - g_n(1,k-1)
+        # + (q^(k-2) - 1) g_{n-1}(1,k-1); and g_n(13) = q g_{n-1}
+        # + 2 (1 - q) g_{n-2}.
         s = self.s
         if n >= 3 and row[3] != (g1 << s) + 2 * g2 - ((2 * g2) << s):
             self._fail(n, 3)
         for k in range(4, n + 1):
-            a, b = s * (k - 3), s * (k - 2)
-            r, r1, p = row[k], row[k - 1], prev[k - 1]
-            pb = (p << b) - p
-            if (r << a) - r != ((g1 - (g1 << s)) << a) + (r1 << b) - r1 \
-                    - (pb << a) + pb:
+            r1, p = row[k - 1], prev[k - 1]
+            x = row[k] - r1 + (p << s * (k - 2)) - p
+            d = g1 - r1
+            if (x + (d << s) - d) << s * (k - 3) != x:
                 self._fail(n, k)
 
     def _check_p21_3(self, n, row, prev, g1, g2):
         # [n-k+1] g_n(1k) = q^(n-k) g_{n-1} + [n-k] g_n(1,k-1)
         #                   + (q-1) [n-k] [n-k+1] g_{n-1}(1,k-1),
-        # times (q - 1); and g_n(13) = g_{n-1} + 2 (q^(n-3) - 1) g_{n-2}.
+        # times (q - 1) and regrouped as Q (Y + (q-1)(g_n(1k) - g_{n-1}))
+        # = Y with Q = q^(n-k), Y = g_n(1k) - g_n(1,k-1)
+        # - (q^(n-k+1) - 1) g_{n-1}(1,k-1); and g_n(13) = g_{n-1}
+        # + 2 (q^(n-3) - 1) g_{n-2}.
         s = self.s
         if n >= 3 and row[3] != g1 + ((2 * g2) << s * (n - 3)) - 2 * g2:
             self._fail(n, 3)
         for k in range(4, n + 1):
-            a, b = s * (n - k + 1), s * (n - k)
-            r, r1, p = row[k], row[k - 1], prev[k - 1]
-            pb = (p << b) - p
-            if (r << a) - r != (((g1 << s) - g1) << b) + (r1 << b) - r1 \
-                    + (pb << a) - pb:
+            r, p = row[k], prev[k - 1]
+            y = r - row[k - 1] - (p << s * (n - k + 1)) + p
+            e = r - g1
+            if (y + (e << s) - e) << s * (n - k) != y:
                 self._fail(n, k)
 
 

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flatperm.qpoly import (IdentityViolation, QPoly, complete_h,
                             e_on_qints_closed_form, elementary_e,
                             h_on_qint_window_closed_form, nonadjacent_e_prime,
                             q_binomial, q_factorial, q_int)
-from flatperm.qpoly import _mul_kronecker, _mul_schoolbook
+from flatperm.qpoly import _mul_kronecker, _mul_schoolbook, _unpack
 
 Q = QPoly.q()
 ONE = QPoly.one()
@@ -149,6 +151,42 @@ def test_kronecker_matches_schoolbook():
         a = tuple(rng.randrange(-10**9, 10**9) for _ in range(rng.randrange(1, 70)))
         b = tuple(rng.randrange(-10**30, 10**30) for _ in range(rng.randrange(1, 70)))
         assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+
+
+@st.composite
+def _slotted_coeffs(draw):
+    """A slot width w in bytes and coefficients in [0, 2^(8w)), with
+    trailing zeros drawn on purpose."""
+    width = draw(st.integers(1, 32))
+    coeffs = draw(st.lists(st.integers(0, 2 ** (8 * width) - 1),
+                           max_size=40))
+    return width, coeffs + [0] * draw(st.integers(0, 3))
+
+
+@given(_slotted_coeffs())
+def test_unpack_inverts_evaluation(case):
+    width, coeffs = case
+    poly = QPoly(coeffs)
+    out = _unpack(poly.evaluate(2 ** (8 * width)), width)
+    assert out == poly
+    assert not out.coeffs or out.coeffs[-1] != 0
+
+
+@given(st.integers(max_value=-1), st.integers(1, 32))
+def test_unpack_rejects_negative_values(value, width):
+    with pytest.raises(IdentityViolation):
+        _unpack(value, width)
+
+
+def _signed_coeffs(max_size):
+    return st.integers(0, 2000).flatmap(lambda bits: st.lists(
+        st.integers(-2 ** bits, 2 ** bits), min_size=1, max_size=max_size))
+
+
+@given(_signed_coeffs(24), _signed_coeffs(24))
+def test_kronecker_matches_schoolbook_on_wide_coefficients(a, b):
+    assert _mul_kronecker(tuple(a), tuple(b)) \
+        == _mul_schoolbook(tuple(a), tuple(b))
 
 
 def test_evaluate_and_shift():

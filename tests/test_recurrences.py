@@ -265,6 +265,32 @@ def test_slot_width_bounds_every_asserted_side():
         assert _SIDE_WEIGHT * math.factorial(capacity) >= 2 ** (s - 10)
 
 
+@pytest.mark.parametrize("bump", ["+1", "-1", "+q^(n-2)"])
+@pytest.mark.parametrize("pattern", [PatternId.P12_3, PatternId.P21_3,
+                                     PatternId.P23_1], ids=str)
+def test_asserted_identities_reject_a_corrupted_row(pattern, bump):
+    # keep_rows=True unpacks nothing during a step, so only the
+    # difference-recurrence assertions can raise
+    builder = _RefinedBuilder(pattern, 12, keep_rows=True)
+    builder.extend(2)
+    row_of = builder._row
+    for n in range(3, 13):
+        delta = {"+1": 1, "-1": -1,
+                 "+q^(n-2)": 1 << builder.s * (n - 2)}[bump]
+        for k in range(3, n + 1):
+            def corrupted(*args):
+                row = list(row_of(*args))
+                row[k] += delta
+                return tuple(row)
+
+            builder._row = corrupted
+            with pytest.raises(IdentityViolation, match=f"n={n}, k={k}$"):
+                builder.extend(n)
+            assert builder.top == n - 1
+        builder._row = row_of
+        builder.extend(n)
+
+
 def test_pack_unpack_round_trip():
     width = _slot_bytes(12)
     q = 1 << 8 * width
