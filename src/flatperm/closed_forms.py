@@ -56,8 +56,12 @@ class SpecialNumberCache:
         """Partitions of an n-set into exactly k blocks."""
         if n < 0 or k < 0 or k > n:
             return 0
+        return self._stirling_row(n)[k]
+
+    def _stirling_row(self, n: int) -> list[int]:
+        """Row n of the triangle, S(n, 0..n); the caller must not mutate it."""
         self._grow(n)
-        return self._stirling[n][k]
+        return self._stirling[n]
 
     def _grow_bell(self, n: int):
         self._grow(n)
@@ -121,17 +125,22 @@ def avoiders(pattern, n: int) -> int:
     if key == "13-2":
         return 2 ** (n - 1)
     if key in ("32-1", "23-1"):
-        return sum(2 ** k * numbers.stirling2(n - 1, k) for k in range(1, n))
+        row = numbers._stirling_row(n - 1)
+        return sum(2 ** k * row[k] for k in range(1, n))
     if key == "21-3":
-        return 2 * sum(k * numbers.stirling2(n - 1, k) for k in range(1, n))
+        row = numbers._stirling_row(n - 1)
+        return 2 * sum(k * row[k] for k in range(1, n))
     # 12-3: alternating Bell convolution, valid from n = 3
     if n == 2:
         return 2
-    return -2 * sum(
-        math.comb(n - 2, i)
-        * (numbers.bell(i) + numbers.bell(i + 1))
-        * numbers.complementary_bell(n - i - 3)
-        for i in range(n - 1))
+    numbers._grow_bell(n - 1)
+    bell, cbell = numbers._bell, numbers._complementary_bell
+    # the last term, i = n - 2, reads index -1 of the complementary Bell
+    # sequence, which the list does not hold
+    return -2 * (
+        sum(math.comb(n - 2, i) * (bell[i] + bell[i + 1]) * cbell[n - i - 3]
+            for i in range(n - 2))
+        + (bell[n - 2] + bell[n - 1]) * numbers.complementary_bell(-1))
 
 
 def average_occurrences(pattern, n: int) -> Fraction:

@@ -10,12 +10,27 @@ arithmetic truncates to the shorter operand, and ``agrees_with`` is the
 explicit way to compare across truncation orders.  Default truncation order
 for the prebuilt expansions is 24; callers may not exceed order 64.  Pure
 immutable values throughout.
+
+Coefficients are exact rationals held as ``int`` when integral and as
+``fractions.Fraction`` otherwise; construction normalises, so a coefficient
+equal to an integer is always an ``int``.  Sums and products of integers are
+integers, and every division (``exact_div``, ``integrate``, the square root)
+divides exactly: it returns an ``int`` when the quotient is integral and a
+``Fraction`` only when it is not.  The 31-2 expansions stay in Z[[x]]
+throughout, because sqrt(1-4x) has integer coefficients and every divisor
+has constant term 1.  Exponential generating functions are carried as their
+n!-scaled coefficients, which are integers for every series built here: exp
+is E_m = sum_i C(m-1, i-1) S_i E_(m-i) (from E' = S'E), a product is the
+binomial convolution (the labelled product), and the antiderivative is an
+index shift.  m! is divided out only when the returned series is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Union
 
 from .qpoly import IdentityViolation
@@ -26,13 +41,30 @@ MAX_ORDER = 64
 Coeff = Union[int, Fraction]
 
 
+def _normal(c) -> Coeff:
+    """An exact coefficient as an int when integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a: Coeff, b: Coeff) -> Coeff:
+    """Exact quotient; a Fraction only when it is not an integer."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return Fraction(a, b)
+
+
 @dataclass(frozen=True)
 class PowerSeries:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Coeff, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(_normal, self.coeffs)))
         if not self.coeffs:
             raise ValueError("a series needs a positive truncation order")
 
@@ -46,7 +78,7 @@ class PowerSeries:
         cs = list(coeffs)
         if order is not None:
             cs = (cs + [0] * order)[:order]
-        return cls(tuple(Fraction(c) for c in cs))
+        return cls(tuple(cs))
 
     @classmethod
     def zero(cls, order: int) -> "PowerSeries":
@@ -60,7 +92,7 @@ class PowerSeries:
     def x(cls, order: int) -> "PowerSeries":
         return cls.from_coeffs([0, 1], order)
 
-    def coefficient(self, exponent: int) -> Fraction:
+    def coefficient(self, exponent: int) -> Coeff:
         if not 0 <= exponent < self.order:
             raise IndexError(
                 f"exponent {exponent} beyond truncation order {self.order}")
@@ -113,14 +145,8 @@ class PowerSeries:
             return NotImplemented
         m = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * m
-        for i in range(m):
-            ai = a[i]
-            if ai:
-                for j in range(m - i):
-                    if b[j]:
-                        out[i + j] += ai * b[j]
-        return PowerSeries(tuple(out))
+        return PowerSeries(tuple(sum(map(mul, a[:k + 1], b[k::-1]))
+                                 for k in range(m)))
 
     __rmul__ = __mul__
 
@@ -139,13 +165,11 @@ class PowerSeries:
         m = min(self.order, divisor.order)
         a, b = self.coeffs, divisor.coeffs
         lead = b[0]
-        out: list[Fraction] = []
+        out: list[Coeff] = []
         for i in range(m):
-            acc = a[i]
-            for j in range(1, i + 1):
-                if b[j]:
-                    acc -= b[j] * out[i - j]
-            out.append(acc / lead)
+            # out is read in reverse before out[i] is appended
+            out.append(_div(a[i] - sum(map(mul, b[1:i + 1], reversed(out))),
+                            lead))
         return PowerSeries(tuple(out))
 
     def derive(self) -> "PowerSeries":
@@ -155,42 +179,56 @@ class PowerSeries:
 
     def integrate(self) -> "PowerSeries":
         """Antiderivative with zero constant term; order grows by one."""
-        return PowerSeries((Fraction(0),) + tuple(
-            c / (i + 1) for i, c in enumerate(self.coeffs)))
+        return PowerSeries((0,) + tuple(
+            _div(c, i + 1) for i, c in enumerate(self.coeffs)))
 
     def __str__(self):
         shown = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c]
         return (" + ".join(shown) or "0") + f" + O(x^{self.order})"
 
 
+# -- exponential generating functions as n!-scaled coefficient lists -------
+
+def _egf_exp(s: Sequence[Coeff]) -> list[Coeff]:
+    """n!-scaled coefficients of exp(S) from those of S (S_0 = 0), by
+    E_m = sum_i C(m-1, i-1) S_i E_(m-i)."""
+    out = [1]
+    for m in range(1, len(s)):
+        out.append(sum(math.comb(m - 1, i - 1) * s[i] * out[m - i]
+                       for i in range(1, m + 1) if s[i]))
+    return out
+
+
+def _egf_mul(a: Sequence[Coeff], b: Sequence[Coeff]) -> list[Coeff]:
+    """n!-scaled coefficients of a product: the binomial convolution."""
+    return [sum(math.comb(m, k) * a[k] * b[m - k] for k in range(m + 1))
+            for m in range(min(len(a), len(b)))]
+
+
+def _from_egf(scaled: Sequence[Coeff]) -> PowerSeries:
+    """The series whose n!-scaled coefficients are given."""
+    return PowerSeries(tuple(_div(c, math.factorial(m))
+                             for m, c in enumerate(scaled)))
+
+
 def exp_series(s: PowerSeries) -> PowerSeries:
     """exp of a series with zero constant term, coefficient by coefficient
-    from E' = s'E."""
+    from E' = s'E on n!-scaled coefficients."""
     if s.coeffs[0] != 0:
         raise ValueError("exp needs a zero constant term")
-    n = s.order
-    out = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    for m in range(1, n):
-        acc = Fraction(0)
-        for i in range(1, m + 1):
-            if s.coeffs[i]:
-                acc += i * s.coeffs[i] * out[m - i]
-        out[m] = acc / m
-    return PowerSeries(tuple(out))
+    scaled = [_normal(c * math.factorial(m)) for m, c in enumerate(s.coeffs)]
+    return _from_egf(_egf_exp(scaled))
 
 
 def sqrt_series(s: PowerSeries) -> PowerSeries:
-    """Square root of a series with constant term 1, by Newton iteration."""
+    """Square root of a series with constant term 1, coefficient by
+    coefficient from y^2 = s: 2 y_n = s_n - sum_(0<i<n) y_i y_(n-i)."""
     if s.coeffs[0] != 1:
         raise ValueError("sqrt needs constant term 1")
-    y = PowerSeries.one(1)
-    order = 1
-    half = Fraction(1, 2)
-    while order < s.order:
-        order = min(2 * order, s.order)
-        y = y.truncate(order)
-        y = half * (y + s.truncate(order).exact_div(y))
-    return y
+    y: list[Coeff] = [1]
+    for n in range(1, s.order):
+        y.append(_div(s.coeffs[n] - sum(map(mul, y[1:n], y[n - 1:0:-1])), 2))
+    return PowerSeries(tuple(y))
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +279,14 @@ def expand_G_r_31_2(r: int, order: int = DEFAULT_ORDER) -> PowerSeries:
 
 def expand_egf_21_3_avoid(order: int = DEFAULT_ORDER) -> PowerSeries:
     """EGF of 21-3 avoider counts: n! * coefficient of x^n counts the
-    avoiders of length n+2."""
+    avoiders of length n+2.
+
+    The series is 2 exp(e^x + 2x - 1); the exponent's n!-scaled
+    coefficients are 0, 3, 1, 1, ...
+    """
     _check_order(order, 2)
-    ex = exp_series(PowerSeries.x(order))
-    return 2 * exp_series(ex + 2 * PowerSeries.x(order) - 1)
+    exponent = [0, 3] + [1] * (order - 2)
+    return _from_egf([2 * c for c in _egf_exp(exponent)])
 
 
 def expand_egf_12_3_avoid(order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -252,13 +294,14 @@ def expand_egf_12_3_avoid(order: int = DEFAULT_ORDER) -> PowerSeries:
     the avoiders of length n.
 
     Built from the Bell-number EGF together with the integral of the
-    complementary-Bell EGF (the exponential of 1 - e^x).
+    complementary-Bell EGF (the exponential of 1 - e^x):
+    2 (e^x + 1) exp(e^x - 1) (1 - integral exp(1 - e^x)) - 2.
     """
     _check_order(order, 2)
-    work = order + 1
-    x = PowerSeries.x(work)
-    ex = exp_series(x)
-    bell_egf = exp_series(ex - 1)
-    cbell_integral = exp_series(1 - ex).integrate().truncate(work)
-    g = 2 * (ex + 1) * bell_egf * (1 - cbell_integral) - 2
-    return g.truncate(order)
+    ex_minus_one = [0] + [1] * (order - 1)
+    bell = _egf_exp(ex_minus_one)
+    cbell = _egf_exp([-c for c in ex_minus_one])
+    one_minus_integral = [1] + [-c for c in cbell[:-1]]
+    g = _egf_mul(_egf_mul([2] + ex_minus_one[1:], bell), one_minus_integral)
+    g[0] -= 1
+    return _from_egf([2 * c for c in g])

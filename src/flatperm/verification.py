@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 from fractions import Fraction
 
 from . import bijections, closed_forms, perm_core, recurrences, series
@@ -76,9 +77,12 @@ def _run(report: Report, suite: str, name: str, fn):
         report.results.append(CheckResult(suite, name, False, str(exc)))
 
 
-def _require(condition: bool, message: str):
+def _require(condition: bool, message: str | Callable[[], str]):
+    """Raise with the message when the condition fails.  A message that
+    formats values is passed as a callable, so that passing checks never
+    build their failure text."""
     if not condition:
-        raise AssertionError(message)
+        raise AssertionError(message() if callable(message) else message)
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +96,10 @@ def _suite_oracle(report: Report, n_max: int):
             vinc = pattern.vincular()
             for n in range(1, n_max + 1):
                 brute = perm_core.brute_distribution(n, vinc)
-                _require(table.g(n) == brute,
+                _require(table.g(n) == brute, lambda:
                          f"n={n}: recurrence {table.g(n)} != brute {brute}")
                 _require(table.g(n).evaluate(1) == math.factorial(n),
-                         f"n={n}: g_n(1) != n!")
+                         lambda: f"n={n}: g_n(1) != n!")
             return f"n=1..{n_max} exact polynomial match"
         _run(report, "oracle", f"{pattern} distribution == brute force", check)
 
@@ -115,9 +119,10 @@ def _suite_refined(report: Report, n_max: int):
                     got = recurrences.refined_g1k(pattern, n, k)
                     brute = perm_core.brute_refined_distribution(n, vinc, k)
                     _require(got == brute,
-                             f"n={n}, k={k}: {got} != brute {brute}")
+                             lambda: f"n={n}, k={k}: {got} != brute {brute}")
                     total = total + got
-                _require(total == table.g(n), f"n={n}: sum over k != g_n")
+                _require(total == table.g(n),
+                         lambda: f"n={n}: sum over k != g_n")
             return f"n=2..{n_max}, all k; sums match the tables"
         _run(report, "refined", f"{pattern} g_n(1k) == brute force", check)
 
@@ -130,7 +135,7 @@ def _suite_refined(report: Report, n_max: int):
                 if pattern is PatternId.P12_3:
                     # the leading 1,2 pair already realizes n-2 occurrences
                     want = want.shifted(n - 2)
-                _require(got == want, f"{pattern}, n={n}")
+                _require(got == want, lambda: f"{pattern}, n={n}")
         return ("g_n(12) = 2 g_(n-1) for four patterns; "
                 "12-3 carries the extra factor q^(n-2)")
     _run(report, "refined", "prefix-12 relations", check_prefix12)
@@ -163,18 +168,18 @@ def _suite_closed_forms(report: Report, n_max: int):
             counts = _brute_partition_counts(n)
             for k in range(0, n + 1):
                 _require(closed_forms.numbers.stirling2(n, k)
-                         == counts.get(k, 0), f"stirling2({n},{k})")
+                         == counts.get(k, 0), lambda: f"stirling2({n},{k})")
             _require(closed_forms.numbers.bell(n) == sum(counts.values()),
-                     f"bell({n})")
+                     lambda: f"bell({n})")
             _require(closed_forms.numbers.complementary_bell(n)
                      == sum((-1) ** k * c for k, c in counts.items()),
-                     f"complementary_bell({n})")
+                     lambda: f"complementary_bell({n})")
         _require(closed_forms.numbers.complementary_bell(-1) == -1,
                  "complementary_bell(-1)")
         for n in range(1, 30):
             _require(closed_forms.numbers.harmonic(n)
                      - closed_forms.numbers.harmonic(n - 1) == Fraction(1, n),
-                     f"harmonic({n})")
+                     lambda: f"harmonic({n})")
         return "Stirling triangle, Bell rows and harmonic steps re-derived"
     _run(report, "closed-forms", "special numbers vs brute partitions",
          check_special_numbers)
@@ -185,16 +190,16 @@ def _suite_closed_forms(report: Report, n_max: int):
             vinc = pattern.vincular()
             for n in range(1, n_max + 1):
                 formula = closed_forms.avoiders(pattern, n)
-                _require(formula == table.g(n).constant_term(),
+                _require(formula == table.g(n).constant_term(), lambda:
                          f"{pattern}, n={n}: formula {formula} != [q^0] g_n")
                 _require(formula == perm_core.brute_avoider_count(n, vinc),
-                         f"{pattern}, n={n}: formula != brute count")
+                         lambda: f"{pattern}, n={n}: formula != brute count")
         vinc = perm_core.VincularPattern3.from_string("13-2")
         for n in range(1, n_max + 1):
             formula = closed_forms.avoiders("13-2", n)
-            _require(formula == 2 ** (n - 1), f"13-2, n={n}")
+            _require(formula == 2 ** (n - 1), lambda: f"13-2, n={n}")
             _require(formula == perm_core.brute_avoider_count(n, vinc),
-                     f"13-2, n={n}: 2^(n-1) != brute count")
+                     lambda: f"13-2, n={n}: 2^(n-1) != brute count")
         return f"six patterns, n=1..{n_max}"
     _run(report, "closed-forms", "avoider closed forms == [q^0] g_n == brute",
          check_avoiders)
@@ -206,13 +211,13 @@ def _suite_closed_forms(report: Report, n_max: int):
                 avg = closed_forms.average_occurrences(pattern, n)
                 _require(avg * math.factorial(n)
                          == table.g(n).derivative().evaluate(1),
-                         f"{pattern}, n={n}")
+                         lambda: f"{pattern}, n={n}")
         vinc = perm_core.VincularPattern3.from_string("13-2")
         for n in range(1, n_max + 1):
             avg = closed_forms.average_occurrences("13-2", n)
             _require(avg * math.factorial(n)
                      == perm_core.brute_total_occurrences(n, vinc),
-                     f"13-2, n={n}")
+                     lambda: f"13-2, n={n}")
         return f"average * n! == total, n=1..{n_max}"
     _run(report, "closed-forms", "average closed forms == g_n'(1) / n!",
          check_averages)
@@ -228,18 +233,20 @@ def _suite_closed_forms(report: Report, n_max: int):
         for n in range(2, bound + 1):
             _require(a23[n] == 2 * sum(math.comb(n - 2, j - 1) * a23[n - j]
                                        for j in range(1, n)),
-                     f"23-1 avoidance recurrence, n={n}")
+                     lambda: f"23-1 avoidance recurrence, n={n}")
         for n in range(3, bound + 1):
             rhs = n * a21[n - 1] - n * (n - 3) // 2 * a21[n - 2] + sum(
                 (-1) ** (j - 1)
                 * (math.comb(n - 2, j) + math.comb(n - 3, j - 1)) * a21[n - j]
                 for j in range(3, n))
-            _require(a21[n] == rhs, f"21-3 avoidance recurrence, n={n}")
+            _require(a21[n] == rhs,
+                     lambda: f"21-3 avoidance recurrence, n={n}")
         for n in range(2, bound + 1):
             rhs = n * a32[n - 1] + sum(
                 (-1) ** (j - 1) * math.comb(n - 2, j) * a32[n - j]
                 for j in range(2, n - 1))
-            _require(a32[n] == rhs, f"32-1 avoidance recurrence, n={n}")
+            _require(a32[n] == rhs,
+                     lambda: f"32-1 avoidance recurrence, n={n}")
         return f"q=0 specializations hold to n={bound}"
     _run(report, "closed-forms", "avoidance recurrences at q=0",
          check_avoidance_recurrences)
@@ -250,7 +257,8 @@ def _suite_closed_forms(report: Report, n_max: int):
         for pattern in ALL_PATTERNS:
             dev = abs(closed_forms.average_occurrences(pattern, 1000)
                       / 1000 ** 2 - Fraction(1, 12))
-            _require(dev < Fraction(1, 100), f"{pattern}: deviation {dev}")
+            _require(dev < Fraction(1, 100),
+                     lambda: f"{pattern}: deviation {dev}")
         return "avr(n)/n^2 -> 1/12, monotone tail on [20, 200], within 0.01 at n=1000"
     _run(report, "closed-forms", "limit of avr(n)/n^2", check_limit)
 
@@ -269,7 +277,7 @@ def _suite_series(report: Report, n_max: int):
             for n in range(3, n_max + 1):
                 got = expansion.coefficient(n)
                 want = table.g(n).coefficient(r)
-                _require(got == want, f"r={r}, n={n}: {got} != {want}")
+                _require(got == want, lambda: f"r={r}, n={n}: {got} != {want}")
         return f"[x^n] of the r=0..3 expansions == [q^r] g_n, n=3..{n_max}"
     _run(report, "series", "31-2 generating functions vs the table", check_g31_2)
 
@@ -279,10 +287,10 @@ def _suite_series(report: Report, n_max: int):
         for m in range(0, n_max - 1):
             _require(egf21.coefficient(m) * math.factorial(m)
                      == closed_forms.avoiders("21-3", m + 2),
-                     f"21-3 EGF at x^{m}")
+                     lambda: f"21-3 EGF at x^{m}")
             _require(egf12.coefficient(m) * math.factorial(m)
                      == closed_forms.avoiders("12-3", m + 2),
-                     f"12-3 EGF at x^{m}")
+                     lambda: f"12-3 EGF at x^{m}")
         return f"n! scaled coefficients reproduce avoider counts to n={n_max + 1}"
     _run(report, "series", "avoider EGFs vs closed forms", check_egfs)
 
@@ -293,10 +301,10 @@ def _suite_series(report: Report, n_max: int):
         cbell_egf = series.exp_series(1 - ex)
         for m in range(order):
             _require(bell_egf.coefficient(m) * math.factorial(m)
-                     == closed_forms.numbers.bell(m), f"Bell at x^{m}")
+                     == closed_forms.numbers.bell(m), lambda: f"Bell at x^{m}")
             _require(cbell_egf.coefficient(m) * math.factorial(m)
                      == closed_forms.numbers.complementary_bell(m),
-                     f"complementary Bell at x^{m}")
+                     lambda: f"complementary Bell at x^{m}")
         return "exp(e^x - 1) and exp(1 - e^x) coefficients match the caches"
     _run(report, "series", "Bell-type EGFs vs special numbers", check_bell_egfs)
 
@@ -333,14 +341,15 @@ def _suite_bijections(report: Report, n_max: int):
                 word = perm_core.flatten_cycle_form(cf).word
                 _require(perm_core.count_occurrences(
                     perm_core.Permutation(word), pat231) == 0,
-                    f"n={n}: image contains 23-1: {mp}")
+                    lambda: f"n={n}: image contains 23-1: {mp}")
                 ascents = sum(1 for i in range(n - 1) if word[i] < word[i + 1])
-                _require(ascents == len(mp.blocks),
+                _require(ascents == len(mp.blocks), lambda:
                          f"n={n}: ascent count != block count for {mp}")
                 _require(bijections.avoider_23_1_to_partition(cf) == mp,
-                         f"n={n}: round trip failed for {mp}")
+                         lambda: f"n={n}: round trip failed for {mp}")
                 images.add(cf.to_permutation().word)
-            _require(count == len(images) == closed_forms.avoiders("23-1", n),
+            _require(count == len(images)
+                     == closed_forms.avoiders("23-1", n), lambda:
                      f"n={n}: image size {len(images)} != avoider count")
         return f"round trip, ascent counts and cardinalities for n=1..{n_max}"
     _run(report, "bijections", "marked partitions <-> 23-1 avoiders",
@@ -357,16 +366,16 @@ def _suite_bijections(report: Report, n_max: int):
                 word = perm_core.flatten_cycle_form(out).word
                 _require(perm_core.count_occurrences(
                     perm_core.Permutation(word), pat321) == 0,
-                    f"n={n}: image contains 32-1: {cf}")
+                    lambda: f"n={n}: image contains 32-1: {cf}")
                 for before, after in zip(cf.cycles, out.cycles):
                     _require(sorted(before) == sorted(after),
-                             f"n={n}: letters changed cycle in {cf}")
+                             lambda: f"n={n}: letters changed cycle in {cf}")
                 _require(bijections.inverse_32_1_to_23_1(out) == cf,
-                         f"n={n}: round trip failed for {cf}")
+                         lambda: f"n={n}: round trip failed for {cf}")
                 targets.add(out.to_permutation().word)
             _require(len(targets) == len(sources)
                      == closed_forms.avoiders("32-1", n),
-                     f"n={n}: not a bijection onto the 32-1 avoiders")
+                     lambda: f"n={n}: not a bijection onto the 32-1 avoiders")
         return f"round trip and cycle preservation for n=1..{n_max}"
     _run(report, "bijections", "23-1 avoiders <-> 32-1 avoiders",
          check_reversal_bijection)
@@ -374,7 +383,7 @@ def _suite_bijections(report: Report, n_max: int):
     def check_equivalence():
         bound = min(n_max + 1, 8)
         for n in range(1, bound + 1):
-            _require(bijections.check_31_2_equivalence(n), f"n={n}")
+            _require(bijections.check_31_2_equivalence(n), lambda: f"n={n}")
         return f"flattened 31-2 avoidance == classical 3-1-2 avoidance, n=1..{bound}"
     _run(report, "bijections", "31-2 avoidance equals 3-1-2 avoidance",
          check_equivalence)
@@ -390,14 +399,14 @@ def _suite_identities(report: Report, n_max: int):
             for pattern in ALL_PATTERNS:
                 formula = closed_forms.total_occurrences(pattern, n)
                 brute = perm_core.brute_total_occurrences(n, pattern.vincular())
-                _require(formula == brute,
+                _require(formula == brute, lambda:
                          f"{pattern}, n={n}: {formula} != brute {brute}")
             for aux in (closed_forms.AUX_3_21, closed_forms.AUX_3_12):
                 formula = closed_forms.total_occurrences(aux, n)
                 brute = perm_core.brute_total_occurrences(
                     n, perm_core.VincularPattern3.from_string(aux))
                 _require(formula == brute,
-                         f"{aux}, n={n}: {formula} != brute {brute}")
+                         lambda: f"{aux}, n={n}: {formula} != brute {brute}")
         return f"formula totals == brute totals, n=3..{n_max}"
     _run(report, "identities", "occurrence totals vs brute force", check_totals)
 
@@ -405,16 +414,16 @@ def _suite_identities(report: Report, n_max: int):
         for n in range(3, n_max + 1):
             _require(closed_forms.total_occurrences("32-1", n)
                      == closed_forms.total_occurrences("23-1", n),
-                     f"tot(32-1) != tot(23-1) at n={n}")
+                     lambda: f"tot(32-1) != tot(23-1) at n={n}")
             fact = math.factorial(n - 1)
             lhs = (closed_forms.total_occurrences("21-3", n)
                    + closed_forms.total_occurrences(closed_forms.AUX_3_21, n))
             _require(lhs == fact * sum((n - i) * (i - 2) for i in range(3, n)),
-                     f"21-3 pair identity at n={n}")
+                     lambda: f"21-3 pair identity at n={n}")
             lhs = (closed_forms.total_occurrences("12-3", n)
                    + closed_forms.total_occurrences(closed_forms.AUX_3_12, n))
             _require(lhs == fact * sum((n - i) * i for i in range(2, n)),
-                     f"12-3 pair identity at n={n}")
+                     lambda: f"12-3 pair identity at n={n}")
         return f"pairing identities hold, n=3..{n_max}"
     _run(report, "identities", "occurrence-total pairing identities",
          check_total_identities)
@@ -424,22 +433,25 @@ def _suite_identities(report: Report, n_max: int):
             qints = [q_int(i) for i in range(1, k - 2)]
             for j in range(1, k - 2):
                 _require(e_on_qints_closed_form(j, k)
-                         == elementary_e(j, qints), f"e closed form at j={j}, k={k}")
+                         == elementary_e(j, qints),
+                         lambda: f"e closed form at j={j}, k={k}")
         for k in range(1, 11):
             for j in range(0, k):
                 for n in range(0, 6):
                     window = [q_int(n + i) for i in range(0, k - j)]
                     _require(h_on_qint_window_closed_form(j, k, n)
                              == complete_h(j - 1, window),
-                             f"h closed form at j={j}, k={k}, n={n}")
+                             lambda: f"h closed form at j={j}, k={k}, n={n}")
         return "alternating closed forms == direct evaluation on the sweeps"
     _run(report, "identities", "symmetric-function closed forms",
          check_symmetric_function_closed_forms)
 
     def check_b2_closed_forms():
         for n in range(3, max(n_max, 20) + 1):
-            _require(recurrences.b2_rational_identity_23_1(n), f"23-1 at n={n}")
-            _require(recurrences.b2_rational_identity_21_3(n), f"21-3 at n={n}")
+            _require(recurrences.b2_rational_identity_23_1(n),
+                     lambda: f"23-1 at n={n}")
+            _require(recurrences.b2_rational_identity_21_3(n),
+                     lambda: f"21-3 at n={n}")
         return "rational closed forms match after clearing denominators"
     _run(report, "identities", "j=2 coefficient closed forms (multiplied through)",
          check_b2_closed_forms)
@@ -453,7 +465,7 @@ def _suite_identities(report: Report, n_max: int):
                 summed = QPoly()
                 for k in range(3, n + 1):
                     summed = summed + table.get((k, j), QPoly())
-                _require(summed == explicit, f"n={n}, j={j}")
+                _require(summed == explicit, lambda: f"n={n}, j={j}")
         return f"per-prefix coefficient sums match the explicit formula to n={k_max}"
     _run(report, "identities", "31-2 coefficient routes agree",
          check_31_2_coefficient_routes)
@@ -473,10 +485,10 @@ def _suite_identities(report: Report, n_max: int):
         g31 = recurrences.distribution_table(PatternId.P31_2, bound)
         for n in range(1, bound + 1):
             _require(g23.g(n).constant_term() == g32.g(n).constant_term(),
-                     f"avoider counts differ at n={n}")
+                     lambda: f"avoider counts differ at n={n}")
             _require(g21.g(n).derivative().evaluate(1)
                      == g31.g(n).derivative().evaluate(1),
-                     f"totals differ at n={n}")
+                     lambda: f"totals differ at n={n}")
         return f"23-1/32-1 avoiders and 21-3/31-2 totals agree to n={bound}"
     _run(report, "identities", "cross-pattern equalities", check_cross_pattern)
 

@@ -1,8 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
+from flatperm import bijections
 from flatperm.cli import main
+from flatperm.perm_core import CycleForm
 
 
 def run(capsys, *argv):
@@ -107,6 +110,66 @@ def test_verify_suite_pass(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert all(check["passed"] for check in payload["checks"])
+
+
+def test_verify_failure_names_the_counterexample(capsys, monkeypatch):
+    # failure text is built only when a check fails; it must still name
+    # the input that broke the round trip
+    original = bijections.inverse_32_1_to_23_1
+    broken = []
+
+    def inverse(c):
+        source = original(c)
+        n = sum(map(len, source.cycles))
+        identity = CycleForm(tuple((x,) for x in range(1, n + 1)))
+        if n == 3 and source != identity:
+            broken.append(source)
+            return identity
+        return source
+
+    monkeypatch.setattr(bijections, "inverse_32_1_to_23_1", inverse)
+    status, out, _ = run(capsys, "verify", "--suite", "bijections",
+                         "--n-max", "4")
+    assert status == 1
+    lines = out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert fails == [
+        "FAIL  [bijections] 23-1 avoiders <-> 32-1 avoiders: "
+        f"n=3: round trip failed for {broken[0]}"]
+    assert lines[-1] == "2/3 checks passed"
+
+
+#: SHA-256 of `series --which W --order 64 --format F` stdout, recorded
+#: when the series were still expanded over Fraction throughout.
+SERIES_ORDER_64_SHA256 = {
+    ("g31_2_r0", "text"): "a0bccfb76a4ee69c34a9edc5984b5954a96104db91ff57115db3bf51b62dec7b",
+    ("g31_2_r0", "json"): "7b78a377919bbe3ca2e56129646fd8acb74a0dd174bce1bf0d23e330a319c79d",
+    ("g31_2_r0", "csv"): "74994fe63ad8815bb3df0fa5f90ab177c89b4f044a6d7f34a14917201f93f0d3",
+    ("g31_2_r1", "text"): "8049c0a14572ea7231dd8d23619b6de93f9828f93a96434ec9c5adef1a2c96a7",
+    ("g31_2_r1", "json"): "1141570e0e136d824afcfcde42ee18a0e8da884b2c6e16e13aa08ceec95756ca",
+    ("g31_2_r1", "csv"): "fb2cfa89bf3c2113074f9f9c2adf1adc4346c3e73e9baa97fb7ce906fd775b9e",
+    ("g31_2_r2", "text"): "5dc7ac7679f777bdcb91e9d277b7eea2bed4f11ce0208c09d4de39b7e2990e50",
+    ("g31_2_r2", "json"): "225efc65b56e388f1d1f3e538c37fc6f5aa08a0f0859be3b0dcd530f27e18f53",
+    ("g31_2_r2", "csv"): "7ebaf94f853a099ce08fdb6ab8644682e22f330c1e1460b24d9226c35a5a7212",
+    ("g31_2_r3", "text"): "bb317f37a739c74afd939215b544cafe7214af44c23d1a1b8a569c360cd9c640",
+    ("g31_2_r3", "json"): "eaf963e270ce2e22612730bd7bd9d693e444f0334582e95cced396d5903f3a1c",
+    ("g31_2_r3", "csv"): "b8131022f8d167af61a3fd85a40d3021a525626dd43455a1d469ab16efb1b25e",
+    ("egf_21_3", "text"): "ebb68c33b6096a3beacb308febdb9cdce858cb0e54e171cf973872c599629872",
+    ("egf_21_3", "json"): "4c66b65710f4747b5fa9aaf51c14e666728b0d762700d99002096ce57df182cb",
+    ("egf_21_3", "csv"): "5c3fd075e10d3d7bf160bb086fd14b1ed91e87624f3797cbd56c8da9572bb678",
+    ("egf_12_3", "text"): "5e81aa0a3430b2e156f74c4a457d80344d427c6eb89676253b1f11e842936d49",
+    ("egf_12_3", "json"): "d0112b361efeb37a4371929749418193bf84fc97f969c67e1c70dcf6fa063860",
+    ("egf_12_3", "csv"): "7290603f671b39eb1c7aa5402798db6b3bc0f3b1a5034ca64cd16afbea6a41c0",
+}
+
+
+@pytest.mark.parametrize("which,fmt", sorted(SERIES_ORDER_64_SHA256))
+def test_series_order_64_output_is_pinned(capsys, which, fmt):
+    status, out, _ = run(capsys, "series", "--which", which, "--order", "64",
+                         "--format", fmt)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == SERIES_ORDER_64_SHA256[which, fmt]
 
 
 def test_verify_unknown_suite(capsys):
