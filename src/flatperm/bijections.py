@@ -121,16 +121,54 @@ def avoider_23_1_to_partition(c: CycleForm) -> MarkedPartition:
     The blocks are the maximal descending runs of the flattened word; a
     block is marked exactly when its minimum opens a cycle of c.
     """
-    word = flatten_cycle_form(c).word
-    if count_occurrences(Permutation(word), _PAT_23_1):
+    flat = flatten_cycle_form(c)
+    if count_occurrences(flat, _PAT_23_1):
         raise ValueError("flattened form contains 23-1; not in the bijection's domain")
-    runs = _descending_runs(word)
+    runs = _descending_runs(flat.word)
     cycle_openers = {cyc[0] for cyc in c.cycles} - {1}
     if not cycle_openers <= {run[-1] for run in runs}:
         raise AssertionError("cycle opener off a run minimum; cannot happen "
                              "for a valid standard cycle form")
     marks = tuple(run[-1] in cycle_openers for run in runs)
     return MarkedPartition(runs, marks)
+
+
+def _avoiders_23_1(n: int, max_n: int = DEFAULT_MAX_N):
+    """Yield the standard cycle form of every p in S_n whose flattened form
+    avoids 23-1.
+
+    The avoiding flattened words are grown left to right from 1.  Each
+    letter placed must lie above the bottom of every ascent before it, so
+    an ascent (last, c) is made only when every other unplaced letter is
+    above last; then no branch dies.  Each word with r right-to-left
+    minima then opens cycles at 1 and at every subset of its later minima:
+    its 2^(r-1) preimages.
+    """
+    _check_cap(n, max_n)
+
+    def grow(word: list[int], rest: list[int]):
+        # rest is ascending and lies above every ascent bottom in word
+        if not rest:
+            yield tuple(word)
+            return
+        last = word[-1]
+        for i, c in enumerate(rest):
+            if last < c and rest[0] < last:
+                continue
+            word.append(c)
+            yield from grow(word, rest[:i] + rest[i + 1:])
+            word.pop()
+
+    for word in grow([1], list(range(2, n + 1))):
+        low, minima = n + 1, []
+        for i in range(n - 1, 0, -1):
+            if word[i] < low:
+                low = word[i]
+                minima.append(i)
+        for cuts in itertools.product((False, True), repeat=len(minima)):
+            starts = [0] + sorted(i for i, cut in zip(minima, cuts) if cut)
+            yield CycleForm(tuple(word[a:b] for a, b in
+                                  zip(starts, starts[1:] + [n])))
 
 
 def _resplit_like(word: list[int], template: CycleForm) -> CycleForm:
@@ -168,19 +206,19 @@ def map_23_1_to_32_1(c: CycleForm) -> CycleForm:
     ascent bottoms" description extended to the final run, which it must
     cover: the image of 1432 has to avoid 32-1.
     """
-    word = flatten_cycle_form(c).word
-    if count_occurrences(Permutation(word), _PAT_23_1):
+    flat = flatten_cycle_form(c)
+    if count_occurrences(flat, _PAT_23_1):
         raise ValueError("flattened form contains 23-1; not in the bijection's domain")
-    return _resplit_like(_chain_reversal(word), c)
+    return _resplit_like(_chain_reversal(flat.word), c)
 
 
 def inverse_32_1_to_23_1(c: CycleForm) -> CycleForm:
     """Inverse of map_23_1_to_32_1: the identical chain reversal, entered
     from the 32-1-avoiding side."""
-    word = flatten_cycle_form(c).word
-    if count_occurrences(Permutation(word), _PAT_32_1):
+    flat = flatten_cycle_form(c)
+    if count_occurrences(flat, _PAT_32_1):
         raise ValueError("flattened form contains 32-1; not in the bijection's domain")
-    return _resplit_like(_chain_reversal(word), c)
+    return _resplit_like(_chain_reversal(flat.word), c)
 
 
 def check_31_2_equivalence(n: int, max_n: int = DEFAULT_MAX_N) -> bool:

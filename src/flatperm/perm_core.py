@@ -16,33 +16,57 @@ with r such minima has 2^(r-1) preimages.  tests/test_perm_core.py checks
 the lemma on the literal n! flatten sweep for n <= 8, and every brute
 counter for n <= 7.
 
-Patterns x-yz and x-y-z walk those words one by one and count each in
-O(n^2) (``_flat_words``, ``_bucket``); so does ``bijections``' 31-2 check.
+Which pattern takes which route:
 
-Patterns xy-z (all five of the paper's) take one dynamic-programming pass
-over (suffix set, front letter) instead, the subset recursion of Bellman
-and Held-Karp (1962).  The letters 2..n are placed right to left; a state
-(S, b) is the set S of letters placed so far and the front letter b.
-Prepending a letter a not in S adds the occurrences with x = a, y = b and
-z in S - {b}, and makes a a right-to-left minimum exactly when a < min(S).
-Both depend on (a, b, S) alone, not on the order of S - {b}, so one value
-per state carries everything later steps need, and suffixes with equal
-(S, b) are merged.  Placing 1 last adds its occurrences and no weight (1
-opens every preimage's first cycle); the state whose front letter was k
-then holds g_n(1k).  About 2^(n-1) n^2 transitions replace (n-1)! n^2
-comparisons, and nothing from the recurrences is used, so the pass stays an
-independent check on them.  tests/test_perm_core.py compares it with the
-word walk on six xy-z patterns for n <= 8, whole and for every k.
+* xy-z (all five of the paper's): a right-to-left pass over (suffix set,
+  front letter);
+* x-yz: the mirrored left-to-right pass over (prefix set, last letter);
+* x-y-z (classical): the word walk, which visits the words one by one and
+  counts each in O(n^2) (``_flat_words``, ``_bucket``); so does
+  ``bijections``' 31-2 check.
+
+Both passes are the subset recursion of Bellman and Held-Karp (1962):
+about 2^(n-1) n^2 transitions replace (n-1)! n^2 comparisons, and nothing
+from the recurrences is used, so they stay an independent check on them.
+tests/test_perm_core.py compares each pass with the word walk on every
+xy-z and x-yz pattern for n <= 8, whole and for every k.
+
+The xy-z pass places the letters 2..n right to left; a state (S, b) is the
+set S of letters placed so far and the front letter b.  Prepending a
+letter a not in S adds the occurrences with x = a, y = b and z in S - {b},
+and makes a a right-to-left minimum exactly when a < min(S).  Both depend
+on (a, b, S) alone, not on the order of S - {b}, so one value per state
+carries everything later steps need, and suffixes with equal (S, b) are
+merged.  Placing 1 last adds its occurrences and no weight (1 opens every
+preimage's first cycle); the state whose front letter was k then holds
+g_n(1k).  A refined call g_n(1k) runs the pass over {2..n} - {k} only,
+about half the states, then prepends k (a new minimum only when k = 2)
+and 1.
+
+The x-yz pass places the letters left to right after 1; a state (P, b) is
+the set P of letters placed so far, 1 included, and the last letter b.
+Appending a letter c not in P adds the occurrences with y = b, z = c and x
+in P - {b}, and makes c a right-to-left minimum exactly when c is the
+least letter not yet placed, since every later letter is larger.  Again
+both depend on (c, b, P) alone, so prefixes with equal (P, b) are merged.
+1 adds no weight; a refined call starts from the state ({1, k}, k).
 
 Each state's value is its distribution at q = 2^s, the slot width s the
 least multiple of 8 with n! < 2^s; a new occurrence is a shift by s, and a
-new minimum doubles the value.  That width is enough: the suffixes on an
-L-set, weighted by 2^(their right-to-left minima), total 2 * 3 * ... *
-(L + 1) = (L + 1)! (the minima's generating function over S_L is x (x + 1)
-... (x + L - 1), at x = 2).  So every coefficient of every state, and of
-every sum of states the pass forms, lies in [0, (L + 1)!] with L <= n - 1,
-below 2^s; no slot carries into the next, and each packed value is read
-back exactly by ``qpoly._unpack``.
+new minimum doubles the value.  That width is enough for both passes:
+
+* xy-z: the suffixes on an L-set, weighted by 2^(their right-to-left
+  minima), total 2 * 3 * ... * (L + 1) = (L + 1)! (the minima's generating
+  function over S_L is x (x + 1) ... (x + L - 1), at x = 2), with
+  L <= n - 1; prepending k to the (n - 2)-set at most doubles (n - 1)!.
+* x-yz: completing each prefix on P by the unplaced letters in increasing
+  order maps the prefixes on P one-to-one to flattened words, and only
+  adds doublings, so the prefixes on P weigh at most the n! preimages of
+  all words.
+
+So every coefficient of every state, and of every sum of states a pass
+forms, lies in [0, n!], below 2^s; no slot carries into the next, and each
+packed value is read back exactly by ``qpoly._unpack``.
 
 All types are immutable values, safe to share between threads; the
 exhaustive sweeps are deterministic, so splitting a sweep and merging the
@@ -58,9 +82,10 @@ from dataclasses import dataclass
 
 from .qpoly import QPoly, _unpack
 
-#: Default refusal bound for the oracle (for the walked x-yz and x-y-z
-#: patterns, 10! hosts is the practical ceiling of an exhaustive run on one
-#: core; the xy-z pass is far cheaper but keeps the same bound).
+#: Default refusal bound for the oracle (for the word walk of the classical
+#: x-y-z patterns, 10! hosts is the practical ceiling of an exhaustive run
+#: on one core; the xy-z and x-yz passes are far cheaper but keep the same
+#: bound).
 DEFAULT_MAX_N = 10
 
 
@@ -344,19 +369,23 @@ def _completions(n: int, pat: VincularPattern3) -> list[list[int]]:
     return zs
 
 
-def _xy_z_layers(n: int, zs: list[list[int]], s: int):
-    """Yield the states of the right-to-left pass after each of the n - 1
-    letters of {2..n} is placed: {(S, b): value}, with S the mask of placed
+def _xy_z_layers(n: int, zs: list[list[int]], s: int, skip: int = 0):
+    """Yield the states of the right-to-left pass after each letter of
+    {2..n} - {skip} is placed: {(S, b): value}, with S the mask of placed
     letters, b the front one, and value the weighted distribution of the
-    suffixes on S that start with b, evaluated at q = 2^s."""
+    suffixes on S that start with b, evaluated at q = 2^s.  Yields nothing
+    when there is no letter to place."""
+    letters = [a for a in range(2, n + 1) if a != skip]
+    if not letters:
+        return
     # the last letter is always a right-to-left minimum
-    layer = {(1 << (b - 2), b): 2 for b in range(2, n + 1)}
+    layer = {(1 << (b - 2), b): 2 for b in letters}
     yield layer
-    for _ in range(n - 2):
+    for _ in range(len(letters) - 1):
         nxt: dict = {}
         for (placed, b), value in layer.items():
             zset = placed ^ (1 << (b - 2))
-            for a in range(2, n + 1):
+            for a in letters:
                 bit = 1 << (a - 2)
                 if placed & bit:
                     continue
@@ -383,10 +412,82 @@ def _xy_z_fronts(n: int, pat: VincularPattern3) -> tuple[dict, int]:
             for (placed, k), value in top.items()}, width
 
 
+def _xy_z_refined(n: int, pat: VincularPattern3, k: int) -> QPoly:
+    """g_n(1k) of the xy-z pattern pat: the pass over {2..n} - {k}, then k
+    and 1 prepended (2 <= k <= n)."""
+    width = _slot_bytes(n)
+    s = 8 * width
+    zs = _completions(n, pat)
+    rest = ((1 << (n - 1)) - 1) ^ (1 << (k - 2))   # the letters after 1, k
+    value = 1                                  # the empty suffix (n = 2)
+    for top in _xy_z_layers(n, zs, s, skip=k):
+        pass
+    if n > 2:
+        value = sum(v << s * (zs[k][b] & (placed ^ 1 << (b - 2))).bit_count()
+                    for (placed, b), v in top.items())
+    if k == 2:   # below every later letter: a new minimum
+        value <<= 1
+    return _unpack(value << s * (zs[1][k] & rest).bit_count(), width)
+
+
+def _witnesses(n: int, pat: VincularPattern3) -> list[list[int]]:
+    """xs[b][c]: the set of letters x that complete an occurrence of the
+    x-yz pattern pat with y = b, z = c, as a mask with letter x at bit
+    x - 1; empty when b, c are in the wrong order."""
+    p1, p2, p3 = pat.letters
+    xy, xz, yz = p1 < p2, p1 < p3, p2 < p3
+    xs = [[0] * (n + 1) for _ in range(n + 1)]
+    for b in range(1, n + 1):
+        for c in range(2, n + 1):
+            if (b < c) == yz:
+                xs[b][c] = sum(1 << (a - 1) for a in range(1, n + 1)
+                               if (a < b) == xy and (a < c) == xz)
+    return xs
+
+
+def _x_yz_layers(n: int, xs: list[list[int]], s: int, k: int = 0):
+    """Yield the states of the left-to-right pass, from the start state
+    after 1 (after 1, k when k is given) to the state after all n letters:
+    {(P, b): value}, with P the mask of placed letters, b the last one, and
+    value the weighted distribution of the prefixes on P that end with b,
+    evaluated at q = 2^s."""
+    if k:   # k is a right-to-left minimum exactly when it is 2
+        layer = {(1 | 1 << (k - 1), k): 2 if k == 2 else 1}
+    else:
+        layer = {(1, 1): 1}
+    yield layer
+    for _ in range(n - (2 if k else 1)):
+        nxt: dict = {}
+        for (placed, b), value in layer.items():
+            xset = placed ^ (1 << (b - 1))
+            row = xs[b]
+            for c in range(2, n + 1):
+                bit = 1 << (c - 1)
+                if placed & bit:
+                    continue
+                v = value << s * (row[c] & xset).bit_count()
+                if placed & (bit - 1) == bit - 1:   # c is the least unplaced
+                    v <<= 1
+                key = (placed | bit, c)
+                nxt[key] = nxt.get(key, 0) + v
+        layer = nxt
+        yield layer
+
+
+def _x_yz_pass(n: int, pat: VincularPattern3, k: int = 0) -> QPoly:
+    """Distribution of the x-yz pattern pat over S_n, or g_n(1k) for k."""
+    width = _slot_bytes(n)
+    for top in _x_yz_layers(n, _witnesses(n, pat), 8 * width, k):
+        pass
+    return _unpack(sum(top.values()), width)
+
+
 def brute_distribution(n: int, pat: VincularPattern3,
                        max_n: int = DEFAULT_MAX_N) -> QPoly:
     """Sum of q^(occurrences of pat in flatten(p)) over all p in S_n."""
     _check_cap(n, max_n)
+    if pat.glue23:
+        return _x_yz_pass(n, pat)
     if not pat.glue12 or n == 1:
         return _bucket(_flat_words(n), pat)
     fronts, width = _xy_z_fronts(n, pat)
@@ -399,10 +500,11 @@ def brute_refined_distribution(n: int, pat: VincularPattern3, k: int,
     _check_cap(n, max_n)
     if not 2 <= k <= n:
         raise ValueError(f"prefix letter k={k} out of range 2..{n}")
+    if pat.glue23:
+        return _x_yz_pass(n, pat, k)
     if not pat.glue12:
         return _bucket(_flat_words(n, k), pat)
-    fronts, width = _xy_z_fronts(n, pat)
-    return _unpack(fronts[k], width)
+    return _xy_z_refined(n, pat, k)
 
 
 def brute_total_occurrences(n: int, pat: VincularPattern3,

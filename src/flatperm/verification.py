@@ -338,10 +338,10 @@ def _suite_bijections(report: Report, n_max: int):
             for mp in bijections.enumerate_marked_partitions(n):
                 count += 1
                 cf = bijections.partition_to_23_1_avoider(mp)
-                word = perm_core.flatten_cycle_form(cf).word
-                _require(perm_core.count_occurrences(
-                    perm_core.Permutation(word), pat231) == 0,
-                    lambda: f"n={n}: image contains 23-1: {mp}")
+                flat = perm_core.flatten_cycle_form(cf)
+                word = flat.word
+                _require(perm_core.count_occurrences(flat, pat231) == 0,
+                         lambda: f"n={n}: image contains 23-1: {mp}")
                 ascents = sum(1 for i in range(n - 1) if word[i] < word[i + 1])
                 _require(ascents == len(mp.blocks), lambda:
                          f"n={n}: ascent count != block count for {mp}")
@@ -357,15 +357,12 @@ def _suite_bijections(report: Report, n_max: int):
 
     def check_reversal_bijection():
         for n in range(1, n_max + 1):
-            sources = [perm_core.to_standard_cycle_form(p)
-                       for p in perm_core.enumerate_permutations(n)
-                       if perm_core.count_in_flattened_sense(p, pat231) == 0]
+            sources = list(bijections._avoiders_23_1(n))
             targets = set()
             for cf in sources:
                 out = bijections.map_23_1_to_32_1(cf)
-                word = perm_core.flatten_cycle_form(out).word
                 _require(perm_core.count_occurrences(
-                    perm_core.Permutation(word), pat321) == 0,
+                    perm_core.flatten_cycle_form(out), pat321) == 0,
                     lambda: f"n={n}: image contains 32-1: {cf}")
                 for before, after in zip(cf.cycles, out.cycles):
                     _require(sorted(before) == sorted(after),

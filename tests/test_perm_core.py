@@ -5,7 +5,8 @@ import pytest
 
 from flatperm.perm_core import (CapExceeded, CycleForm, Permutation,
                                 VincularPattern3, _bucket, _completions,
-                                _flat_words, _slot_bytes, _xy_z_layers,
+                                _flat_words, _slot_bytes, _witnesses,
+                                _x_yz_layers, _xy_z_fronts, _xy_z_layers,
                                 brute_avoider_count, brute_distribution,
                                 brute_refined_distribution,
                                 brute_total_occurrences,
@@ -249,13 +250,103 @@ def test_xy_z_state_weights_fit_their_slots(text):
         assert placed_count == n - 1
 
 
+@pytest.mark.parametrize("text", XY_Z)
+def test_refined_xy_z_pass_matches_all_fronts_pass(text):
+    """The pass that places k last against entry k of the pass over every
+    front letter."""
+    pat = VincularPattern3.from_string(text)
+    for n in range(2, 11):
+        fronts, width = _xy_z_fronts(n, pat)
+        assert sorted(fronts) == list(range(2, n + 1))
+        for k in range(2, n + 1):
+            assert brute_refined_distribution(n, pat, k) \
+                == _unpack(fronts[k], width)
+
+
+@pytest.mark.parametrize("text", XY_Z)
+def test_refined_xy_z_state_weights_fit_their_slots(text):
+    """Without k, after L letters are placed the states on each set S
+    total (L+1)! weighted suffixes, and (L+1)! <= (n-1)! < 2^s; k and 1
+    prepended, the total is at most 2 (n-1)! <= n!."""
+    pat = VincularPattern3.from_string(text)
+    for n in range(3, 11):
+        width = _slot_bytes(n)
+        zs = _completions(n, pat)
+        for k in range(2, n + 1):
+            layers = _xy_z_layers(n, zs, 8 * width, skip=k)
+            for placed_count, layer in enumerate(layers, 1):
+                totals = Counter()
+                for (placed, b), value in layer.items():
+                    assert b != k and not placed & 1 << (k - 2)
+                    assert placed.bit_count() == placed_count
+                    totals[placed] += _unpack(value, width).evaluate(1)
+                assert len(totals) == math.comb(n - 2, placed_count)
+                assert set(totals.values()) \
+                    == {math.factorial(placed_count + 1)}
+            assert placed_count == n - 2
+            # prepending k doubles only when k = 2: at most 2 (n-1)! <= n!
+            assert brute_refined_distribution(n, pat, k).evaluate(1) \
+                == math.factorial(n - 1) * (2 if k == 2 else 1)
+    assert list(_xy_z_layers(2, _completions(2, pat), 8, skip=2)) == []
+
+
+X_YZ = ["3-21", "3-12", "1-32", "2-13", "1-23", "2-31"]
+
+
+@pytest.mark.parametrize("text", X_YZ)
+def test_x_yz_pass_matches_word_walk(text):
+    """The (prefix set, last letter) pass against the weighted word walk,
+    whole and for every prefix letter k."""
+    pat = VincularPattern3.from_string(text)
+    for n in range(1, 9):
+        assert brute_distribution(n, pat) == _bucket(_flat_words(n), pat)
+        for k in range(2, n + 1):
+            assert brute_refined_distribution(n, pat, k) \
+                == _bucket(_flat_words(n, k), pat)
+
+
+@pytest.mark.parametrize("text", X_YZ)
+def test_x_yz_state_weights_fit_their_slots(text):
+    """Every state on a set P, and the states on P together, weigh at most
+    n! < 2^s, so each state reads back the same as at a slot 4 bytes wider;
+    the last layer weighs the preimages of the words it covers."""
+    pat = VincularPattern3.from_string(text)
+    for n in range(1, 11):
+        width = _slot_bytes(n)
+        xs = _witnesses(n, pat)
+        for k in [0] + list(range(2, n + 1)):
+            layers = zip(_x_yz_layers(n, xs, 8 * width, k),
+                         _x_yz_layers(n, xs, 8 * (width + 4), k))
+            for placed_count, (layer, wide) in enumerate(layers,
+                                                         2 if k else 1):
+                assert layer.keys() == wide.keys()
+                totals = Counter()
+                for (placed, b), value in layer.items():
+                    assert placed & 1 and placed & 1 << (b - 1)
+                    assert placed.bit_count() == placed_count
+                    poly = _unpack(value, width)
+                    assert poly == _unpack(wide[placed, b], width + 4)
+                    totals[placed] += poly.evaluate(1)
+                assert max(totals.values()) <= math.factorial(n)
+            assert placed_count == n
+            if k:   # (n-1)! weighted tails after 1, k; k a minimum iff 2
+                want = math.factorial(n - 1) * (2 if k == 2 else 1)
+            else:
+                want = math.factorial(n)
+            assert sum(totals.values()) == want
+
+
 def test_xy_z_pass_keeps_the_cap():
-    with pytest.raises(CapExceeded) as exc:
-        brute_distribution(11, P32_1)
-    assert str(exc.value) == ("refusing exhaustive enumeration at n=11: "
-                              "cap is 10 (raise the cap explicitly to go "
-                              "further)")
-    with pytest.raises(CapExceeded):
-        brute_refined_distribution(11, P32_1, 2)
-    with pytest.raises(ValueError):
-        brute_refined_distribution(1, P32_1, 1)
+    message = ("refusing exhaustive enumeration at n=11: cap is 10 (raise "
+               "the cap explicitly to go further)")
+    for pat in (P32_1, VincularPattern3.from_string("3-21")):
+        with pytest.raises(CapExceeded) as exc:
+            brute_distribution(11, pat)
+        assert str(exc.value) == message
+        with pytest.raises(CapExceeded) as exc:
+            brute_refined_distribution(11, pat, 2)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError):
+            brute_refined_distribution(1, pat, 1)
+        assert brute_distribution(11, pat, max_n=11).evaluate(1) \
+            == math.factorial(11)

@@ -1,14 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatperm.qpoly import (IdentityViolation, QPoly, complete_h,
                             e_on_qints_closed_form, elementary_e,
                             h_on_qint_window_closed_form, nonadjacent_e_prime,
                             q_binomial, q_factorial, q_int)
-from flatperm.qpoly import _mul_kronecker, _mul_schoolbook, _unpack
+from flatperm.qpoly import (_KRONECKER_THRESHOLD, _mul_kronecker,
+                            _mul_schoolbook, _unpack)
 
 Q = QPoly.q()
 ONE = QPoly.one()
@@ -187,6 +188,43 @@ def _signed_coeffs(max_size):
 def test_kronecker_matches_schoolbook_on_wide_coefficients(a, b):
     assert _mul_kronecker(tuple(a), tuple(b)) \
         == _mul_schoolbook(tuple(a), tuple(b))
+
+
+_polys = st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=12).map(QPoly)
+
+
+@given(_polys, _polys, _polys)
+def test_ring_laws(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a + QPoly.zero() == a == a * ONE
+    assert a * QPoly.zero() == 0 == a - a
+    assert a - b == a + (-b)
+
+
+@given(_polys, _polys.filter(bool))
+def test_exact_div_inverts_multiplication(a, b):
+    assert (a * b).exact_div(b) == a
+
+
+def _sized_coeffs(low, high):
+    return st.integers(low, high).flatmap(lambda size: st.lists(
+        st.integers(-2 ** 40, 2 ** 40), min_size=size, max_size=size))
+
+
+@settings(max_examples=50)
+@given(_sized_coeffs(50, 85), _sized_coeffs(50, 85))
+def test_products_agree_across_the_kronecker_threshold(a, b):
+    """Operand sizes from 50 x 50 to 85 x 85 straddle the threshold, so
+    QPoly.__mul__ takes both routes; both equal the schoolbook product."""
+    assert 50 * 50 <= _KRONECKER_THRESHOLD < 85 * 85
+    want = _mul_schoolbook(tuple(a), tuple(b))
+    assert _mul_kronecker(tuple(a), tuple(b)) == want
+    assert QPoly(a) * QPoly(b) == QPoly(want)
 
 
 def test_evaluate_and_shift():
