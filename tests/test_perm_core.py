@@ -271,6 +271,7 @@ def test_refined_xy_z_state_weights_fit_their_slots(text):
     pat = VincularPattern3.from_string(text)
     for n in range(3, 11):
         width = _slot_bytes(n)
+        assert 2 * math.factorial(n - 1) <= math.factorial(n) < 1 << 8 * width
         zs = _completions(n, pat)
         for k in range(2, n + 1):
             layers = _xy_z_layers(n, zs, 8 * width, skip=k)
@@ -313,6 +314,7 @@ def test_x_yz_state_weights_fit_their_slots(text):
     pat = VincularPattern3.from_string(text)
     for n in range(1, 11):
         width = _slot_bytes(n)
+        assert math.factorial(n) < 1 << 8 * width
         xs = _witnesses(n, pat)
         for k in [0] + list(range(2, n + 1)):
             layers = zip(_x_yz_layers(n, xs, 8 * width, k),
