@@ -133,44 +133,6 @@ def avoider_23_1_to_partition(c: CycleForm) -> MarkedPartition:
     return MarkedPartition(runs, marks)
 
 
-def _avoiders_23_1(n: int, max_n: int = DEFAULT_MAX_N):
-    """Yield the standard cycle form of every p in S_n whose flattened form
-    avoids 23-1.
-
-    The avoiding flattened words are grown left to right from 1.  Each
-    letter placed must lie above the bottom of every ascent before it, so
-    an ascent (last, c) is made only when every other unplaced letter is
-    above last; then no branch dies.  Each word with r right-to-left
-    minima then opens cycles at 1 and at every subset of its later minima:
-    its 2^(r-1) preimages.
-    """
-    _check_cap(n, max_n)
-
-    def grow(word: list[int], rest: list[int]):
-        # rest is ascending and lies above every ascent bottom in word
-        if not rest:
-            yield tuple(word)
-            return
-        last = word[-1]
-        for i, c in enumerate(rest):
-            if last < c and rest[0] < last:
-                continue
-            word.append(c)
-            yield from grow(word, rest[:i] + rest[i + 1:])
-            word.pop()
-
-    for word in grow([1], list(range(2, n + 1))):
-        low, minima = n + 1, []
-        for i in range(n - 1, 0, -1):
-            if word[i] < low:
-                low = word[i]
-                minima.append(i)
-        for cuts in itertools.product((False, True), repeat=len(minima)):
-            starts = [0] + sorted(i for i, cut in zip(minima, cuts) if cut)
-            yield CycleForm(tuple(word[a:b] for a, b in
-                                  zip(starts, starts[1:] + [n])))
-
-
 def _resplit_like(word: list[int], template: CycleForm) -> CycleForm:
     out = []
     pos = 0

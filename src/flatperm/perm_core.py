@@ -349,8 +349,8 @@ def _bucket(words, pat: VincularPattern3) -> QPoly:
 
 
 def _slot_bytes(n: int) -> int:
-    """Bytes per slot of the xy-z pass at n: the least s = 8 * bytes with
-    n! < 2^s."""
+    """Bytes per slot of the oracle passes at n: the least s = 8 * bytes
+    with n! < 2^s."""
     return (math.factorial(n).bit_length() + 7) // 8
 
 

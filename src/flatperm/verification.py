@@ -357,7 +357,8 @@ def _suite_bijections(report: Report, n_max: int):
 
     def check_reversal_bijection():
         for n in range(1, n_max + 1):
-            sources = list(bijections._avoiders_23_1(n))
+            sources = [bijections.partition_to_23_1_avoider(mp) for mp
+                       in bijections.enumerate_marked_partitions(n)]
             targets = set()
             for cf in sources:
                 out = bijections.map_23_1_to_32_1(cf)

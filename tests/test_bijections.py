@@ -1,8 +1,7 @@
 import pytest
 
 from flatperm import perm_core
-from flatperm.bijections import (MarkedPartition, _avoiders_23_1,
-                                 avoider_23_1_to_partition,
+from flatperm.bijections import (MarkedPartition, avoider_23_1_to_partition,
                                  check_31_2_equivalence,
                                  enumerate_marked_partitions,
                                  inverse_32_1_to_23_1, map_23_1_to_32_1,
@@ -114,17 +113,17 @@ def test_reversal_bijection_exhaustive():
         assert len(images) == len(sources) == avoiders("32-1", n)
 
 
-def test_23_1_avoider_search_matches_the_filtered_sweep():
-    """The pruned search yields each 23-1 avoider's cycle form once, and the
-    same set as flattening and counting all of S_n."""
+def test_partition_images_are_the_filtered_23_1_sweep():
+    """The marked-partition images, which the reversal check takes as its
+    sources, are exactly the 23-1 avoiders found by flattening and counting
+    all of S_n."""
     for n in range(1, 8):
-        found = list(_avoiders_23_1(n))
+        found = [partition_to_23_1_avoider(mp)
+                 for mp in enumerate_marked_partitions(n)]
         assert len(found) == len(set(found)) == avoiders("23-1", n)
         assert set(found) == {to_standard_cycle_form(p)
                               for p in enumerate_permutations(n)
                               if count_in_flattened_sense(p, PAT_23_1) == 0}
-    with pytest.raises(perm_core.CapExceeded):
-        next(_avoiders_23_1(11))
 
 
 def test_check_31_2_equivalence():
