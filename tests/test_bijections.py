@@ -53,10 +53,12 @@ def test_partition_to_avoider_smallest_cases():
 def test_partition_round_trip_exhaustive():
     for n in range(1, 8):
         seen = set()
+        images = set()
         total = 0
         for mp in enumerate_marked_partitions(n):
             total += 1
             cf = partition_to_23_1_avoider(mp)
+            images.add(cf)
             word = flatten_cycle_form(cf).word
             assert count_occurrences(Permutation(word), PAT_23_1) == 0
             ascents = sum(1 for i in range(n - 1) if word[i] < word[i + 1])
@@ -64,6 +66,11 @@ def test_partition_round_trip_exhaustive():
             assert avoider_23_1_to_partition(cf) == mp
             seen.add(cf.to_permutation().word)
         assert total == len(seen) == avoiders("23-1", n)
+        # the images, which the reversal check takes as its sources, are
+        # exactly the 23-1 avoiders found by filtering all of S_n
+        assert images == {to_standard_cycle_form(p)
+                          for p in enumerate_permutations(n)
+                          if count_in_flattened_sense(p, PAT_23_1) == 0}
 
 
 def test_avoider_to_partition_rejects_containment():
@@ -111,19 +118,6 @@ def test_reversal_bijection_exhaustive():
             assert inverse_32_1_to_23_1(out) == cf
             images.add(out.to_permutation().word)
         assert len(images) == len(sources) == avoiders("32-1", n)
-
-
-def test_partition_images_are_the_filtered_23_1_sweep():
-    """The marked-partition images, which the reversal check takes as its
-    sources, are exactly the 23-1 avoiders found by flattening and counting
-    all of S_n."""
-    for n in range(1, 8):
-        found = [partition_to_23_1_avoider(mp)
-                 for mp in enumerate_marked_partitions(n)]
-        assert len(found) == len(set(found)) == avoiders("23-1", n)
-        assert set(found) == {to_standard_cycle_form(p)
-                              for p in enumerate_permutations(n)
-                              if count_in_flattened_sense(p, PAT_23_1) == 0}
 
 
 def test_check_31_2_equivalence():
