@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import closed_forms, perm_core, recurrences, series, verification
@@ -38,28 +37,14 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    format: str = "text"
-    pattern: str | None = None
-    n: int | None = None
-    n_max: int | None = None
-    method: str = "recurrence"
-    order: int = series.DEFAULT_ORDER
-    which: str | None = None
-    suite: str | None = None
-    out: str | None = None
-
-    @property
-    def brute_cap(self) -> int:
-        raw = os.environ.get(ENV_BRUTE_CAP)
-        if raw is None:
-            return DEFAULT_MAX_N
-        try:
-            return int(raw)
-        except ValueError:
-            raise UsageError(f"{ENV_BRUTE_CAP} must be an integer, got {raw!r}")
+def _brute_cap() -> int:
+    raw = os.environ.get(ENV_BRUTE_CAP)
+    if raw is None:
+        return DEFAULT_MAX_N
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"{ENV_BRUTE_CAP} must be an integer, got {raw!r}")
 
 
 def _coeff_map(poly: QPoly) -> dict[str, str]:
@@ -70,50 +55,48 @@ def _fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def cmd_distribution(cfg: RunConfig) -> str:
-    if cfg.n is None or cfg.n < 1:
+def cmd_distribution(args: argparse.Namespace) -> str:
+    if args.n < 1:
         raise UsageError("distribution needs a positive --n")
-    if cfg.pattern is None:
-        raise UsageError("distribution needs --pattern")
-    pattern = PatternId.from_string(cfg.pattern)
+    pattern = PatternId.from_string(args.pattern)
     results: dict[str, QPoly] = {}
-    if cfg.method in ("recurrence", "both"):
-        if cfg.n > RECURRENCE_MAX_N:
+    if args.method in ("recurrence", "both"):
+        if args.n > RECURRENCE_MAX_N:
             raise UsageError(
-                f"n={cfg.n} exceeds the recurrence cap {RECURRENCE_MAX_N}")
+                f"n={args.n} exceeds the recurrence cap {RECURRENCE_MAX_N}")
         results["recurrence"] = recurrences.distribution_table(
-            pattern, cfg.n).g(cfg.n)
-    if cfg.method in ("brute", "both"):
+            pattern, args.n).g(args.n)
+    if args.method in ("brute", "both"):
         try:
             results["brute"] = perm_core.brute_distribution(
-                cfg.n, pattern.vincular(), max_n=cfg.brute_cap)
+                args.n, pattern.vincular(), max_n=_brute_cap())
         except CapExceeded as exc:
             raise UsageError(str(exc))
     match = None
-    if cfg.method == "both":
+    if args.method == "both":
         match = results["recurrence"] == results["brute"]
 
     primary = results.get("recurrence", results.get("brute"))
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
             "command": "distribution",
             "pattern": pattern.value,
-            "n": cfg.n,
-            "method": cfg.method,
+            "n": args.n,
+            "method": args.method,
             "coefficients": _coeff_map(primary),
         }
-        if cfg.method == "both":
+        if args.method == "both":
             payload["brute_coefficients"] = _coeff_map(results["brute"])
             payload["match"] = match
         return json.dumps(payload, indent=2)
-    if cfg.format == "csv":
+    if args.format == "csv":
         lines = ["pattern,n,source,exponent,coefficient"]
         for source in ("recurrence", "brute"):
             if source in results:
                 for i, c in enumerate(results[source].coeffs):
-                    lines.append(f"{pattern.value},{cfg.n},{source},{i},{c}")
+                    lines.append(f"{pattern.value},{args.n},{source},{i},{c}")
         return "\n".join(lines)
-    lines = [f"pattern {pattern.value}  n={cfg.n}  method={cfg.method}"]
+    lines = [f"pattern {pattern.value}  n={args.n}  method={args.method}"]
     for source, poly in results.items():
         lines.append(f"{source}: {poly}")
         lines.extend(f"  q^{i}: {c}" for i, c in enumerate(poly.coeffs))
@@ -122,22 +105,22 @@ def cmd_distribution(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
-def cmd_table(cfg: RunConfig) -> str:
-    if cfg.n_max is None or cfg.n_max < 1:
+def cmd_table(args: argparse.Namespace) -> str:
+    if args.n_max < 1:
         raise UsageError("table needs a positive --n-max")
-    if cfg.n_max > RECURRENCE_MAX_N:
+    if args.n_max > RECURRENCE_MAX_N:
         raise UsageError(
-            f"n_max={cfg.n_max} exceeds the recurrence cap {RECURRENCE_MAX_N}")
+            f"n_max={args.n_max} exceeds the recurrence cap {RECURRENCE_MAX_N}")
     rows = []
     for key in TABLE_ORDER:
-        for n in range(1, cfg.n_max + 1):
+        for n in range(1, args.n_max + 1):
             avg = closed_forms.average_occurrences(key, n)
             rows.append((key, n, closed_forms.avoiders(key, n),
                          avg.numerator, avg.denominator))
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
             "command": "table",
-            "n_max": cfg.n_max,
+            "n_max": args.n_max,
             "rows": [
                 {"pattern": p, "n": n, "avoiders": str(a),
                  "average_num": str(num), "average_den": str(den)}
@@ -145,7 +128,7 @@ def cmd_table(cfg: RunConfig) -> str:
             ],
         }
         return json.dumps(payload, indent=2)
-    if cfg.format == "csv":
+    if args.format == "csv":
         lines = ["pattern,n,avoiders,average_num,average_den"]
         lines.extend(f"{p},{n},{a},{num},{den}" for p, n, a, num, den in rows)
         return "\n".join(lines)
@@ -156,53 +139,49 @@ def cmd_table(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
-def cmd_series(cfg: RunConfig) -> str:
-    if cfg.which not in SERIES_CHOICES:
-        raise UsageError(f"--which must be one of {', '.join(SERIES_CHOICES)}")
-    if cfg.order < 1:
+def cmd_series(args: argparse.Namespace) -> str:
+    if args.order < 1:
         raise UsageError("order must be positive")
-    if cfg.order > SERIES_MAX_ORDER:
+    if args.order > SERIES_MAX_ORDER:
         raise UsageError(
-            f"order {cfg.order} exceeds the cap {SERIES_MAX_ORDER}")
-    order = cfg.order
-    if cfg.which.startswith("g31_2_r"):
+            f"order {args.order} exceeds the cap {SERIES_MAX_ORDER}")
+    order = args.order
+    if args.which.startswith("g31_2_r"):
         # the closed-form assembly needs a little working room
         expansion = series.expand_G_r_31_2(
-            int(cfg.which[-1]), max(order, 4)).truncate(order)
-    elif cfg.which == "egf_21_3":
+            int(args.which[-1]), max(order, 4)).truncate(order)
+    elif args.which == "egf_21_3":
         expansion = series.expand_egf_21_3_avoid(max(order, 2)).truncate(order)
     else:
         expansion = series.expand_egf_12_3_avoid(max(order, 2)).truncate(order)
     coeffs = expansion.coeffs
-    if cfg.format == "json":
+    if args.format == "json":
         return json.dumps({
             "command": "series",
-            "which": cfg.which,
+            "which": args.which,
             "order": order,
             "coefficients": [_fraction_str(c) for c in coeffs],
         }, indent=2)
-    if cfg.format == "csv":
+    if args.format == "csv":
         lines = ["which,exponent,coefficient"]
-        lines.extend(f"{cfg.which},{i},{_fraction_str(c)}"
+        lines.extend(f"{args.which},{i},{_fraction_str(c)}"
                      for i, c in enumerate(coeffs))
         return "\n".join(lines)
-    lines = [f"{cfg.which} to order {order}"]
+    lines = [f"{args.which} to order {order}"]
     lines.extend(f"  x^{i}: {c}" for i, c in enumerate(coeffs))
     return "\n".join(lines)
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
-    if cfg.suite is None:
-        raise UsageError("verify needs --suite")
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     try:
-        report = verification.run_suite(cfg.suite, cfg.n_max)
+        report = verification.run_suite(args.suite, args.n_max)
     except ValueError as exc:
         raise UsageError(str(exc))
     status = 0 if report.ok else 1
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
             "command": "verify",
-            "suite": cfg.suite,
+            "suite": args.suite,
             "ok": report.ok,
             "checks": [
                 {"suite": r.suite, "name": r.name, "passed": r.passed,
@@ -211,7 +190,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
             ],
         }
         return json.dumps(payload, indent=2), status
-    if cfg.format == "csv":
+    if args.format == "csv":
         lines = ["suite,name,passed"]
         lines.extend(
             f"{r.suite},{r.name.replace(',', ';')},{str(r.passed).lower()}"
@@ -264,32 +243,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        format=args.format,
-        pattern=getattr(args, "pattern", None),
-        n=getattr(args, "n", None),
-        n_max=getattr(args, "n_max", None),
-        method=getattr(args, "method", "recurrence"),
-        order=getattr(args, "order", series.DEFAULT_ORDER),
-        which=getattr(args, "which", None),
-        suite=getattr(args, "suite", None),
-        out=args.out,
-    )
     try:
-        if cfg.command == "distribution":
-            output, status = cmd_distribution(cfg), 0
-        elif cfg.command == "table":
-            output, status = cmd_table(cfg), 0
-        elif cfg.command == "series":
-            output, status = cmd_series(cfg), 0
+        if args.command == "distribution":
+            output, status = cmd_distribution(args), 0
+        elif args.command == "table":
+            output, status = cmd_table(args), 0
+        elif args.command == "series":
+            output, status = cmd_series(args), 0
         else:
-            output, status = cmd_verify(cfg)
+            output, status = cmd_verify(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(output + "\n")
     else:
         print(output)

@@ -518,14 +518,15 @@ _SUITE_RUNNERS = {
 
 
 def run_suite(suite: str, n_max: int | None = None) -> Report:
-    """Run one named suite, or every suite with "all"."""
-    report = Report()
-    if suite == "all":
-        for name in SUITES:
-            _SUITE_RUNNERS[name](report, n_max or DEFAULT_N_MAX[name])
-        return report
-    if suite not in _SUITE_RUNNERS:
+    """Run one named suite, or every suite with "all", at ``n_max`` or, when
+    it is None, at each suite's default bound."""
+    if suite != "all" and suite not in _SUITE_RUNNERS:
         raise ValueError(
             f"unknown suite {suite!r}; expected one of {SUITES + ('all',)}")
-    _SUITE_RUNNERS[suite](report, n_max or DEFAULT_N_MAX[suite])
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be positive, got {n_max}")
+    report = Report()
+    for name in SUITES if suite == "all" else (suite,):
+        _SUITE_RUNNERS[name](
+            report, DEFAULT_N_MAX[name] if n_max is None else n_max)
     return report

@@ -1,218 +1,104 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Everything here is exact integer or rational arithmetic; "tolerance" only
-appears in the limit criterion and is itself an exact rational bound.
+Each criterion asserts on the named checks of ``verification.run_suite``,
+the same checks ``flatperm verify`` prints, run once per suite at the
+bounds in ``SUITE_N_MAX``.  Only what ``verify`` lacks is checked here:
+criterion 8's own monotonicity loop and the two time limits.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
-import math
+import functools
 import time
 from fractions import Fraction
 
-import pytest
+from flatperm import closed_forms, verification
+from flatperm.recurrences import ALL_PATTERNS
 
-from flatperm import bijections, closed_forms, perm_core, recurrences, series
-from flatperm.closed_forms import AUX_3_12, AUX_3_21
-from flatperm.qpoly import QPoly, complete_h, e_on_qints_closed_form, \
-    elementary_e, h_on_qint_window_closed_form, q_int
-from flatperm.recurrences import ALL_PATTERNS, PatternId
+#: Bound per suite.  Series runs to 14, past verify's default of 12, so the
+#: EGF and G_r coefficients are checked through n = 14.
+SUITE_N_MAX = {"oracle": 8, "refined": 7, "closed-forms": 8, "series": 14,
+               "bijections": 7, "identities": 8}
 
 
-def report(criterion: int, text: str):
-    print(f"ACCEPTANCE {criterion}: PASS - {text}")
+@functools.cache
+def suite_run(suite: str):
+    started = time.perf_counter()
+    report = verification.run_suite(suite, SUITE_N_MAX[suite])
+    return report.results, time.perf_counter() - started
+
+
+def passed(suite: str, name: str) -> verification.CheckResult:
+    found = [r for r in suite_run(suite)[0] if r.name == name]
+    assert len(found) == 1, f"[{suite}] {name}: {len(found)} checks by that name"
+    assert found[0].passed, found[0].line()
+    return found[0]
+
+
+def report(criterion: int, *checks: verification.CheckResult, elapsed=None):
+    text = "; ".join(dict.fromkeys(r.detail for r in checks))
+    timing = "" if elapsed is None else f" ({elapsed:.2f}s)"
+    print(f"ACCEPTANCE {criterion}: PASS - {text}{timing}")
 
 
 def test_criterion_1_oracle_equivalence():
-    started = time.perf_counter()
-    for pattern in ALL_PATTERNS:
-        table = recurrences.distribution_table(pattern, 8)
-        vinc = pattern.vincular()
-        for n in range(1, 9):
-            assert table.g(n) == perm_core.brute_distribution(n, vinc), \
-                (pattern, n)
-    elapsed = time.perf_counter() - started
+    checks = [passed("oracle", f"{p} distribution == brute force")
+              for p in ALL_PATTERNS]
+    elapsed = suite_run("oracle")[1]
     assert elapsed < 60.0, f"oracle equivalence took {elapsed:.1f}s"
-    report(1, f"five patterns, n=1..8, exact polynomial identity "
-              f"({elapsed:.1f}s)")
+    report(1, *checks, elapsed=elapsed)
 
 
 def test_criterion_2_refined_equivalence():
-    for pattern in ALL_PATTERNS:
-        vinc = pattern.vincular()
-        for n in range(2, 8):
-            for k in range(2, n + 1):
-                assert recurrences.refined_g1k(pattern, n, k) \
-                    == perm_core.brute_refined_distribution(n, vinc, k), \
-                    (pattern, n, k)
-    report(2, "refined g_n(1k) == brute force, all patterns, n<=7, all k")
+    report(2, *(passed("refined", f"{p} g_n(1k) == brute force")
+                for p in ALL_PATTERNS))
 
 
 def test_criterion_3_table_reproduction():
-    for pattern in ALL_PATTERNS:
-        table = recurrences.distribution_table(pattern, 8)
-        vinc = pattern.vincular()
-        for n in range(1, 9):
-            formula = closed_forms.avoiders(pattern, n)
-            assert formula == table.g(n).constant_term(), (pattern, n)
-            assert formula == perm_core.brute_avoider_count(n, vinc), \
-                (pattern, n)
-            average = closed_forms.average_occurrences(pattern, n)
-            assert average * math.factorial(n) \
-                == table.g(n).derivative().evaluate(1), (pattern, n)
-    vinc = perm_core.VincularPattern3.from_string("13-2")
-    for n in range(1, 9):
-        assert closed_forms.avoiders("13-2", n) == 2 ** (n - 1) \
-            == perm_core.brute_avoider_count(n, vinc)
-        assert closed_forms.average_occurrences("13-2", n) * math.factorial(n) \
-            == perm_core.brute_total_occurrences(n, vinc)
-    report(3, "avoiders == [q^0] g_n == brute and averages == g_n'(1)/n!, "
-              "six patterns, n<=8")
+    report(3, passed("closed-forms", "avoider closed forms == [q^0] g_n == brute"),
+           passed("closed-forms", "average closed forms == g_n'(1) / n!"))
 
 
 def test_criterion_4_cross_pattern_equalities():
-    g23 = recurrences.distribution_table(PatternId.P23_1, 40)
-    g32 = recurrences.distribution_table(PatternId.P32_1, 40)
-    g21 = recurrences.distribution_table(PatternId.P21_3, 40)
-    g31 = recurrences.distribution_table(PatternId.P31_2, 40)
-    for n in range(1, 41):
-        assert g23.g(n).constant_term() == g32.g(n).constant_term(), n
-        assert g21.g(n).derivative().evaluate(1) \
-            == g31.g(n).derivative().evaluate(1), n
-    report(4, "[q^0] equality for 23-1/32-1 and total equality for "
-              "21-3/31-2, n<=40, exact")
+    report(4, passed("identities", "cross-pattern equalities"))
 
 
 def test_criterion_5_series_checks():
-    table = recurrences.distribution_table(PatternId.P31_2, 12)
-    for r in range(4):
-        expansion = series.expand_G_r_31_2(r, 13)
-        for n in range(3, 13):
-            got = expansion.coefficient(n)
-            assert got.denominator == 1
-            assert got == table.g(n).coefficient(r), (r, n)
-    egf21 = series.expand_egf_21_3_avoid(13)
-    egf12 = series.expand_egf_12_3_avoid(13)
-    for m in range(13):
-        assert egf21.coefficient(m) * math.factorial(m) \
-            == closed_forms.avoiders("21-3", m + 2), m
-        assert egf12.coefficient(m) * math.factorial(m) \
-            == closed_forms.avoiders("12-3", m + 2), m
-    report(5, "[x^n] expansions == [q^r] g_n (r=0..3, n=3..12) and EGF "
-              "coefficients reproduce avoider counts")
+    report(5, passed("series", "31-2 generating functions vs the table"),
+           passed("series", "avoider EGFs vs closed forms"))
 
 
 def test_criterion_6_bijection_suite():
-    pat231 = perm_core.VincularPattern3.from_string("23-1")
-    pat321 = perm_core.VincularPattern3.from_string("32-1")
-    for n in range(1, 8):
-        partitions = list(bijections.enumerate_marked_partitions(n))
-        images = set()
-        for mp in partitions:
-            cf = bijections.partition_to_23_1_avoider(mp)
-            word = perm_core.flatten_cycle_form(cf).word
-            assert perm_core.count_occurrences(
-                perm_core.Permutation(word), pat231) == 0
-            ascents = sum(1 for i in range(n - 1) if word[i] < word[i + 1])
-            assert ascents == len(mp.blocks)
-            assert bijections.avoider_23_1_to_partition(cf) == mp
-            images.add(cf.to_permutation().word)
-        expected = (1 if n == 1 else
-                    sum(2 ** k * closed_forms.numbers.stirling2(n - 1, k)
-                        for k in range(1, n)))
-        assert len(images) == len(partitions) == expected
-
-        sources = [perm_core.to_standard_cycle_form(p)
-                   for p in perm_core.enumerate_permutations(n)
-                   if perm_core.count_in_flattened_sense(p, pat231) == 0]
-        targets = set()
-        for cf in sources:
-            out = bijections.map_23_1_to_32_1(cf)
-            word = perm_core.flatten_cycle_form(out).word
-            assert perm_core.count_occurrences(
-                perm_core.Permutation(word), pat321) == 0
-            assert bijections.inverse_32_1_to_23_1(out) == cf
-            targets.add(out.to_permutation().word)
-        assert len(targets) == len(sources) == closed_forms.avoiders("32-1", n)
-    for n in range(1, 9):
-        assert bijections.check_31_2_equivalence(n), n
-    report(6, "round trips on full domains (n<=7), image cardinalities, "
-              "ascent counts, 31-2 equivalence (n<=8)")
+    report(6, passed("bijections", "marked partitions <-> 23-1 avoiders"),
+           passed("bijections", "23-1 avoiders <-> 32-1 avoiders"),
+           passed("bijections", "31-2 avoidance equals 3-1-2 avoidance"))
 
 
 def test_criterion_7_total_identity_suite():
-    for n in range(3, 9):
-        fact = math.factorial(n - 1)
-        tot = {str(p): closed_forms.total_occurrences(p, n)
-               for p in ALL_PATTERNS}
-        tot[AUX_3_21] = closed_forms.total_occurrences(AUX_3_21, n)
-        tot[AUX_3_12] = closed_forms.total_occurrences(AUX_3_12, n)
-        for key, value in tot.items():
-            vinc = perm_core.VincularPattern3.from_string(key)
-            assert value == perm_core.brute_total_occurrences(n, vinc), (key, n)
-        assert tot["32-1"] == tot["23-1"]
-        assert tot["21-3"] + tot[AUX_3_21] \
-            == fact * sum((n - i) * (i - 2) for i in range(3, n))
-        assert tot["12-3"] + tot[AUX_3_12] \
-            == fact * sum((n - i) * i for i in range(2, n))
-    report(7, "occurrence-total identities, formula == brute force, n<=8")
+    report(7, passed("identities", "occurrence totals vs brute force"),
+           passed("identities", "occurrence-total pairing identities"))
 
 
 def test_criterion_8_limit_property():
+    check = passed("closed-forms", "limit of avr(n)/n^2")
     started = time.perf_counter()
     twelfth = Fraction(1, 12)
-    values = closed_forms.limit_check(20, 200)
-    for pattern, sequence in values.items():
+    for pattern, sequence in closed_forms.limit_check(20, 200).items():
         deviations = [abs(v - twelfth) for v in sequence]
         assert all(b < a for a, b in zip(deviations, deviations[1:])), pattern
-    for pattern in ALL_PATTERNS:
-        deviation = abs(closed_forms.average_occurrences(pattern, 1000)
-                        / 1000 ** 2 - twelfth)
-        assert deviation < Fraction(1, 100), (pattern, deviation)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"limit checks took {elapsed:.2f}s"
-    report(8, f"|avr(n)/n^2 - 1/12| strictly decreasing on [20,200] and "
-              f"< 1/100 at n=1000 ({elapsed:.2f}s)")
+    report(8, check, elapsed=elapsed)
 
 
 def test_criterion_9_symmetric_function_closed_forms():
-    for k in range(3, 11):
-        qints = [q_int(i) for i in range(1, k - 2)]
-        for j in range(1, k - 2):
-            assert e_on_qints_closed_form(j, k) == elementary_e(j, qints), \
-                (j, k)
-    for k in range(1, 11):
-        for j in range(0, k):
-            for n in range(0, 6):
-                window = [q_int(n + i) for i in range(0, k - j)]
-                assert h_on_qint_window_closed_form(j, k, n) \
-                    == complete_h(j - 1, window), (j, k, n)
-    report(9, "both symmetric-function closed forms equal direct "
-              "evaluation on the full parameter sweeps, exact division throughout")
+    report(9, passed("identities", "symmetric-function closed forms"))
 
 
 def test_criterion_10_documented_discrepancies_reported():
-    from flatperm.verification import run_suite
-
-    # finding 1: the closed-form 12-3 recurrence with j >= 2 only misses its
-    # g_(n-1) term; restoring the closed form's j=1 value fixes it
-    comparisons = recurrences.qbinom_form_consistency_12_3(10)
-    assert all(not c.j2_only_matches for c in comparisons)
-    assert all(c.with_j1_term_matches for c in comparisons)
-
-    # finding 2: the r=0 generating function has [x^2] = 0, not 2
-    g0 = series.expand_G_r_31_2(0, 8)
-    assert g0.coefficient(2) == 0
-    assert recurrences.distribution_table(
-        PatternId.P31_2, 2).g(2).constant_term() == 2
-
-    # both findings must be surfaced by the verify report
-    identities = run_suite("identities", 8)
-    series_report = run_suite("series", 12)
-    finding1 = [r for r in identities.results if "12-3 recurrence j-range" in r.name]
-    finding2 = [r for r in series_report.results if "length-2 coefficient" in r.name]
-    assert len(finding1) == 1 and finding1[0].passed
-    assert "j=1" in finding1[0].detail
-    assert len(finding2) == 1 and finding2[0].passed
-    assert "[x^2] = 0" in finding2[0].detail
-    report(10, "both documented discrepancies reproduced and surfaced in "
-               "the verify report")
+    finding1 = passed("identities",
+                      "12-3 recurrence j-range (documented discrepancy)")
+    finding2 = passed("series",
+                      "r=0 length-2 coefficient (documented discrepancy)")
+    assert "j=1" in finding1.detail
+    assert "[x^2] = 0" in finding2.detail
+    report(10, finding1, finding2)

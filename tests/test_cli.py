@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +171,36 @@ def test_series_order_64_output_is_pinned(capsys, which, fmt):
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() \
         == SERIES_ORDER_64_SHA256[which, fmt]
+
+
+#: SHA-256 of `verify --suite all --format F` stdout.  The acceptance tests
+#: assert on verify's results, so a narrowed bound or a changed check must
+#: show here.
+VERIFY_ALL_SHA256 = {
+    "text": "8a6bdf3735f50ccef75b3b09a3faa3d78769b7e1cfb14ca4a97881ec35086c3b",
+    "json": "cd57680b58805d362f9d4c9561dfff63ee7b2fabef41cdec2a956566e68a8c63",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_ALL_SHA256))
+def test_verify_all_output_is_pinned(capsys, fmt):
+    status, out, _ = run(capsys, "verify", "--suite", "all", "--format", fmt)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[fmt]
+
+
+def test_verify_all_pin_matches_the_benchmark_reference():
+    reference = Path(__file__).parents[1] / "perfbench" / "reference.json"
+    pinned = json.loads(reference.read_text())["stdout_sha256"]
+    assert pinned["verify --suite all"] == VERIFY_ALL_SHA256["text"]
+
+
+def test_verify_rejects_non_positive_n_max(capsys):
+    for n_max in ("0", "-2"):
+        status, out, err = run(capsys, "verify", "--suite", "bijections",
+                               "--n-max", n_max)
+        assert (status, out) == (2, "")
+        assert err == f"error: n_max must be positive, got {n_max}\n"
 
 
 def test_verify_unknown_suite(capsys):
