@@ -14,8 +14,22 @@ round trips in the test suite:
 * the observation that avoiding 31-2 in the flattened sense is the same as
   classically avoiding 3-1-2, checked by a full sweep.
 
-Everything here is a pure function of immutable values; the exhaustive
-sweeps can be partitioned freely.
+Validation.  ``MarkedPartition`` checks its input, as ``Permutation`` and
+``CycleForm`` do.  ``MarkedPartition._raw`` skips the check and is used
+only by ``enumerate_marked_partitions``, whose blocks partition {2,...,n}
+by construction, each sorted descending and in order of first use, which
+is the order of their minima.  The maps' outputs are what the checks
+test, so every ``CycleForm`` and ``MarkedPartition`` a map builds goes
+through the checking constructor, and each map keeps its domain check.
+The flattened words are built unchecked (``perm_core.flatten_cycle_form``
+reads a checked ``CycleForm``).  tests/test_bijections.py compares every
+unchecked value with the checked constructor's for n <= 7.
+
+Threads.  Everything here is a pure function of immutable values, and this
+module keeps no memo; the exhaustive sweeps can be partitioned freely
+across processes.  The package's memos elsewhere (``recurrences``,
+``closed_forms``) are per process and unguarded, so the library as a whole
+is single-threaded.
 """
 
 from __future__ import annotations
@@ -23,8 +37,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .perm_core import (DEFAULT_MAX_N, CycleForm, Permutation,
-                        VincularPattern3, _check_cap, _flat_words,
+from .perm_core import (DEFAULT_MAX_N, CycleForm, VincularPattern3,
+                        _check_cap, _count_word, _flat_words,
                         count_occurrences, flatten_cycle_form)
 
 _PAT_23_1 = VincularPattern3.from_string("23-1")
@@ -62,6 +76,16 @@ class MarkedPartition:
         if minima != sorted(minima):
             raise ValueError("blocks not ordered by ascending minima")
 
+    @classmethod
+    def _raw(cls, blocks: tuple[tuple[int, ...], ...],
+             marks: tuple[bool, ...]) -> "MarkedPartition":
+        """A marked partition from fields already known to be valid,
+        unchecked."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "blocks", blocks)
+        object.__setattr__(p, "marks", marks)
+        return p
+
     @property
     def n(self) -> int:
         return sum(len(b) for b in self.blocks) + 1
@@ -87,7 +111,7 @@ def enumerate_marked_partitions(n: int):
     for blocks in assignments(0, []):
         frozen = tuple(tuple(b) for b in blocks)
         for marks in itertools.product((False, True), repeat=len(frozen)):
-            yield MarkedPartition(frozen, marks)
+            yield MarkedPartition._raw(frozen, marks)
 
 
 def partition_to_23_1_avoider(p: MarkedPartition) -> CycleForm:
@@ -147,14 +171,21 @@ def _chain_reversal(word: tuple[int, ...]) -> list[int]:
     to the right of the previous one, reversing the letters strictly between
     consecutive chain positions.  Applied to a word whose runs descend this
     turns each run interior ascending, and vice versa; the extra chain stops
-    inside a trailing run reverse nothing."""
+    inside a trailing run reverse nothing.
+
+    The chain positions come from one right-to-left scan: low[i] is the
+    position of the smallest letter of word[i:]."""
+    n = len(word)
+    low = list(range(n))
+    for i in range(n - 2, -1, -1):
+        if word[low[i + 1]] < word[i]:
+            low[i] = low[i + 1]
     new_word = list(word)
     pos = 0
-    n = len(word)
     while pos < n - 1:
-        tail_min = min(range(pos + 1, n), key=word.__getitem__)
-        new_word[pos + 1:tail_min] = reversed(new_word[pos + 1:tail_min])
-        pos = tail_min
+        nxt = low[pos + 1]
+        new_word[pos + 1:nxt] = word[nxt - 1:pos:-1]
+        pos = nxt
     return new_word
 
 
@@ -188,9 +219,8 @@ def check_31_2_equivalence(n: int, max_n: int = DEFAULT_MAX_N) -> bool:
     31-2 exactly when it avoids the classical 3-1-2."""
     _check_cap(n, max_n)
     for word, _ in _flat_words(n):
-        host = Permutation(word)
-        vincular = count_occurrences(host, _PAT_31_2)
-        classical = count_occurrences(host, _PAT_3_1_2)
+        vincular = _count_word(word, _PAT_31_2)
+        classical = _count_word(word, _PAT_3_1_2)
         if (vincular == 0) != (classical == 0):
             return False
     return True

@@ -68,9 +68,22 @@ So every coefficient of every state, and of every sum of states a pass
 forms, lies in [0, n!], below 2^s; no slot carries into the next, and each
 packed value is read back exactly by ``qpoly._unpack``.
 
-All types are immutable values, safe to share between threads; the
-exhaustive sweeps are deterministic, so splitting a sweep and merging the
-per-chunk counts is sound if a caller wants parallelism.
+Validation.  The public constructors ``Permutation``, ``CycleForm`` and
+``VincularPattern3`` check their input, since it may come from outside.
+``Permutation._raw`` skips the check, and only three places use it, where
+the word is a permutation by construction: ``enumerate_permutations``
+(``itertools.permutations`` of 1..n), ``flatten_cycle_form`` (the letters
+of a ``CycleForm``, whose own check makes them partition [n]) and
+``CycleForm.to_permutation`` (the successor map of those same cycles).
+The exhaustive tests in tests/test_bijections.py compare every such value
+with the checked constructor's for n <= 7.
+
+Threads.  All types here are immutable values, and this module keeps no
+memo.  The package's memos (the table builders in ``recurrences``, the
+special numbers in ``closed_forms``) are per process and unguarded, so the
+library is single-threaded: call it from one thread at a time.  The
+exhaustive sweeps are deterministic, so splitting a sweep across processes
+and merging the per-chunk counts is sound if a caller wants parallelism.
 """
 
 from __future__ import annotations
@@ -104,6 +117,13 @@ class Permutation:
         object.__setattr__(self, "word", word)
         if sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"not a permutation of [n]: {word}")
+
+    @classmethod
+    def _raw(cls, word: tuple[int, ...]) -> "Permutation":
+        """A permutation from a word already known to be one, unchecked."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "word", word)
+        return p
 
     def __len__(self):
         return len(self.word)
@@ -143,7 +163,7 @@ class CycleForm:
         for c in self.cycles:
             for i, x in enumerate(c):
                 word[x - 1] = c[(i + 1) % len(c)]
-        return Permutation(tuple(word))
+        return Permutation._raw(tuple(word))
 
     def __str__(self):
         return "".join("(" + ",".join(map(str, c)) + ")" for c in self.cycles)
@@ -219,7 +239,7 @@ def flatten(p: Permutation) -> Permutation:
 
 
 def flatten_cycle_form(c: CycleForm) -> Permutation:
-    return Permutation(tuple(x for cyc in c.cycles for x in cyc))
+    return Permutation._raw(tuple(itertools.chain.from_iterable(c.cycles)))
 
 
 def _flatten_word(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -323,7 +343,7 @@ def enumerate_permutations(n: int, max_n: int = DEFAULT_MAX_N):
     """Yield all n! permutations in lexicographic order, lazily."""
     _check_cap(n, max_n)
     for word in itertools.permutations(range(1, n + 1)):
-        yield Permutation(word)
+        yield Permutation._raw(word)
 
 
 def _flat_words(n: int, second: int | None = None):

@@ -51,8 +51,11 @@ only the last row, packed g_{n-1} and g_n, and g_1 .. g_n unpacked;
 only the entries read.  A step computes into locals
 and commits its level in one assignment, and a build that stops with any
 exception, an interrupt included, drops that pattern's builder, so the next
-call starts again from scratch.  Builders are not thread safe; the returned
-tables and polynomials are immutable values.
+call starts again from scratch.  The returned tables and polynomials are
+immutable values, but the builders are not thread safe, and the two memos
+are module-level dicts, one per process, with no lock: the library is
+single-threaded, so call it from one thread at a time.  Separate processes
+share nothing and may run freely in parallel.
 
 Independent check.  The paper's coefficient-table recurrences
 

@@ -330,14 +330,23 @@ def _suite_series(report: Report, n_max: int):
 def _suite_bijections(report: Report, n_max: int):
     pat231 = perm_core.VincularPattern3.from_string("23-1")
     pat321 = perm_core.VincularPattern3.from_string("32-1")
+    pairs: dict[int, list] = {}
+
+    def marked_pairs(n: int) -> list:
+        """(marked partition, its 23-1 avoider) for every marked partition
+        of {2,...,n}, built once per suite call and shared by both checks.
+        Each check asks for its own n, so a check that fails part way
+        leaves the other one to build what is missing."""
+        if n not in pairs:
+            pairs[n] = [(mp, bijections.partition_to_23_1_avoider(mp))
+                        for mp in bijections.enumerate_marked_partitions(n)]
+        return pairs[n]
 
     def check_partition_bijection():
         for n in range(1, n_max + 1):
             images = set()
-            count = 0
-            for mp in bijections.enumerate_marked_partitions(n):
-                count += 1
-                cf = bijections.partition_to_23_1_avoider(mp)
+            sources = marked_pairs(n)
+            for mp, cf in sources:
                 flat = perm_core.flatten_cycle_form(cf)
                 word = flat.word
                 _require(perm_core.count_occurrences(flat, pat231) == 0,
@@ -348,7 +357,7 @@ def _suite_bijections(report: Report, n_max: int):
                 _require(bijections.avoider_23_1_to_partition(cf) == mp,
                          lambda: f"n={n}: round trip failed for {mp}")
                 images.add(cf.to_permutation().word)
-            _require(count == len(images)
+            _require(len(sources) == len(images)
                      == closed_forms.avoiders("23-1", n), lambda:
                      f"n={n}: image size {len(images)} != avoider count")
         return f"round trip, ascent counts and cardinalities for n=1..{n_max}"
@@ -357,8 +366,7 @@ def _suite_bijections(report: Report, n_max: int):
 
     def check_reversal_bijection():
         for n in range(1, n_max + 1):
-            sources = [bijections.partition_to_23_1_avoider(mp) for mp
-                       in bijections.enumerate_marked_partitions(n)]
+            sources = [cf for _, cf in marked_pairs(n)]
             targets = set()
             for cf in sources:
                 out = bijections.map_23_1_to_32_1(cf)

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from flatperm import perm_core
-from flatperm.bijections import (MarkedPartition, avoider_23_1_to_partition,
+from flatperm.bijections import (MarkedPartition, _chain_reversal,
+                                 avoider_23_1_to_partition,
                                  check_31_2_equivalence,
                                  enumerate_marked_partitions,
                                  inverse_32_1_to_23_1, map_23_1_to_32_1,
@@ -57,14 +60,20 @@ def test_partition_round_trip_exhaustive():
         total = 0
         for mp in enumerate_marked_partitions(n):
             total += 1
+            # enumerated unchecked: the checked constructor agrees
+            assert MarkedPartition(mp.blocks, mp.marks) == mp
             cf = partition_to_23_1_avoider(mp)
             images.add(cf)
-            word = flatten_cycle_form(cf).word
+            flat = flatten_cycle_form(cf)
+            assert Permutation(flat.word) == flat
+            word = flat.word
             assert count_occurrences(Permutation(word), PAT_23_1) == 0
             ascents = sum(1 for i in range(n - 1) if word[i] < word[i + 1])
             assert ascents == len(mp.blocks)
             assert avoider_23_1_to_partition(cf) == mp
-            seen.add(cf.to_permutation().word)
+            perm = cf.to_permutation()
+            assert Permutation(perm.word) == perm
+            seen.add(perm.word)
         assert total == len(seen) == avoiders("23-1", n)
         # the images, which the reversal check takes as its sources, are
         # exactly the 23-1 avoiders found by filtering all of S_n
@@ -106,18 +115,42 @@ def test_inverse_rejects_containment():
 
 def test_reversal_bijection_exhaustive():
     for n in range(1, 8):
-        sources = [to_standard_cycle_form(p) for p in enumerate_permutations(n)
-                   if count_in_flattened_sense(p, PAT_23_1) == 0]
+        sources = []
+        for p in enumerate_permutations(n):
+            assert Permutation(p.word) == p
+            if count_in_flattened_sense(p, PAT_23_1) == 0:
+                sources.append(to_standard_cycle_form(p))
         images = set()
         for cf in sources:
             out = map_23_1_to_32_1(cf)
-            word = flatten_cycle_form(out).word
-            assert count_occurrences(Permutation(word), PAT_32_1) == 0
+            flat = flatten_cycle_form(out)
+            assert Permutation(flat.word) == flat
+            assert count_occurrences(flat, PAT_32_1) == 0
             for before, after in zip(cf.cycles, out.cycles):
                 assert sorted(before) == sorted(after)
             assert inverse_32_1_to_23_1(out) == cf
-            images.add(out.to_permutation().word)
+            perm = out.to_permutation()
+            assert Permutation(perm.word) == perm
+            images.add(perm.word)
         assert len(images) == len(sources) == avoiders("32-1", n)
+
+
+def test_chain_reversal_matches_its_definition():
+    def by_definition(word):
+        # jump to the smallest letter to the right, reversing what lies
+        # strictly between, until the last position
+        new_word = list(word)
+        pos = 0
+        while pos < len(word) - 1:
+            nxt = min(range(pos + 1, len(word)), key=word.__getitem__)
+            new_word[pos + 1:nxt] = reversed(new_word[pos + 1:nxt])
+            pos = nxt
+        return new_word
+
+    for n in range(1, 9):
+        for tail in itertools.permutations(range(2, n + 1)):
+            word = (1,) + tail
+            assert _chain_reversal(word) == by_definition(word)
 
 
 def test_check_31_2_equivalence():

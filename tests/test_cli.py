@@ -140,6 +140,43 @@ def test_verify_failure_names_the_counterexample(capsys, monkeypatch):
     assert lines[-1] == "2/3 checks passed"
 
 
+def test_broken_partition_map_fails_both_checks_that_share_it(capsys,
+                                                               monkeypatch):
+    # both bijection checks read one set of partition-map images; breaking
+    # the map must fail each of them with its own counterexample, map each
+    # marked partition once, and leave the third check running
+    original = bijections.partition_to_23_1_avoider
+    calls = []
+    broken = []
+
+    def forward(mp):
+        calls.append(mp)
+        image = original(mp)
+        n = mp.n
+        identity = CycleForm(tuple((x,) for x in range(1, n + 1)))
+        if n == 3 and image != identity:
+            broken.append(mp)
+            return identity
+        return image
+
+    monkeypatch.setattr(bijections, "partition_to_23_1_avoider", forward)
+    status, out, _ = run(capsys, "verify", "--suite", "bijections",
+                         "--n-max", "4")
+    assert status == 1
+    lines = out.splitlines()
+    assert lines[:3] == [
+        "FAIL  [bijections] marked partitions <-> 23-1 avoiders: "
+        f"n=3: ascent count != block count for {broken[0]}",
+        "FAIL  [bijections] 23-1 avoiders <-> 32-1 avoiders: "
+        "n=3: not a bijection onto the 32-1 avoiders",
+        "PASS  [bijections] 31-2 avoidance equals 3-1-2 avoidance: "
+        "flattened 31-2 avoidance == classical 3-1-2 avoidance, n=1..5"]
+    assert lines[3:] == ["1/3 checks passed"]
+    # both checks stop at n = 3, so n = 4 is never mapped
+    assert sorted(mp.n for mp in calls) == [1] + [2] * 2 + [3] * 6
+    assert len(set(calls)) == len(calls)
+
+
 #: SHA-256 of `series --which W --order 64 --format F` stdout, recorded
 #: when the series were still expanded over Fraction throughout.
 SERIES_ORDER_64_SHA256 = {
