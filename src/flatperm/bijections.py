@@ -28,8 +28,8 @@ unchecked value with the checked constructor's for n <= 7.
 Threads.  Everything here is a pure function of immutable values, and this
 module keeps no memo; the exhaustive sweeps can be partitioned freely
 across processes.  The package's memos elsewhere (``recurrences``,
-``closed_forms``) are per process and unguarded, so the library as a whole
-is single-threaded.
+``closed_forms``, ``perm_core``) are per process and unguarded, so the
+library as a whole is single-threaded.
 """
 
 from __future__ import annotations
@@ -38,13 +38,11 @@ import itertools
 from dataclasses import dataclass
 
 from .perm_core import (DEFAULT_MAX_N, CycleForm, VincularPattern3,
-                        _check_cap, _count_word, _flat_words,
+                        _check_cap, _flat_words,
                         count_occurrences, flatten_cycle_form)
 
 _PAT_23_1 = VincularPattern3.from_string("23-1")
 _PAT_32_1 = VincularPattern3.from_string("32-1")
-_PAT_31_2 = VincularPattern3.from_string("31-2")
-_PAT_3_1_2 = VincularPattern3.from_string("3-1-2")
 
 
 @dataclass(frozen=True)
@@ -214,13 +212,36 @@ def inverse_32_1_to_23_1(c: CycleForm) -> CycleForm:
     return _resplit_like(_chain_reversal(flat.word), c)
 
 
+def _contains_31_2(word: tuple[int, ...]) -> bool:
+    """Whether word has an occurrence of the vincular 31-2: a descent
+    word[i] > word[i + 1] and a later letter strictly between the two."""
+    for i in range(len(word) - 2):
+        a, b = word[i], word[i + 1]
+        if a > b and any(b < c < a for c in word[i + 2:]):
+            return True
+    return False
+
+
+def _contains_3_1_2(word: tuple[int, ...]) -> bool:
+    """Whether word has an occurrence of the classical 3-1-2: positions
+    i < j < k with word[j] < word[k] < word[i].  For fixed j, k some i
+    exists exactly when the largest letter before j exceeds word[k]."""
+    top = 0
+    for j in range(len(word) - 1):
+        b = word[j]
+        if top > b and any(b < c < top for c in word[j + 1:]):
+            return True
+        if b > top:
+            top = b
+    return False
+
+
 def check_31_2_equivalence(n: int, max_n: int = DEFAULT_MAX_N) -> bool:
     """True when, over all of S_n, the flattened form avoids the vincular
-    31-2 exactly when it avoids the classical 3-1-2."""
+    31-2 exactly when it avoids the classical 3-1-2.  Each word is scanned
+    only up to its first occurrence of either pattern."""
     _check_cap(n, max_n)
     for word, _ in _flat_words(n):
-        vincular = _count_word(word, _PAT_31_2)
-        classical = _count_word(word, _PAT_3_1_2)
-        if (vincular == 0) != (classical == 0):
+        if _contains_31_2(word) != _contains_3_1_2(word):
             return False
     return True

@@ -39,9 +39,12 @@ on (a, b, S) alone, not on the order of S - {b}, so one value per state
 carries everything later steps need, and suffixes with equal (S, b) are
 merged.  Placing 1 last adds its occurrences and no weight (1 opens every
 preimage's first cycle); the state whose front letter was k then holds
-g_n(1k).  A refined call g_n(1k) runs the pass over {2..n} - {k} only,
-about half the states, then prepends k (a new minimum only when k = 2)
-and 1.
+g_n(1k).  So one pass yields every g_n(1k) at once, and g_n is their sum.
+``_FRONTS`` keeps those n - 1 packed values per (n, pattern), so the
+whole distribution and every refined call at that n read one pass; an
+entry is stored only once its pass has finished, and only after the cap
+check has let the call through, so a refused or interrupted call leaves
+no entry and the cap holds whatever the memo holds.
 
 The x-yz pass places the letters left to right after 1; a state (P, b) is
 the set P of letters placed so far, 1 included, and the last letter b.
@@ -58,7 +61,8 @@ new minimum doubles the value.  That width is enough for both passes:
 * xy-z: the suffixes on an L-set, weighted by 2^(their right-to-left
   minima), total 2 * 3 * ... * (L + 1) = (L + 1)! (the minima's generating
   function over S_L is x (x + 1) ... (x + L - 1), at x = 2), with
-  L <= n - 1; prepending k to the (n - 2)-set at most doubles (n - 1)!.
+  L <= n - 1; the fronts together total n!, front k alone (n - 1)!, or
+  2 (n - 1)! for k = 2.
 * x-yz: completing each prefix on P by the unplaced letters in increasing
   order maps the prefixes on P one-to-one to flattened words, and only
   adds doublings, so the prefixes on P weigh at most the n! preimages of
@@ -78,12 +82,13 @@ of a ``CycleForm``, whose own check makes them partition [n]) and
 The exhaustive tests in tests/test_bijections.py compare every such value
 with the checked constructor's for n <= 7.
 
-Threads.  All types here are immutable values, and this module keeps no
-memo.  The package's memos (the table builders in ``recurrences``, the
-special numbers in ``closed_forms``) are per process and unguarded, so the
-library is single-threaded: call it from one thread at a time.  The
-exhaustive sweeps are deterministic, so splitting a sweep across processes
-and merging the per-chunk counts is sound if a caller wants parallelism.
+Threads.  All types here are immutable values.  The memo ``_FRONTS``,
+like the package's other memos (the table builders in ``recurrences``,
+the special numbers in ``closed_forms``), is per process and unguarded,
+so the library is single-threaded: call it from one thread at a time.
+The exhaustive sweeps are deterministic, so splitting a sweep across
+processes and merging the per-chunk counts is sound if a caller wants
+parallelism.
 """
 
 from __future__ import annotations
@@ -389,19 +394,16 @@ def _completions(n: int, pat: VincularPattern3) -> list[list[int]]:
     return zs
 
 
-def _xy_z_layers(n: int, zs: list[list[int]], s: int, skip: int = 0):
+def _xy_z_layers(n: int, zs: list[list[int]], s: int):
     """Yield the states of the right-to-left pass after each letter of
-    {2..n} - {skip} is placed: {(S, b): value}, with S the mask of placed
-    letters, b the front one, and value the weighted distribution of the
-    suffixes on S that start with b, evaluated at q = 2^s.  Yields nothing
-    when there is no letter to place."""
-    letters = [a for a in range(2, n + 1) if a != skip]
-    if not letters:
-        return
+    2..n is placed: {(S, b): value}, with S the mask of placed letters, b
+    the front one, and value the weighted distribution of the suffixes on S
+    that start with b, evaluated at q = 2^s (n >= 2)."""
+    letters = range(2, n + 1)
     # the last letter is always a right-to-left minimum
     layer = {(1 << (b - 2), b): 2 for b in letters}
     yield layer
-    for _ in range(len(letters) - 1):
+    for _ in range(n - 2):
         nxt: dict = {}
         for (placed, b), value in layer.items():
             zset = placed ^ (1 << (b - 2))
@@ -432,22 +434,17 @@ def _xy_z_fronts(n: int, pat: VincularPattern3) -> tuple[dict, int]:
             for (placed, k), value in top.items()}, width
 
 
-def _xy_z_refined(n: int, pat: VincularPattern3, k: int) -> QPoly:
-    """g_n(1k) of the xy-z pattern pat: the pass over {2..n} - {k}, then k
-    and 1 prepended (2 <= k <= n)."""
-    width = _slot_bytes(n)
-    s = 8 * width
-    zs = _completions(n, pat)
-    rest = ((1 << (n - 1)) - 1) ^ (1 << (k - 2))   # the letters after 1, k
-    value = 1                                  # the empty suffix (n = 2)
-    for top in _xy_z_layers(n, zs, s, skip=k):
-        pass
-    if n > 2:
-        value = sum(v << s * (zs[k][b] & (placed ^ 1 << (b - 2))).bit_count()
-                    for (placed, b), v in top.items())
-    if k == 2:   # below every later letter: a new minimum
-        value <<= 1
-    return _unpack(value << s * (zs[1][k] & rest).bit_count(), width)
+#: ``_xy_z_fronts(n, pat)`` by (n, pat), each entry stored once its pass
+#: has finished.
+_FRONTS: dict = {}
+
+
+def _memo_fronts(n: int, pat: VincularPattern3) -> tuple[dict, int]:
+    """``_xy_z_fronts(n, pat)``, run at most once per process."""
+    key = (n, pat)
+    if key not in _FRONTS:
+        _FRONTS[key] = _xy_z_fronts(n, pat)
+    return _FRONTS[key]
 
 
 def _witnesses(n: int, pat: VincularPattern3) -> list[list[int]]:
@@ -510,7 +507,7 @@ def brute_distribution(n: int, pat: VincularPattern3,
         return _x_yz_pass(n, pat)
     if not pat.glue12 or n == 1:
         return _bucket(_flat_words(n), pat)
-    fronts, width = _xy_z_fronts(n, pat)
+    fronts, width = _memo_fronts(n, pat)
     return _unpack(sum(fronts.values()), width)
 
 
@@ -524,7 +521,8 @@ def brute_refined_distribution(n: int, pat: VincularPattern3, k: int,
         return _x_yz_pass(n, pat, k)
     if not pat.glue12:
         return _bucket(_flat_words(n, k), pat)
-    return _xy_z_refined(n, pat, k)
+    fronts, width = _memo_fronts(n, pat)
+    return _unpack(fronts[k], width)
 
 
 def brute_total_occurrences(n: int, pat: VincularPattern3,

@@ -367,7 +367,7 @@ def _suite_bijections(report: Report, n_max: int):
     def check_reversal_bijection():
         for n in range(1, n_max + 1):
             sources = [cf for _, cf in marked_pairs(n)]
-            targets = set()
+            targets: dict = {}   # image word -> the first source mapped to it
             for cf in sources:
                 out = bijections.map_23_1_to_32_1(cf)
                 _require(perm_core.count_occurrences(
@@ -378,7 +378,11 @@ def _suite_bijections(report: Report, n_max: int):
                              lambda: f"n={n}: letters changed cycle in {cf}")
                 _require(bijections.inverse_32_1_to_23_1(out) == cf,
                          lambda: f"n={n}: round trip failed for {cf}")
-                targets.add(out.to_permutation().word)
+                earlier = targets.setdefault(out.to_permutation().word, cf)
+                _require(earlier is cf, lambda:
+                         f"n={n}: not a bijection onto the 32-1 avoiders: "
+                         f"{cf} maps to {out}, as the earlier source "
+                         f"{earlier} does")
             _require(len(targets) == len(sources)
                      == closed_forms.avoiders("32-1", n),
                      lambda: f"n={n}: not a bijection onto the 32-1 avoiders")

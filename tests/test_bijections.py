@@ -4,6 +4,7 @@ import pytest
 
 from flatperm import perm_core
 from flatperm.bijections import (MarkedPartition, _chain_reversal,
+                                 _contains_3_1_2, _contains_31_2,
                                  avoider_23_1_to_partition,
                                  check_31_2_equivalence,
                                  enumerate_marked_partitions,
@@ -11,6 +12,7 @@ from flatperm.bijections import (MarkedPartition, _chain_reversal,
                                  partition_to_23_1_avoider)
 from flatperm.closed_forms import avoiders
 from flatperm.perm_core import (CycleForm, Permutation, VincularPattern3,
+                                _count_word, _flat_words,
                                 count_in_flattened_sense, count_occurrences,
                                 enumerate_permutations, flatten_cycle_form,
                                 to_standard_cycle_form)
@@ -151,6 +153,19 @@ def test_chain_reversal_matches_its_definition():
         for tail in itertools.permutations(range(2, n + 1)):
             word = (1,) + tail
             assert _chain_reversal(word) == by_definition(word)
+
+
+def test_containment_predicates_match_the_counts():
+    """Each early-exit predicate says "contains" exactly when the full count
+    is positive: on every flat word for n <= 8, and on every word of S_n
+    for n <= 6, where a letter other than 1 leads."""
+    p31_2 = VincularPattern3.from_string("31-2")
+    p3_1_2 = VincularPattern3.from_string("3-1-2")
+    words = [w for n in range(1, 9) for w, _ in _flat_words(n)]
+    words += [p.word for n in range(1, 7) for p in enumerate_permutations(n)]
+    for w in words:
+        assert _contains_31_2(w) == (_count_word(w, p31_2) != 0)
+        assert _contains_3_1_2(w) == (_count_word(w, p3_1_2) != 0)
 
 
 def test_check_31_2_equivalence():

@@ -168,7 +168,8 @@ def test_broken_partition_map_fails_both_checks_that_share_it(capsys,
         "FAIL  [bijections] marked partitions <-> 23-1 avoiders: "
         f"n=3: ascent count != block count for {broken[0]}",
         "FAIL  [bijections] 23-1 avoiders <-> 32-1 avoiders: "
-        "n=3: not a bijection onto the 32-1 avoiders",
+        "n=3: not a bijection onto the 32-1 avoiders: (1)(2)(3) maps to "
+        "(1)(2)(3), as the earlier source (1)(2)(3) does",
         "PASS  [bijections] 31-2 avoidance equals 3-1-2 avoidance: "
         "flattened 31-2 avoidance == classical 3-1-2 avoidance, n=1..5"]
     assert lines[3:] == ["1/3 checks passed"]

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from flatperm import perm_core
 from flatperm.perm_core import (CapExceeded, CycleForm, Permutation,
                                 VincularPattern3, _bucket, _completions,
                                 _flat_words, _slot_bytes, _witnesses,
@@ -252,8 +253,9 @@ def test_xy_z_state_weights_fit_their_slots(text):
 
 @pytest.mark.parametrize("text", XY_Z)
 def test_refined_xy_z_pass_matches_all_fronts_pass(text):
-    """The pass that places k last against entry k of the pass over every
-    front letter."""
+    """Every refined call reads entry k of the pass over every front
+    letter, at that pass's slot width, whether the memo holds the pass or
+    not."""
     pat = VincularPattern3.from_string(text)
     for n in range(2, 11):
         fronts, width = _xy_z_fronts(n, pat)
@@ -265,30 +267,70 @@ def test_refined_xy_z_pass_matches_all_fronts_pass(text):
 
 @pytest.mark.parametrize("text", XY_Z)
 def test_refined_xy_z_state_weights_fit_their_slots(text):
-    """Without k, after L letters are placed the states on each set S
-    total (L+1)! weighted suffixes, and (L+1)! <= (n-1)! < 2^s; k and 1
-    prepended, the total is at most 2 (n-1)! <= n!."""
+    """Front k weighs (n-1)! weighted tails after 1, k, doubled when k = 2
+    (the only k that is a right-to-left minimum), and all fronts together
+    n! < 2^s, so no front and no sum of fronts carries out of a slot."""
     pat = VincularPattern3.from_string(text)
-    for n in range(3, 11):
-        width = _slot_bytes(n)
+    for n in range(2, 11):
+        fronts, width = _xy_z_fronts(n, pat)
         assert 2 * math.factorial(n - 1) <= math.factorial(n) < 1 << 8 * width
-        zs = _completions(n, pat)
         for k in range(2, n + 1):
-            layers = _xy_z_layers(n, zs, 8 * width, skip=k)
-            for placed_count, layer in enumerate(layers, 1):
-                totals = Counter()
-                for (placed, b), value in layer.items():
-                    assert b != k and not placed & 1 << (k - 2)
-                    assert placed.bit_count() == placed_count
-                    totals[placed] += _unpack(value, width).evaluate(1)
-                assert len(totals) == math.comb(n - 2, placed_count)
-                assert set(totals.values()) \
-                    == {math.factorial(placed_count + 1)}
-            assert placed_count == n - 2
-            # prepending k doubles only when k = 2: at most 2 (n-1)! <= n!
-            assert brute_refined_distribution(n, pat, k).evaluate(1) \
-                == math.factorial(n - 1) * (2 if k == 2 else 1)
-    assert list(_xy_z_layers(2, _completions(2, pat), 8, skip=2)) == []
+            want = math.factorial(n - 1) * (2 if k == 2 else 1)
+            assert _unpack(fronts[k], width).evaluate(1) == want
+            assert brute_refined_distribution(n, pat, k).evaluate(1) == want
+        assert _unpack(sum(fronts.values()), width).evaluate(1) \
+            == math.factorial(n)
+
+
+def test_xy_z_pass_memo_holds_finished_passes_only(monkeypatch):
+    """A pass interrupted after its first layer stores nothing; the next
+    call runs the pass again and stores it once it has finished."""
+    monkeypatch.setattr(perm_core, "_FRONTS", {})
+    original = perm_core._xy_z_layers
+    layers_seen = []
+
+    def interrupted(*args):
+        for layer in original(*args):
+            layers_seen.append(len(layer))
+            yield layer
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(perm_core, "_xy_z_layers", interrupted)
+    for call in (lambda: brute_distribution(7, P23_1),
+                 lambda: brute_refined_distribution(7, P23_1, 3)):
+        with pytest.raises(KeyboardInterrupt):
+            call()
+        assert perm_core._FRONTS == {}
+    assert layers_seen == [6, 6]
+
+    monkeypatch.setattr(perm_core, "_xy_z_layers", original)
+    assert brute_refined_distribution(7, P23_1, 3) \
+        == _bucket(_flat_words(7, 3), P23_1)
+    assert list(perm_core._FRONTS) == [(7, P23_1)]
+    assert brute_distribution(7, P23_1) == _bucket(_flat_words(7), P23_1)
+
+
+def test_xy_z_pass_memo_keeps_the_cap(monkeypatch):
+    """A call over the cap is refused, with the same message, before the
+    memo is read: also once a call with a higher cap has stored that very
+    (n, pattern)."""
+    monkeypatch.setattr(perm_core, "_FRONTS", {})
+    message = ("refusing exhaustive enumeration at n=11: cap is 10 (raise "
+               "the cap explicitly to go further)")
+    with pytest.raises(CapExceeded) as exc:
+        brute_distribution(11, P32_1)
+    assert str(exc.value) == message
+    assert perm_core._FRONTS == {}
+    whole = brute_distribution(11, P32_1, max_n=11)
+    assert (11, P32_1) in perm_core._FRONTS
+    for refused in (lambda: brute_distribution(11, P32_1),
+                    lambda: brute_refined_distribution(11, P32_1, 2),
+                    lambda: brute_avoider_count(11, P32_1),
+                    lambda: brute_total_occurrences(11, P32_1, max_n=10)):
+        with pytest.raises(CapExceeded) as exc:
+            refused()
+        assert str(exc.value) == message
+    assert brute_distribution(11, P32_1, max_n=12) == whole
 
 
 X_YZ = ["3-21", "3-12", "1-32", "2-13", "1-23", "2-31"]

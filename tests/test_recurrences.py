@@ -334,6 +334,17 @@ def test_memo_tables_empty_at_import():
     assert out.split() == ["True", "True", "0"]
 
 
+def test_oracle_memo_empty_at_import():
+    src = os.path.dirname(os.path.dirname(recurrences.__file__))
+    probe = (f"import sys; sys.path.insert(0, {src!r})\n"
+             "import flatperm.cli\n"
+             "from flatperm import perm_core\n"
+             "print(perm_core._FRONTS == {}, type(perm_core._FRONTS) is dict)\n")
+    out = subprocess.run([sys.executable, "-I", "-c", probe],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["True", "True"]
+
+
 # ---------------------------------------------------------------------------
 # Memo state after a step that stops midway
 # ---------------------------------------------------------------------------
