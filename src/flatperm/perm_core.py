@@ -440,7 +440,8 @@ _FRONTS: dict = {}
 
 
 def _memo_fronts(n: int, pat: VincularPattern3) -> tuple[dict, int]:
-    """``_xy_z_fronts(n, pat)``, run at most once per process."""
+    """``_xy_z_fronts(n, pat)``, read from ``_FRONTS`` once a pass for
+    (n, pat) has finished in this process."""
     key = (n, pat)
     if key not in _FRONTS:
         _FRONTS[key] = _xy_z_fronts(n, pat)
