@@ -321,28 +321,19 @@ def test_request_past_capacity_starts_over(monkeypatch):
 def test_memo_tables_empty_at_import():
     src = os.path.dirname(os.path.dirname(recurrences.__file__))
     # the benchmark's cold-state probe reads these by name: the two memo
-    # dicts, and every list in closed_forms.numbers by its length - 1
+    # dicts, and every list in closed_forms.numbers by its length - 1; the
+    # oracle's memo perm_core._FRONTS is checked here only
     probe = (f"import sys; sys.path.insert(0, {src!r})\n"
              "import flatperm.cli\n"
-             "from flatperm import closed_forms, recurrences as r\n"
-             "print(r._BUILDERS == {} == r._REFINED,\n"
-             "      type(r._BUILDERS) is dict is type(r._REFINED),\n"
+             "from flatperm import closed_forms, perm_core, recurrences as r\n"
+             "print(r._BUILDERS == {} == r._REFINED == perm_core._FRONTS,\n"
+             "      type(r._BUILDERS) is dict is type(r._REFINED)\n"
+             "      is type(perm_core._FRONTS),\n"
              "      sum(len(v) - 1 for v in vars(closed_forms.numbers).values()\n"
              "          if isinstance(v, list)))\n")
     out = subprocess.run([sys.executable, "-I", "-c", probe],
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == ["True", "True", "0"]
-
-
-def test_oracle_memo_empty_at_import():
-    src = os.path.dirname(os.path.dirname(recurrences.__file__))
-    probe = (f"import sys; sys.path.insert(0, {src!r})\n"
-             "import flatperm.cli\n"
-             "from flatperm import perm_core\n"
-             "print(perm_core._FRONTS == {}, type(perm_core._FRONTS) is dict)\n")
-    out = subprocess.run([sys.executable, "-I", "-c", probe],
-                         capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["True", "True"]
 
 
 # ---------------------------------------------------------------------------
