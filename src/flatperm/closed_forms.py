@@ -38,9 +38,9 @@ class SpecialNumberCache:
 
     def __init__(self):
         self._stirling: list[list[int]] = [[1]]
-        # Bell and complementary Bell numbers by row, from index 0
-        self._bell: list[int] = [1]
-        self._complementary_bell: list[int] = [1]
+        # (Bell, complementary Bell) number pairs by row, from index 0, so
+        # that one append commits both
+        self._bells: list[tuple[int, int]] = [(1, 1)]
         self._harmonic: list[Fraction] = [Fraction(0)]
 
     def _grow(self, n: int):
@@ -65,16 +65,15 @@ class SpecialNumberCache:
 
     def _grow_bell(self, n: int):
         self._grow(n)
-        while len(self._bell) <= n:
-            row = self._stirling[len(self._bell)]
-            self._bell.append(sum(row))
-            self._complementary_bell.append(sum(row[0::2]) - sum(row[1::2]))
+        while len(self._bells) <= n:
+            row = self._stirling[len(self._bells)]
+            self._bells.append((sum(row), sum(row[0::2]) - sum(row[1::2])))
 
     def bell(self, n: int) -> int:
         if n < 0:
             raise ValueError("Bell numbers start at index 0")
         self._grow_bell(n)
-        return self._bell[n]
+        return self._bells[n][0]
 
     def complementary_bell(self, n: int) -> int:
         """Alternating-sign row sums of the Stirling triangle; index -1 is -1."""
@@ -83,7 +82,7 @@ class SpecialNumberCache:
         if n < -1:
             raise ValueError("complementary Bell numbers start at index -1")
         self._grow_bell(n)
-        return self._complementary_bell[n]
+        return self._bells[n][1]
 
     def harmonic(self, n: int) -> Fraction:
         if n < 0:
@@ -134,7 +133,7 @@ def avoiders(pattern, n: int) -> int:
     if n == 2:
         return 2
     numbers._grow_bell(n - 1)
-    bell, cbell = numbers._bell, numbers._complementary_bell
+    bell, cbell = zip(*numbers._bells[:n])
     # the last term, i = n - 2, reads index -1 of the complementary Bell
     # sequence, which the list does not hold
     return -2 * (

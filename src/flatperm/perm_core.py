@@ -26,10 +26,12 @@ Which pattern takes which route:
   ``bijections``' 31-2 check.
 
 Both passes are the subset recursion of Bellman and Held-Karp (1962):
-about 2^(n-1) n^2 transitions replace (n-1)! n^2 comparisons, and nothing
-from the recurrences is used, so they stay an independent check on them.
+about 2^(n-1) n steps replace (n-1)! n^2 comparisons, and nothing from
+the recurrences is used, so they stay an independent check on them.
 tests/test_perm_core.py compares each pass with the word walk on every
-xy-z and x-yz pattern for n <= 8, whole and for every k.
+xy-z and x-yz pattern for n <= 8, whole and for every k, and each layer,
+state by state, with the per-transition loop that steps every state
+(S, b) to every (S + {a}, a) for n <= 9.
 
 The xy-z pass places the letters 2..n right to left; a state (S, b) is the
 set S of letters placed so far and the front letter b.  Prepending a
@@ -54,6 +56,30 @@ least letter not yet placed, since every later letter is larger.  Again
 both depend on (c, b, P) alone, so prefixes with equal (P, b) are merged.
 1 adds no weight; a refined call starts from the state ({1, k}, k).
 
+Each layer is formed one placed set S at a time, from S's states {b:
+value} over its old letters b (front for xy-z, last for x-yz).  The new
+state (S + {a}, a) sums, over b in S, value(S, b) shifted by s once per
+occurrence that putting a next to b adds, and doubles the sum when a is a
+new minimum.  One sweep over the letters, in the
+order that puts an old letter before the new letters it is in the
+pattern's order with (set by x, y for xy-z, by y, z for x-yz), gives
+every new letter's sum at once.  When the sweep reaches an unplaced a,
+the old letters passed so far are exactly those in order with a; the rest
+add their values unshifted, as the total of S's states less the plain
+prefix sum.  A passed b counts the placed letters on the third pattern
+letter's side, which the pattern fixes as one of three places:
+
+* behind b, before it in the sweep: the letters passed before b, so b
+  adds value << s * passed to the accumulator;
+* between b and a: at each placed letter the accumulator shifts by s,
+  then adds that letter's value;
+* beyond a, after it in the sweep: the placed letters not yet passed,
+  the same for every passed b, so a takes the accumulator, a plain sum,
+  shifted by s * (|S| - passed).
+
+So a set costs one step per letter, |S| placed and n - |S| new, not one
+per (old, new) pair.
+
 Each state's value is its distribution at q = 2^s, the slot width s the
 least multiple of 8 with n! < 2^s; a new occurrence is a shift by s, and a
 new minimum doubles the value.  That width is enough for both passes:
@@ -68,8 +94,12 @@ new minimum doubles the value.  That width is enough for both passes:
   adds doublings, so the prefixes on P weigh at most the n! preimages of
   all words.
 
-So every coefficient of every state, and of every sum of states a pass
-forms, lies in [0, n!], below 2^s; no slot carries into the next, and each
+A sweep's running sums, and each new letter's value, are sums of shifted
+values of states on one set, each state at most once; a shift moves
+coefficients between slots without adding to them, so every coefficient
+is at most the total weight of the states on that set, at most n!.  So
+every coefficient of every state, and of every sum of states a pass forms,
+lies in [0, n!], below 2^s; no slot carries into the next, and each
 packed value is read back exactly by ``qpoly._unpack``.
 
 Validation.  The public constructors ``Permutation``, ``CycleForm`` and
@@ -379,45 +409,76 @@ def _slot_bytes(n: int) -> int:
     return (math.factorial(n).bit_length() + 7) // 8
 
 
-def _completions(n: int, pat: VincularPattern3) -> list[list[int]]:
-    """zs[a][b]: the set of letters z that complete an occurrence of the
-    xy-z pattern pat with x = a, y = b, as a mask with letter c at bit c - 2;
-    empty when a, b are in the wrong order."""
-    p1, p2, p3 = pat.letters
-    xy, xz, yz = p1 < p2, p1 < p3, p2 < p3
-    zs = [[0] * (n + 1) for _ in range(n + 1)]
-    for a in range(1, n + 1):
-        for b in range(2, n + 1):
-            if (a < b) == xy:
-                zs[a][b] = sum(1 << (c - 2) for c in range(2, n + 1)
-                               if (a < c) == xz and (b < c) == yz)
-    return zs
+#: Where a pass's third pattern letter lies in the sweep order: behind the
+#: old letter, between the old and the new letter, or beyond the new one.
+_BEHIND, _BETWEEN, _BEYOND = range(3)
 
 
-def _xy_z_layers(n: int, zs: list[list[int]], s: int):
-    """Yield the states of the right-to-left pass after each letter of
-    2..n is placed: {(S, b): value}, with S the mask of placed letters, b
-    the front one, and value the weighted distribution of the suffixes on S
-    that start with b, evaluated at q = 2^s (n >= 2)."""
-    letters = range(2, n + 1)
-    # the last letter is always a right-to-left minimum
-    layer = {(1 << (b - 2), b): 2 for b in letters}
+def _layers(layer: dict, steps: int, letters: range, old: int, new: int,
+            third: int, s: int, appending: bool):
+    """Yield layer, then each of the next steps layers of a pass over
+    letters, a layer being {S: {b: value}} with S the mask of placed
+    letters (letter c at bit c - letters.start) and b an old letter; each
+    set's successors come from one sweep over the letters (see the module
+    docstring).
+
+    The pass puts a new letter a next to the old letter b, so that a and b
+    play the pattern letters new and old, and counts the placed letters
+    that play third.  ``appending`` gives the doubling rule: a appended
+    after the placed letters is a new right-to-left minimum exactly when
+    it is the least unplaced letter; a prepended before them, exactly when
+    it lies below all of them."""
+    down = old > new
+    order = [(c, 1 << (c - letters.start))
+             for c in (reversed(letters) if down else letters)]
+    if (third > old) == down:
+        case = _BEHIND
+    elif (third < new) == down:
+        case = _BEYOND
+    else:
+        case = _BETWEEN
     yield layer
-    for _ in range(n - 2):
+    for _ in range(steps):
         nxt: dict = {}
-        for (placed, b), value in layer.items():
-            zset = placed ^ (1 << (b - 2))
-            for a in letters:
-                bit = 1 << (a - 2)
+        for placed, values in layer.items():
+            total = sum(values.values())
+            size = placed.bit_count()
+            # a letter at or below this bit is a new minimum
+            low = ~placed & (placed + 1) if appending else placed & -placed
+            passed = prefix = acc = 0
+            for c, bit in order:
                 if placed & bit:
-                    continue
-                v = value << s * (zs[a][b] & zset).bit_count()
-                if not placed & (bit - 1):   # a < min(S): a new minimum
-                    v <<= 1
-                key = (placed | bit, a)
-                nxt[key] = nxt.get(key, 0) + v
+                    v = values.get(c, 0)
+                    if case == _BEHIND:
+                        acc += v << s * passed
+                    elif case == _BETWEEN:
+                        acc = (acc << s) + v
+                    else:
+                        acc += v
+                    prefix += v
+                    passed += 1
+                else:
+                    # old letters not passed yet add no occurrence
+                    value = acc << s * (size - passed) if case == _BEYOND \
+                        else acc
+                    value += total - prefix
+                    if bit <= low:
+                        value <<= 1
+                    nxt.setdefault(placed | bit, {})[c] = value
         layer = nxt
         yield layer
+
+
+def _xy_z_layers(n: int, pat: VincularPattern3, s: int):
+    """Yield the states of the right-to-left pass after each letter of
+    2..n is placed: {S: {b: value}}, with S the mask of placed letters, b
+    the front one, and value the weighted distribution of the suffixes on S
+    that start with b, evaluated at q = 2^s (n >= 2)."""
+    x, y, z = pat.letters
+    letters = range(2, n + 1)
+    # the last letter is always a right-to-left minimum
+    start = {1 << (b - 2): {b: 2} for b in letters}
+    yield from _layers(start, n - 2, letters, y, x, z, s, appending=False)
 
 
 def _xy_z_fronts(n: int, pat: VincularPattern3) -> tuple[dict, int]:
@@ -425,13 +486,18 @@ def _xy_z_fronts(n: int, pat: VincularPattern3) -> tuple[dict, int]:
     and the slot width in bytes (n >= 2)."""
     width = _slot_bytes(n)
     s = 8 * width
-    zs = _completions(n, pat)
-    for top in _xy_z_layers(n, zs, s):
+    for top in _xy_z_layers(n, pat, s):
         pass
+    (fronts,) = top.values()
     # prepending 1 adds its occurrences but no weight: 1 opens the first
-    # cycle of every preimage
-    return {k: value << s * (zs[1][k] & (placed ^ 1 << (k - 2))).bit_count()
-            for (placed, k), value in top.items()}, width
+    # cycle of every preimage.  x = 1 lies below every other letter, so
+    # x < y = k and x < z are needed, and z is then any letter on its
+    # side of k.
+    x, y, z = pat.letters
+    if x < y and x < z:
+        fronts = {k: value << s * (n - k if y < z else k - 2)
+                  for k, value in fronts.items()}
+    return fronts, width
 
 
 #: ``_xy_z_fronts(n, pat)`` by (n, pat), each entry stored once its pass
@@ -448,56 +514,28 @@ def _memo_fronts(n: int, pat: VincularPattern3) -> tuple[dict, int]:
     return _FRONTS[key]
 
 
-def _witnesses(n: int, pat: VincularPattern3) -> list[list[int]]:
-    """xs[b][c]: the set of letters x that complete an occurrence of the
-    x-yz pattern pat with y = b, z = c, as a mask with letter x at bit
-    x - 1; empty when b, c are in the wrong order."""
-    p1, p2, p3 = pat.letters
-    xy, xz, yz = p1 < p2, p1 < p3, p2 < p3
-    xs = [[0] * (n + 1) for _ in range(n + 1)]
-    for b in range(1, n + 1):
-        for c in range(2, n + 1):
-            if (b < c) == yz:
-                xs[b][c] = sum(1 << (a - 1) for a in range(1, n + 1)
-                               if (a < b) == xy and (a < c) == xz)
-    return xs
-
-
-def _x_yz_layers(n: int, xs: list[list[int]], s: int, k: int = 0):
+def _x_yz_layers(n: int, pat: VincularPattern3, s: int, k: int = 0):
     """Yield the states of the left-to-right pass, from the start state
     after 1 (after 1, k when k is given) to the state after all n letters:
-    {(P, b): value}, with P the mask of placed letters, b the last one, and
+    {P: {b: value}}, with P the mask of placed letters, b the last one, and
     value the weighted distribution of the prefixes on P that end with b,
     evaluated at q = 2^s."""
+    x, y, z = pat.letters
     if k:   # k is a right-to-left minimum exactly when it is 2
-        layer = {(1 | 1 << (k - 1), k): 2 if k == 2 else 1}
+        start = {1 | 1 << (k - 1): {k: 2 if k == 2 else 1}}
     else:
-        layer = {(1, 1): 1}
-    yield layer
-    for _ in range(n - (2 if k else 1)):
-        nxt: dict = {}
-        for (placed, b), value in layer.items():
-            xset = placed ^ (1 << (b - 1))
-            row = xs[b]
-            for c in range(2, n + 1):
-                bit = 1 << (c - 1)
-                if placed & bit:
-                    continue
-                v = value << s * (row[c] & xset).bit_count()
-                if placed & (bit - 1) == bit - 1:   # c is the least unplaced
-                    v <<= 1
-                key = (placed | bit, c)
-                nxt[key] = nxt.get(key, 0) + v
-        layer = nxt
-        yield layer
+        start = {1: {1: 1}}
+    yield from _layers(start, n - (2 if k else 1), range(1, n + 1), y, z, x,
+                       s, appending=True)
 
 
 def _x_yz_pass(n: int, pat: VincularPattern3, k: int = 0) -> QPoly:
     """Distribution of the x-yz pattern pat over S_n, or g_n(1k) for k."""
     width = _slot_bytes(n)
-    for top in _x_yz_layers(n, _witnesses(n, pat), 8 * width, k):
+    for top in _x_yz_layers(n, pat, 8 * width, k):
         pass
-    return _unpack(sum(top.values()), width)
+    (last,) = top.values()
+    return _unpack(sum(last.values()), width)
 
 
 def brute_distribution(n: int, pat: VincularPattern3,

@@ -1,10 +1,11 @@
 import math
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from flatperm import perm_core
+from flatperm import closed_forms, perm_core, qpoly
 from flatperm.closed_forms import (AUX_3_12, AUX_3_21, SpecialNumberCache,
                                    average_occurrences, avoiders, limit_check,
                                    limit_deviation_strictly_decreasing,
@@ -145,3 +146,98 @@ def test_limit_check():
         assert dev < Fraction(1, 100)
     with pytest.raises(ValueError):
         limit_check(2, 10)
+
+
+# ---------------------------------------------------------------------------
+# Special-number memos after a growth step that stops midway
+# ---------------------------------------------------------------------------
+
+def _interrupt_every_line(module, start, grow):
+    """For every line event that sys.settrace reports inside module while
+    grow(memo) runs, build memo = start() untraced, then run grow(memo)
+    with a KeyboardInterrupt raised at that event.  Yields each memo after
+    its interrupted growth, for the caller's retry."""
+    source = module.__file__
+    events, fail_at, memo = 0, None, None
+
+    def on_line(frame, event, arg):
+        nonlocal events
+        if event == "line":
+            events += 1
+            if events == fail_at:
+                raise KeyboardInterrupt
+        return on_line
+
+    def on_call(frame, event, arg):
+        return on_line if frame.f_code.co_filename == source else None
+
+    def traced():
+        nonlocal events, memo
+        memo = start()
+        events = 0
+        previous = sys.gettrace()
+        sys.settrace(on_call)
+        try:
+            grow(memo)
+        finally:
+            sys.settrace(previous)
+
+    traced()
+    grow_events = events
+    assert grow_events > 0
+    for fail_at in range(1, grow_events + 1):
+        with pytest.raises(KeyboardInterrupt):
+            traced()
+        yield memo
+
+
+def _special_numbers(cache):
+    return ([[cache.stirling2(n, k) for k in range(n + 1)]
+             for n in range(12)],
+            [cache.bell(n) for n in range(12)],
+            [cache.complementary_bell(n) for n in range(-1, 12)],
+            [cache.harmonic(n) for n in range(12)])
+
+
+def test_special_numbers_after_interrupted_growth(monkeypatch):
+    """A growth of the Stirling rows, the Bell pairs and the harmonic
+    numbers stopped at any line leaves only whole entries: every later
+    value equals a fresh cache's, and so does the 12-3 avoider count that
+    reads the complementary Bell numbers."""
+    want = _special_numbers(SpecialNumberCache())
+    avoiders_12_3 = [avoiders("12-3", n) for n in range(3, 12)]
+
+    def start():
+        cache = SpecialNumberCache()
+        cache.bell(4)
+        cache.harmonic(4)
+        return cache
+
+    def grow(cache):
+        cache.bell(9)
+        cache.harmonic(9)
+
+    for cache in _interrupt_every_line(closed_forms, start, grow):
+        monkeypatch.setattr(closed_forms, "numbers", cache)
+        assert [avoiders("12-3", n) for n in range(3, 12)] == avoiders_12_3
+        assert _special_numbers(cache) == want
+
+
+def test_q_binomial_rows_after_interrupted_growth(monkeypatch):
+    """A growth of ``qpoly._QBINOM_ROWS`` stopped at any line leaves only
+    whole rows: every later Gaussian binomial equals a fresh table's."""
+    def rows():
+        return [[qpoly.q_binomial(n, k) for k in range(n + 1)]
+                for n in range(12)]
+
+    monkeypatch.setattr(qpoly, "_QBINOM_ROWS", [[qpoly._ONE]])
+    want = rows()
+
+    def start():
+        monkeypatch.setattr(qpoly, "_QBINOM_ROWS", [[qpoly._ONE]])
+        qpoly.q_binomial(4, 2)
+        return qpoly._QBINOM_ROWS
+
+    for _ in _interrupt_every_line(qpoly, start,
+                                   lambda memo: qpoly.q_binomial(9, 4)):
+        assert rows() == want

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -5,9 +6,9 @@ import pytest
 
 from flatperm import perm_core
 from flatperm.perm_core import (CapExceeded, CycleForm, Permutation,
-                                VincularPattern3, _bucket, _completions,
-                                _flat_words, _slot_bytes, _witnesses,
-                                _x_yz_layers, _xy_z_fronts, _xy_z_layers,
+                                VincularPattern3, _bucket, _flat_words,
+                                _slot_bytes, _x_yz_layers, _x_yz_pass,
+                                _xy_z_fronts, _xy_z_layers,
                                 brute_avoider_count, brute_distribution,
                                 brute_refined_distribution,
                                 brute_total_occurrences,
@@ -233,18 +234,25 @@ def test_xy_z_pass_matches_word_walk(text):
 def test_xy_z_state_weights_fit_their_slots(text):
     """After L letters are placed, the states on each set S total (L+1)!
     weighted suffixes, and (L+1)! <= n! < 2^s for the least byte-multiple
-    slot s."""
+    slot s, so each state reads back the same as at a slot 4 bytes wider."""
     pat = VincularPattern3.from_string(text)
     for n in range(2, 11):
         width = _slot_bytes(n)
         assert math.factorial(n) < 1 << 8 * width
         assert math.factorial(n) >= 1 << 8 * (width - 1)
-        layers = _xy_z_layers(n, _completions(n, pat), 8 * width)
-        for placed_count, layer in enumerate(layers, 1):
+        layers = zip(_xy_z_layers(n, pat, 8 * width),
+                     _xy_z_layers(n, pat, 8 * (width + 4)))
+        for placed_count, (layer, wide) in enumerate(layers, 1):
+            assert layer.keys() == wide.keys()
             totals = Counter()
-            for (placed, _), value in layer.items():
+            for placed, values in layer.items():
                 assert placed.bit_count() == placed_count
-                totals[placed] += _unpack(value, width).evaluate(1)
+                assert values.keys() == wide[placed].keys()
+                for b, value in values.items():
+                    assert placed & 1 << (b - 2)
+                    poly = _unpack(value, width)
+                    assert poly == _unpack(wide[placed][b], width + 4)
+                    totals[placed] += poly.evaluate(1)
             assert len(totals) == math.comb(n - 1, placed_count)
             assert set(totals.values()) \
                 == {math.factorial(placed_count + 1)}
@@ -357,20 +365,21 @@ def test_x_yz_state_weights_fit_their_slots(text):
     for n in range(1, 11):
         width = _slot_bytes(n)
         assert math.factorial(n) < 1 << 8 * width
-        xs = _witnesses(n, pat)
         for k in [0] + list(range(2, n + 1)):
-            layers = zip(_x_yz_layers(n, xs, 8 * width, k),
-                         _x_yz_layers(n, xs, 8 * (width + 4), k))
+            layers = zip(_x_yz_layers(n, pat, 8 * width, k),
+                         _x_yz_layers(n, pat, 8 * (width + 4), k))
             for placed_count, (layer, wide) in enumerate(layers,
                                                          2 if k else 1):
                 assert layer.keys() == wide.keys()
                 totals = Counter()
-                for (placed, b), value in layer.items():
-                    assert placed & 1 and placed & 1 << (b - 1)
-                    assert placed.bit_count() == placed_count
-                    poly = _unpack(value, width)
-                    assert poly == _unpack(wide[placed, b], width + 4)
-                    totals[placed] += poly.evaluate(1)
+                for placed, values in layer.items():
+                    assert values.keys() == wide[placed].keys()
+                    for b, value in values.items():
+                        assert placed & 1 and placed & 1 << (b - 1)
+                        assert placed.bit_count() == placed_count
+                        poly = _unpack(value, width)
+                        assert poly == _unpack(wide[placed][b], width + 4)
+                        totals[placed] += poly.evaluate(1)
                 assert max(totals.values()) <= math.factorial(n)
             assert placed_count == n
             if k:   # (n-1)! weighted tails after 1, k; k a minimum iff 2
@@ -394,3 +403,122 @@ def test_xy_z_pass_keeps_the_cap():
             brute_refined_distribution(1, pat, 1)
         assert brute_distribution(11, pat, max_n=11).evaluate(1) \
             == math.factorial(11)
+
+
+# ---------------------------------------------------------------------------
+# Both passes against the per-transition definition of their steps
+# ---------------------------------------------------------------------------
+
+def _reference_layers(start, steps, letters, step):
+    """Yield start, then each of the next steps layers {(S, b): value},
+    every state going to (S + {c}, c) for each unplaced letter c, with the
+    value that step(S, b, c, value) gives it."""
+    lo = letters.start
+    layer = start
+    yield layer
+    for _ in range(steps):
+        nxt: dict = {}
+        for (placed, b), value in layer.items():
+            for c in letters:
+                bit = 1 << (c - lo)
+                if placed & bit:
+                    continue
+                key = (placed | bit, c)
+                nxt[key] = nxt.get(key, 0) + step(placed, b, c, value)
+        layer = nxt
+        yield layer
+
+
+def _reference_xy_z_layers(n, pat, s):
+    """Prepending a to a suffix on S with front b: one shift by s per z in
+    S - {b} that makes (a, b, z) an occurrence, and a doubling when a lies
+    below all of S."""
+    p1, p2, p3 = pat.letters
+    xy, xz, yz = p1 < p2, p1 < p3, p2 < p3
+    letters = range(2, n + 1)
+
+    def step(placed, b, a, value):
+        if (a < b) == xy:
+            value <<= s * sum(1 for z in letters
+                              if placed >> (z - 2) & 1 and z != b
+                              and (a < z) == xz and (b < z) == yz)
+        if not placed & ((1 << (a - 2)) - 1):
+            value <<= 1
+        return value
+
+    start = {(1 << (b - 2), b): 2 for b in letters}
+    return _reference_layers(start, n - 2, letters, step)
+
+
+def _reference_x_yz_layers(n, pat, s, k=0):
+    """Appending c to a prefix on P with last letter b: one shift by s per
+    x in P - {b} that makes (x, b, c) an occurrence, and a doubling when c
+    is the least unplaced letter."""
+    p1, p2, p3 = pat.letters
+    xy, xz, yz = p1 < p2, p1 < p3, p2 < p3
+    letters = range(1, n + 1)
+
+    def step(placed, b, c, value):
+        if (b < c) == yz:
+            value <<= s * sum(1 for x in letters
+                              if placed >> (x - 1) & 1 and x != b
+                              and (x < b) == xy and (x < c) == xz)
+        below = (1 << (c - 1)) - 1
+        if placed & below == below:
+            value <<= 1
+        return value
+
+    if k:
+        start = {(1 | 1 << (k - 1), k): 2 if k == 2 else 1}
+    else:
+        start = {(1, 1): 1}
+    return _reference_layers(start, n - (2 if k else 1), letters, step)
+
+
+def _states(layer):
+    """A grouped layer {S: {b: value}} as {(S, b): value}, no set empty."""
+    assert all(layer.values())
+    return {(placed, b): value
+            for placed, values in layer.items() for b, value in values.items()}
+
+
+@pytest.mark.parametrize("text", XY_Z)
+def test_xy_z_pass_matches_per_transition_loop(text):
+    """The sweep forms every layer of the xy-z pass state by state as the
+    per-transition loop does, and the fronts as prepending 1 to the last
+    layer's states does."""
+    pat = VincularPattern3.from_string(text)
+    p1, p2, p3 = pat.letters
+    xy, xz, yz = p1 < p2, p1 < p3, p2 < p3
+    for n in range(2, 10):
+        width = _slot_bytes(n)
+        s = 8 * width
+        pairs = itertools.zip_longest(_xy_z_layers(n, pat, s),
+                                      _reference_xy_z_layers(n, pat, s))
+        for layer, want in pairs:
+            assert _states(layer) == want
+        fronts = {}
+        for (_, k), value in want.items():
+            if (1 < k) == xy:
+                value <<= s * sum(1 for z in range(2, n + 1)
+                                  if z != k and (1 < z) == xz
+                                  and (k < z) == yz)
+            fronts[k] = value
+        assert _xy_z_fronts(n, pat) == (fronts, width)
+
+
+@pytest.mark.parametrize("text", X_YZ)
+def test_x_yz_pass_matches_per_transition_loop(text):
+    """The sweep forms every layer of the x-yz pass state by state as the
+    per-transition loop does, whole and from every start 1, k."""
+    pat = VincularPattern3.from_string(text)
+    for n in range(1, 10):
+        width = _slot_bytes(n)
+        s = 8 * width
+        for k in [0] + list(range(2, n + 1)):
+            pairs = itertools.zip_longest(_x_yz_layers(n, pat, s, k),
+                                          _reference_x_yz_layers(n, pat, s, k))
+            for layer, want in pairs:
+                assert _states(layer) == want
+            assert _x_yz_pass(n, pat, k) \
+                == _unpack(sum(want.values()), width)

@@ -112,15 +112,15 @@ def test_refined_oracle_equivalence_small(pattern):
 
 @pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
 def test_oracle_past_the_default_cap(pattern):
-    """The xy-z oracle pass against the recurrences beyond n = 10, with the
-    cap raised explicitly."""
+    """The xy-z oracle pass against the recurrences for n = 11..14, whole
+    and for every k, with the cap raised explicitly."""
     vinc = pattern.vincular()
-    table = distribution_table(pattern, 12)
-    for n in (11, 12):
-        assert perm_core.brute_distribution(n, vinc, max_n=12) == table.g(n)
-    for k in range(2, 12):
-        assert perm_core.brute_refined_distribution(11, vinc, k, max_n=11) \
-            == refined_g1k(pattern, 11, k)
+    table = distribution_table(pattern, 14)
+    for n in range(11, 15):
+        assert perm_core.brute_distribution(n, vinc, max_n=14) == table.g(n)
+        for k in range(2, n + 1):
+            assert perm_core.brute_refined_distribution(n, vinc, k, max_n=n) \
+                == refined_g1k(pattern, n, k)
 
 
 def test_refined_sums_and_range_errors():
