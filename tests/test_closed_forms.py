@@ -1,9 +1,9 @@
 import math
-import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from conftest import interrupt_every_line
 
 from flatperm import closed_forms, perm_core, qpoly
 from flatperm.closed_forms import (AUX_3_12, AUX_3_21, SpecialNumberCache,
@@ -152,45 +152,6 @@ def test_limit_check():
 # Special-number memos after a growth step that stops midway
 # ---------------------------------------------------------------------------
 
-def _interrupt_every_line(module, start, grow):
-    """For every line event that sys.settrace reports inside module while
-    grow(memo) runs, build memo = start() untraced, then run grow(memo)
-    with a KeyboardInterrupt raised at that event.  Yields each memo after
-    its interrupted growth, for the caller's retry."""
-    source = module.__file__
-    events, fail_at, memo = 0, None, None
-
-    def on_line(frame, event, arg):
-        nonlocal events
-        if event == "line":
-            events += 1
-            if events == fail_at:
-                raise KeyboardInterrupt
-        return on_line
-
-    def on_call(frame, event, arg):
-        return on_line if frame.f_code.co_filename == source else None
-
-    def traced():
-        nonlocal events, memo
-        memo = start()
-        events = 0
-        previous = sys.gettrace()
-        sys.settrace(on_call)
-        try:
-            grow(memo)
-        finally:
-            sys.settrace(previous)
-
-    traced()
-    grow_events = events
-    assert grow_events > 0
-    for fail_at in range(1, grow_events + 1):
-        with pytest.raises(KeyboardInterrupt):
-            traced()
-        yield memo
-
-
 def _special_numbers(cache):
     return ([[cache.stirling2(n, k) for k in range(n + 1)]
              for n in range(12)],
@@ -217,7 +178,7 @@ def test_special_numbers_after_interrupted_growth(monkeypatch):
         cache.bell(9)
         cache.harmonic(9)
 
-    for cache in _interrupt_every_line(closed_forms, start, grow):
+    for cache in interrupt_every_line(closed_forms, start, grow):
         monkeypatch.setattr(closed_forms, "numbers", cache)
         assert [avoiders("12-3", n) for n in range(3, 12)] == avoiders_12_3
         assert _special_numbers(cache) == want
@@ -238,6 +199,6 @@ def test_q_binomial_rows_after_interrupted_growth(monkeypatch):
         qpoly.q_binomial(4, 2)
         return qpoly._QBINOM_ROWS
 
-    for _ in _interrupt_every_line(qpoly, start,
+    for _ in interrupt_every_line(qpoly, start,
                                    lambda memo: qpoly.q_binomial(9, 4)):
         assert rows() == want

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import interrupt_every_line
 
 from flatperm import perm_core, recurrences
 from flatperm.qpoly import IdentityViolation, QPoly, _unpack, q_int
@@ -345,40 +346,12 @@ def _interrupt_every_line(monkeypatch, memo, build_to):
     with a KeyboardInterrupt raised at the i-th line event that
     sys.settrace reports inside ``recurrences``, for every such event of
     the step.  Yields after each interrupted step, for the caller's retry."""
-    source = recurrences.__file__
-    events, fail_at = 0, None
-
-    def on_line(frame, event, arg):
-        nonlocal events
-        if event == "line":
-            events += 1
-            if events == fail_at:
-                raise KeyboardInterrupt
-        return on_line
-
-    def on_call(frame, event, arg):
-        return on_line if frame.f_code.co_filename == source else None
-
-    def step_7():
-        nonlocal events
+    def start():
         if memo:
             monkeypatch.setattr(recurrences, memo, {})
         build_to(6)
-        events = 0
-        previous = sys.gettrace()
-        sys.settrace(on_call)
-        try:
-            build_to(7)
-        finally:
-            sys.settrace(previous)
 
-    step_7()
-    step_events = events
-    assert step_events > 0
-    for fail_at in range(1, step_events + 1):
-        with pytest.raises(KeyboardInterrupt):
-            step_7()
-        yield
+    return interrupt_every_line(recurrences, start, lambda _: build_to(7))
 
 
 @pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
