@@ -60,14 +60,14 @@ Each layer is formed one placed set S at a time, from S's states {b:
 value} over its old letters b (front for xy-z, last for x-yz).  The new
 state (S + {a}, a) sums, over b in S, value(S, b) shifted by s once per
 occurrence that putting a next to b adds, and doubles the sum when a is a
-new minimum.  One sweep over the letters, in the
-order that puts an old letter before the new letters it is in the
-pattern's order with (set by x, y for xy-z, by y, z for x-yz), gives
-every new letter's sum at once.  When the sweep reaches an unplaced a,
-the old letters passed so far are exactly those in order with a; the rest
-add their values unshifted, as the total of S's states less the plain
-prefix sum.  A passed b counts the placed letters on the third pattern
-letter's side, which the pattern fixes as one of three places:
+new minimum.  One sweep over the letters, in the order that puts an old
+letter before the new letters it is in the pattern's order with (set by x,
+y for xy-z, by y, z for x-yz), gives every new letter's sum at once.  When
+the sweep reaches an unplaced a, the old letters passed so far are exactly
+those in order with a; the rest add their values unshifted, as the total
+of S's states less the plain prefix sum.  A passed b counts the placed
+letters on the third pattern letter's side, which the pattern fixes as one
+of three places:
 
 * behind b, before it in the sweep: the letters passed before b, so b
   adds value << s * passed to the accumulator;
@@ -77,7 +77,7 @@ letter's side, which the pattern fixes as one of three places:
   the same for every passed b, so a takes the accumulator, a plain sum,
   shifted by s * (|S| - passed).
 
-So a set costs one step per letter, |S| placed and n - |S| new, not one
+So a set costs one step per letter, |S| placed and the rest new, not one
 per (old, new) pair.
 
 Each state's value is its distribution at q = 2^s, the slot width s the
