@@ -25,6 +25,21 @@ The flattened words are built unchecked (``perm_core.flatten_cycle_form``
 reads a checked ``CycleForm``).  tests/test_bijections.py compares every
 unchecked value with the checked constructor's for n <= 7.
 
+Each map is its flatten and domain check around a word-level core that
+takes the cycle form and its flattened word and returns plain fields:
+``_runs_partition`` (blocks and marks) and ``_reverse_runs`` (cycles),
+the latter shared by the reversal and its inverse.  The ``verify``
+bijection suite flattens and counts each source once and calls the cores
+itself.  It raises the maps' own domain error from the count it stored,
+and builds each forward image (the partition map's, the reversal's)
+through the checking constructor.  It builds no round-trip value at all,
+checked or not: it compares the core's fields with those of the valid
+source they must reproduce, and fields equal to a valid value's are
+valid.  That comparison is as strong as comparing values only if the
+cores return the fields exactly as the checking constructor stores them,
+as tuples; tests/test_bijections.py checks that for every source with
+n <= 7.
+
 Threads.  Everything here is a pure function of immutable values, and this
 module keeps no memo; the exhaustive sweeps can be partitioned freely
 across processes.  The package's memos elsewhere (``recurrences``,
@@ -126,7 +141,7 @@ def partition_to_23_1_avoider(p: MarkedPartition) -> CycleForm:
     return CycleForm(tuple(tuple(c) for c in cycles))
 
 
-def _descending_runs(word: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _descending_runs(word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Maximal descending runs of everything after the leading 1."""
     runs: list[list[int]] = []
     for x in word[1:]:
@@ -134,7 +149,14 @@ def _descending_runs(word: tuple[int, ...]) -> list[tuple[int, ...]]:
             runs[-1].append(x)
         else:
             runs.append([x])
-    return [tuple(r) for r in runs]
+    return tuple(tuple(r) for r in runs)
+
+
+def _domain_error(pat: VincularPattern3) -> ValueError:
+    """The error a map raises on a cycle form outside its domain, one whose
+    flattened word contains pat."""
+    return ValueError(
+        f"flattened form contains {pat}; not in the bijection's domain")
 
 
 def avoider_23_1_to_partition(c: CycleForm) -> MarkedPartition:
@@ -145,23 +167,35 @@ def avoider_23_1_to_partition(c: CycleForm) -> MarkedPartition:
     """
     flat = flatten_cycle_form(c)
     if count_occurrences(flat, _PAT_23_1):
-        raise ValueError("flattened form contains 23-1; not in the bijection's domain")
-    runs = _descending_runs(flat.word)
+        raise _domain_error(_PAT_23_1)
+    return MarkedPartition(*_runs_partition(c, flat.word))
+
+
+def _runs_partition(c: CycleForm, word: tuple[int, ...]
+                    ) -> tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]:
+    """The blocks and marks of avoider_23_1_to_partition(c), from c and its
+    flattened word, which must avoid 23-1.  Both come out as tuples, the
+    form the checked constructor stores."""
+    runs = _descending_runs(word)
     cycle_openers = {cyc[0] for cyc in c.cycles} - {1}
     if not cycle_openers <= {run[-1] for run in runs}:
         raise AssertionError("cycle opener off a run minimum; cannot happen "
                              "for a valid standard cycle form")
-    marks = tuple(run[-1] in cycle_openers for run in runs)
-    return MarkedPartition(runs, marks)
+    return runs, tuple(run[-1] in cycle_openers for run in runs)
 
 
-def _resplit_like(word: list[int], template: CycleForm) -> CycleForm:
+def _reverse_runs(c: CycleForm, word: tuple[int, ...]
+                  ) -> tuple[tuple[int, ...], ...]:
+    """The cycles of the chain reversal of word (c's flattened word), cut
+    at c's cycle lengths: the word operation of map_23_1_to_32_1 and of
+    its inverse alike."""
+    new_word = _chain_reversal(word)
     out = []
     pos = 0
-    for cyc in template.cycles:
-        out.append(tuple(word[pos:pos + len(cyc)]))
+    for cyc in c.cycles:
+        out.append(tuple(new_word[pos:pos + len(cyc)]))
         pos += len(cyc)
-    return CycleForm(tuple(out))
+    return tuple(out)
 
 
 def _chain_reversal(word: tuple[int, ...]) -> list[int]:
@@ -199,8 +233,8 @@ def map_23_1_to_32_1(c: CycleForm) -> CycleForm:
     """
     flat = flatten_cycle_form(c)
     if count_occurrences(flat, _PAT_23_1):
-        raise ValueError("flattened form contains 23-1; not in the bijection's domain")
-    return _resplit_like(_chain_reversal(flat.word), c)
+        raise _domain_error(_PAT_23_1)
+    return CycleForm(_reverse_runs(c, flat.word))
 
 
 def inverse_32_1_to_23_1(c: CycleForm) -> CycleForm:
@@ -208,8 +242,8 @@ def inverse_32_1_to_23_1(c: CycleForm) -> CycleForm:
     from the 32-1-avoiding side."""
     flat = flatten_cycle_form(c)
     if count_occurrences(flat, _PAT_32_1):
-        raise ValueError("flattened form contains 32-1; not in the bijection's domain")
-    return _resplit_like(_chain_reversal(flat.word), c)
+        raise _domain_error(_PAT_32_1)
+    return CycleForm(_reverse_runs(c, flat.word))
 
 
 def _contains_31_2(word: tuple[int, ...]) -> bool:

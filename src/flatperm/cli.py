@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import closed_forms, perm_core, recurrences, series, verification
 from .perm_core import DEFAULT_MAX_N, CapExceeded
-from .qpoly import QPoly
+from .qpoly import IdentityViolation, QPoly
 from .recurrences import PatternId
 
 RECURRENCE_MAX_N = 200
@@ -55,6 +55,24 @@ def _fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _check_closed_forms(pattern: PatternId, n: int, g: QPoly):
+    """Raise IdentityViolation unless g_n has the closed-form avoider
+    count as its constant term and, for n >= 3, the closed-form occurrence
+    total as g_n'(1).  The closed forms are independent of the
+    recurrences, so this checks rows past any bound a test reaches."""
+    avoiders = closed_forms.avoiders(pattern, n)
+    if g.constant_term() != avoiders:
+        raise IdentityViolation(
+            f"{pattern}, n={n}: [q^0] g_n = {g.constant_term()} != "
+            f"closed-form avoider count {avoiders}")
+    if n >= 3:
+        total = closed_forms.total_occurrences(pattern, n)
+        if g.derivative().evaluate(1) != total:
+            raise IdentityViolation(
+                f"{pattern}, n={n}: g_n'(1) = {g.derivative().evaluate(1)} "
+                f"!= closed-form occurrence total {total}")
+
+
 def cmd_distribution(args: argparse.Namespace) -> str:
     if args.n < 1:
         raise UsageError("distribution needs a positive --n")
@@ -66,6 +84,7 @@ def cmd_distribution(args: argparse.Namespace) -> str:
                 f"n={args.n} exceeds the recurrence cap {RECURRENCE_MAX_N}")
         results["recurrence"] = recurrences.distribution_table(
             pattern, args.n).g(args.n)
+        _check_closed_forms(pattern, args.n, results["recurrence"])
     if args.method in ("brute", "both"):
         try:
             results["brute"] = perm_core.brute_distribution(

@@ -330,34 +330,43 @@ def _suite_series(report: Report, n_max: int):
 def _suite_bijections(report: Report, n_max: int):
     pat231 = perm_core.VincularPattern3.from_string("23-1")
     pat321 = perm_core.VincularPattern3.from_string("32-1")
-    pairs: dict[int, list] = {}
+    records: dict[int, list] = {}
 
-    def marked_pairs(n: int) -> list:
-        """(marked partition, its 23-1 avoider) for every marked partition
-        of {2,...,n}, built once per suite call and shared by both checks.
+    def sources(n: int) -> list:
+        """(marked partition, its 23-1 avoider, the avoider's flattened
+        word, that word's 23-1 count) for every marked partition of
+        {2,...,n}, built once per suite call and shared by both checks.
         Each check asks for its own n, so a check that fails part way
         leaves the other one to build what is missing."""
-        if n not in pairs:
-            pairs[n] = [(mp, bijections.partition_to_23_1_avoider(mp))
-                        for mp in bijections.enumerate_marked_partitions(n)]
-        return pairs[n]
+        if n not in records:
+            rows = []
+            for mp in bijections.enumerate_marked_partitions(n):
+                cf = bijections.partition_to_23_1_avoider(mp)
+                word = perm_core.flatten_cycle_form(cf).word
+                rows.append((mp, cf, word,
+                             perm_core._count_word(word, pat231)))
+            records[n] = rows
+        return records[n]
 
     def check_partition_bijection():
         for n in range(1, n_max + 1):
             images = set()
-            sources = marked_pairs(n)
-            for mp, cf in sources:
-                flat = perm_core.flatten_cycle_form(cf)
-                word = flat.word
-                _require(perm_core.count_occurrences(flat, pat231) == 0,
+            rows = sources(n)
+            for mp, cf, word, count in rows:
+                _require(count == 0,
                          lambda: f"n={n}: image contains 23-1: {mp}")
                 ascents = sum(1 for i in range(n - 1) if word[i] < word[i + 1])
                 _require(ascents == len(mp.blocks), lambda:
                          f"n={n}: ascent count != block count for {mp}")
-                _require(bijections.avoider_23_1_to_partition(cf) == mp,
+                # the image avoids 23-1, so the inverse's domain check
+                # holds; compare its fields with mp's instead of building
+                _require(bijections._runs_partition(cf, word)
+                         == (mp.blocks, mp.marks),
                          lambda: f"n={n}: round trip failed for {mp}")
-                images.add(cf.to_permutation().word)
-            _require(len(sources) == len(images)
+                # standard cycle form is canonical: distinct cycles are
+                # distinct permutations
+                images.add(cf.cycles)
+            _require(len(rows) == len(images)
                      == closed_forms.avoiders("23-1", n), lambda:
                      f"n={n}: image size {len(images)} != avoider count")
         return f"round trip, ascent counts and cardinalities for n=1..{n_max}"
@@ -366,19 +375,22 @@ def _suite_bijections(report: Report, n_max: int):
 
     def check_reversal_bijection():
         for n in range(1, n_max + 1):
-            sources = [cf for _, cf in marked_pairs(n)]
-            targets: dict = {}   # image word -> the first source mapped to it
-            for cf in sources:
-                out = bijections.map_23_1_to_32_1(cf)
-                _require(perm_core.count_occurrences(
-                    perm_core.flatten_cycle_form(out), pat321) == 0,
-                    lambda: f"n={n}: image contains 32-1: {cf}")
+            targets: dict = {}   # image cycles -> first source mapped there
+            for _, cf, word, count in sources(n):
+                if count:   # map_23_1_to_32_1's own domain check
+                    raise bijections._domain_error(pat231)
+                out = perm_core.CycleForm(bijections._reverse_runs(cf, word))
+                out_word = perm_core.flatten_cycle_form(out).word
+                _require(perm_core._count_word(out_word, pat321) == 0,
+                         lambda: f"n={n}: image contains 32-1: {cf}")
                 for before, after in zip(cf.cycles, out.cycles):
                     _require(sorted(before) == sorted(after),
                              lambda: f"n={n}: letters changed cycle in {cf}")
-                _require(bijections.inverse_32_1_to_23_1(out) == cf,
+                # out avoids 32-1, the inverse's domain; compare the
+                # inverse's cycles with cf's instead of building them
+                _require(bijections._reverse_runs(out, out_word) == cf.cycles,
                          lambda: f"n={n}: round trip failed for {cf}")
-                earlier = targets.setdefault(out.to_permutation().word, cf)
+                earlier = targets.setdefault(out.cycles, cf)
                 _require(earlier is cf, lambda:
                          f"n={n}: not a bijection onto the 32-1 avoiders: "
                          f"{cf} maps to {out}, as the earlier source "

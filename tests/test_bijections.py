@@ -5,6 +5,7 @@ import pytest
 from flatperm import perm_core
 from flatperm.bijections import (MarkedPartition, _chain_reversal,
                                  _contains_3_1_2, _contains_31_2,
+                                 _reverse_runs, _runs_partition,
                                  avoider_23_1_to_partition,
                                  check_31_2_equivalence,
                                  enumerate_marked_partitions,
@@ -135,6 +136,48 @@ def test_reversal_bijection_exhaustive():
             assert Permutation(perm.word) == perm
             images.add(perm.word)
         assert len(images) == len(sources) == avoiders("32-1", n)
+
+
+def test_public_maps_equal_their_word_cores():
+    """Each public map is its domain check plus its word-level core, which
+    the bijection suite calls directly on the words it flattened once.
+    The suite compares a core's round-trip fields with a valid source's
+    instead of building a value, so the cores must return the very fields
+    the checked constructors store: tuples, not lists."""
+    for n in range(1, 8):
+        for mp in enumerate_marked_partitions(n):
+            cf = partition_to_23_1_avoider(mp)
+            word = flatten_cycle_form(cf).word
+            fields = _runs_partition(cf, word)
+            back = MarkedPartition(*fields)
+            assert avoider_23_1_to_partition(cf) == back == mp
+            assert (back.blocks, back.marks) == fields == (mp.blocks, mp.marks)
+            cycles = _reverse_runs(cf, word)
+            out = map_23_1_to_32_1(cf)
+            assert out.cycles == cycles == CycleForm(cycles).cycles
+            out_word = flatten_cycle_form(out).word
+            cycles = _reverse_runs(out, out_word)
+            assert inverse_32_1_to_23_1(out) == CycleForm(cycles) == cf
+            assert cycles == CycleForm(cycles).cycles == cf.cycles
+
+
+def test_maps_reject_everything_outside_their_domains():
+    """The public maps keep their domain checks and their messages."""
+    for n in range(1, 7):
+        for p in enumerate_permutations(n):
+            cf = to_standard_cycle_form(p)
+            flat = flatten_cycle_form(cf)
+            if count_occurrences(flat, PAT_23_1):
+                for forward in (avoider_23_1_to_partition, map_23_1_to_32_1):
+                    with pytest.raises(ValueError) as exc:
+                        forward(cf)
+                    assert str(exc.value) == ("flattened form contains 23-1; "
+                                              "not in the bijection's domain")
+            if count_occurrences(flat, PAT_32_1):
+                with pytest.raises(ValueError) as exc:
+                    inverse_32_1_to_23_1(cf)
+                assert str(exc.value) == ("flattened form contains 32-1; "
+                                          "not in the bijection's domain")
 
 
 def test_chain_reversal_matches_its_definition():

@@ -4,9 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from flatperm import bijections
+from flatperm import bijections, closed_forms
 from flatperm.cli import main
-from flatperm.perm_core import CycleForm
+from flatperm.perm_core import CycleForm, VincularPattern3, _count_word
+from flatperm.qpoly import IdentityViolation
+from flatperm.recurrences import PatternId
+
+PAT_23_1 = VincularPattern3.from_string("23-1")
 
 
 def run(capsys, *argv):
@@ -115,20 +119,21 @@ def test_verify_suite_pass(capsys):
 
 def test_verify_failure_names_the_counterexample(capsys, monkeypatch):
     # failure text is built only when a check fails; it must still name
-    # the input that broke the round trip
-    original = bijections.inverse_32_1_to_23_1
+    # the input that broke the round trip.  The reversal check inverts
+    # through the word-level core that both reversal maps share, so the
+    # core is broken on the first word that contains 23-1: no source's
+    # word does, so only the inverse reads it
+    original = bijections._reverse_runs
     broken = []
 
-    def inverse(c):
-        source = original(c)
-        n = sum(map(len, source.cycles))
-        identity = CycleForm(tuple((x,) for x in range(1, n + 1)))
-        if n == 3 and source != identity:
-            broken.append(source)
-            return identity
-        return source
+    def reverse(c, word):
+        cycles = original(c, word)
+        if not broken and _count_word(word, PAT_23_1):
+            broken.append(CycleForm(cycles))
+            return tuple((x,) for x in range(1, len(word) + 1))
+        return cycles
 
-    monkeypatch.setattr(bijections, "inverse_32_1_to_23_1", inverse)
+    monkeypatch.setattr(bijections, "_reverse_runs", reverse)
     status, out, _ = run(capsys, "verify", "--suite", "bijections",
                          "--n-max", "4")
     assert status == 1
@@ -136,7 +141,7 @@ def test_verify_failure_names_the_counterexample(capsys, monkeypatch):
     fails = [line for line in lines if line.startswith("FAIL")]
     assert fails == [
         "FAIL  [bijections] 23-1 avoiders <-> 32-1 avoiders: "
-        f"n=3: round trip failed for {broken[0]}"]
+        f"n=4: round trip failed for {broken[0]}"]
     assert lines[-1] == "2/3 checks passed"
 
 
@@ -176,6 +181,76 @@ def test_broken_partition_map_fails_both_checks_that_share_it(capsys,
     # both checks stop at n = 3, so n = 4 is never mapped
     assert sorted(mp.n for mp in calls) == [1] + [2] * 2 + [3] * 6
     assert len(set(calls)) == len(calls)
+
+
+def test_partition_map_outside_the_domain_fails_both_checks(capsys,
+                                                           monkeypatch):
+    # an image that contains 23-1 fails the partition check by name, and
+    # the reversal check with the forward map's own domain message, which
+    # the suite raises itself from the count it stored; the lines are the
+    # ones the suite printed when each check called the public maps
+    original = bijections.partition_to_23_1_avoider
+    calls = []
+
+    def forward(mp):
+        calls.append(mp)
+        if mp.n == 4:
+            return CycleForm(((1, 3, 4, 2),))
+        return original(mp)
+
+    monkeypatch.setattr(bijections, "partition_to_23_1_avoider", forward)
+    status, out, _ = run(capsys, "verify", "--suite", "bijections",
+                         "--n-max", "5")
+    assert status == 1
+    assert out.splitlines() == [
+        "FAIL  [bijections] marked partitions <-> 23-1 avoiders: n=4: "
+        "image contains 23-1: MarkedPartition(blocks=((4, 3, 2),), "
+        "marks=(False,))",
+        "FAIL  [bijections] 23-1 avoiders <-> 32-1 avoiders: "
+        "flattened form contains 23-1; not in the bijection's domain",
+        "PASS  [bijections] 31-2 avoidance equals 3-1-2 avoidance: "
+        "flattened 31-2 avoidance == classical 3-1-2 avoidance, n=1..6",
+        "1/3 checks passed"]
+    # one sweep per n serves both checks; both stop at n = 4
+    assert sorted(mp.n for mp in calls) == [1] + [2] * 2 + [3] * 6 + [4] * 22
+    assert len(set(calls)) == len(calls)
+
+
+#: SHA-256 of `verify --suite bijections --n-max 8 --format text` stdout,
+#: recorded while each check still called the public maps on every source.
+#: n = 8 is one past the default bound that VERIFY_ALL_SHA256 covers.
+VERIFY_BIJECTIONS_N8_SHA256 = \
+    "496d7537f50d63eca5ef44026f57cf7cf65104a3659406fc20c2a50dcf4abf29"
+
+
+def test_verify_bijections_past_the_default_bound_is_pinned(capsys):
+    status, out, _ = run(capsys, "verify", "--suite", "bijections",
+                         "--n-max", "8")
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == VERIFY_BIJECTIONS_N8_SHA256
+
+
+@pytest.mark.parametrize("name", ["avoiders", "total_occurrences"])
+def test_distribution_checks_the_closed_forms(capsys, monkeypatch, name):
+    # every recurrence result also meets the avoider count and the
+    # occurrence total; a closed form off by one must stop the command.
+    # Only the pattern's own value is shifted: the 12-3 and 21-3 totals
+    # subtract an auxiliary total, which shifted too would cancel out
+    original = getattr(closed_forms, name)
+    monkeypatch.setattr(closed_forms, name, lambda pattern, n: original(
+        pattern, n) + isinstance(pattern, PatternId))
+    for pattern in PatternId:
+        with pytest.raises(IdentityViolation) as exc:
+            run(capsys, "distribution", "--pattern", pattern.value,
+                "--n", "12")
+        assert str(exc.value).startswith(f"{pattern.value}, n=12: ")
+    assert capsys.readouterr().out == ""
+    if name == "total_occurrences":
+        # below n = 3 there is no occurrence total to compare
+        status, _, _ = run(capsys, "distribution", "--pattern", "23-1",
+                           "--n", "2")
+        assert status == 0
 
 
 #: SHA-256 of `series --which W --order 64 --format F` stdout, recorded
