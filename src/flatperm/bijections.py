@@ -27,18 +27,15 @@ unchecked value with the checked constructor's for n <= 7.
 
 Each map is its flatten and domain check around a word-level core that
 takes the cycle form and its flattened word and returns plain fields:
-``_runs_partition`` (blocks and marks) and ``_reverse_runs`` (cycles),
-the latter shared by the reversal and its inverse.  The ``verify``
-bijection suite flattens and counts each source once and calls the cores
-itself.  It raises the maps' own domain error from the count it stored,
-and builds each forward image (the partition map's, the reversal's)
-through the checking constructor.  It builds no round-trip value at all,
-checked or not: it compares the core's fields with those of the valid
-source they must reproduce, and fields equal to a valid value's are
-valid.  That comparison is as strong as comparing values only if the
-cores return the fields exactly as the checking constructor stores them,
-as tuples; tests/test_bijections.py checks that for every source with
-n <= 7.
+``_runs_partition`` (blocks and marks), and ``_reverse_runs`` (cycles),
+which the reversal and its inverse share.  The ``verify`` bijection suite
+flattens and counts each source once and calls the cores itself: it
+raises the maps' domain error from its stored count, builds each forward
+image through the checking constructor, and builds no round-trip value at
+all, comparing the core's fields with the valid source's instead (fields
+equal to a valid value's are valid).  That is as strong as comparing
+values because the cores return tuples, exactly as the constructors store
+them; tests/test_bijections.py checks this for every source with n <= 7.
 
 Threads.  Everything here is a pure function of immutable values, and this
 module keeps no memo; the exhaustive sweeps can be partitioned freely

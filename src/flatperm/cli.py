@@ -60,17 +60,16 @@ def _check_closed_forms(pattern: PatternId, n: int, g: QPoly):
     count as its constant term and, for n >= 3, the closed-form occurrence
     total as g_n'(1).  The closed forms are independent of the
     recurrences, so this checks rows past any bound a test reaches."""
-    avoiders = closed_forms.avoiders(pattern, n)
-    if g.constant_term() != avoiders:
-        raise IdentityViolation(
-            f"{pattern}, n={n}: [q^0] g_n = {g.constant_term()} != "
-            f"closed-form avoider count {avoiders}")
+    got, want = g.constant_term(), closed_forms.avoiders(pattern, n)
+    if got != want:
+        raise IdentityViolation(f"{pattern}, n={n}: [q^0] g_n = {got} != "
+                                f"closed-form avoider count {want}")
     if n >= 3:
-        total = closed_forms.total_occurrences(pattern, n)
-        if g.derivative().evaluate(1) != total:
-            raise IdentityViolation(
-                f"{pattern}, n={n}: g_n'(1) = {g.derivative().evaluate(1)} "
-                f"!= closed-form occurrence total {total}")
+        got = g.derivative().evaluate(1)
+        want = closed_forms.total_occurrences(pattern, n)
+        if got != want:
+            raise IdentityViolation(f"{pattern}, n={n}: g_n'(1) = {got} != "
+                                    f"closed-form occurrence total {want}")
 
 
 def cmd_distribution(args: argparse.Namespace) -> str:

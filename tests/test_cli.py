@@ -186,9 +186,8 @@ def test_broken_partition_map_fails_both_checks_that_share_it(capsys,
 def test_partition_map_outside_the_domain_fails_both_checks(capsys,
                                                            monkeypatch):
     # an image that contains 23-1 fails the partition check by name, and
-    # the reversal check with the forward map's own domain message, which
-    # the suite raises itself from the count it stored; the lines are the
-    # ones the suite printed when each check called the public maps
+    # the reversal check with the forward map's own ValueError text, which
+    # the suite raises itself from the count it stored
     original = bijections.partition_to_23_1_avoider
     calls = []
 
