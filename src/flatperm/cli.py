@@ -14,6 +14,7 @@ strings.  Exit status 0 on success, 1 when a verification suite fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -259,8 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that ``main`` builds on its first call and then reuses:
+    parsing leaves it unchanged, and building one costs about a
+    millisecond, most of it in argparse's own set-up."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "distribution":
             output, status = cmd_distribution(args), 0

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, islice, repeat
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -305,19 +305,30 @@ def _mul_kronecker(a: tuple, b: tuple) -> list:
             for c in _slots(product + (comb << (slot - 1)), width, out_len)]
 
 
-def _slots(value: int, width: int, count: int) -> map:
-    """``value`` >= 0, below 2^(8 width count), cut into ``count`` slots of
-    ``width`` bytes, lowest first, as ints: one ``struct`` split of its
-    bytes and one ``int.from_bytes`` per field, with no per-slot bytecode.
+#: Fields per compiled slot splitter; one ``Struct`` per slot width.
+_SPLIT_FIELDS = 64
+_SPLITTERS: dict[int, struct.Struct] = {}
 
-    The ``Struct`` is compiled fresh and dropped after the call.  The
-    module-level ``struct.unpack`` would cache every format string, and at
-    the lengths read here (hundreds to thousands of fields) its cache of up
-    to 100 compiled formats holds megabytes for the life of the process.
+
+def _slots(value: int, width: int, count: int) -> islice:
+    """``value`` >= 0, below 2^(8 width count), cut into ``count`` slots of
+    ``width`` bytes, lowest first, as ints: ``struct`` splits of its bytes,
+    64 fields at a time, and one ``int.from_bytes`` per field, with no
+    per-slot bytecode.
+
+    The splitters are cached here, one 64-field ``Struct`` per width, so
+    the cache stays a few small objects.  The module-level ``struct.unpack``
+    would instead cache one format per length, and at the lengths read here
+    (hundreds to thousands of fields) its cache of up to 100 compiled
+    formats holds megabytes for the life of the process.
     """
-    fields = struct.Struct(f"{width}s" * count).unpack(
-        value.to_bytes(width * count, "little"))
-    return map(int.from_bytes, fields, repeat("little"))
+    split = _SPLITTERS.get(width)
+    if split is None:
+        split = _SPLITTERS[width] = struct.Struct(f"{width}s" * _SPLIT_FIELDS)
+    blocks = -(-count // _SPLIT_FIELDS)
+    fields = chain.from_iterable(split.iter_unpack(
+        value.to_bytes(split.size * blocks, "little")))
+    return islice(map(int.from_bytes, fields, repeat("little")), count)
 
 
 def _unpack(value: int, width: int) -> QPoly:
@@ -327,7 +338,7 @@ def _unpack(value: int, width: int) -> QPoly:
     The reader of the packed polynomials that ``recurrences`` and the
     ``perm_core`` oracle compute with; each module picks its own slot width
     and proves there that every coefficient fits a slot.  The slots are read
-    by ``_slots`` with a fresh ``Struct``, not the module-level
+    by ``_slots`` with its own cached splitters, not the module-level
     ``struct.unpack``, whose format cache would keep megabytes alive.  The
     top slot read holds the top bit of ``value``, so the coefficients are
     already in canonical form.

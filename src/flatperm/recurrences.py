@@ -40,22 +40,34 @@ table.  A builder of capacity N serves n <= N with s the least multiple of
   makes 2^s divide d, which is impossible.  So equality at q = 2^s is
   equality of polynomials.
 
-A request past a builder's capacity N starts a new builder at capacity
-max(n, 2N) instead of repacking the old one; a pattern's first builder gets
-capacity max(n, 40), so every size that ``verify`` and the tests ask for
-fits it.
+Retention.  ``_BUILDERS`` is the one memo: one record per pattern
+(``_Level``), holding the builder's capacity and slot width, its level n
+with the last packed row, packed g_{n-1} and g_n, and g_1 .. g_M unpacked,
+M the highest level ever committed.  No older row is kept.
+``distribution_table(P, n)`` reads the table when n <= M and otherwise grows
+the builder; ``refined_g1k(P, n, k)`` reads the last row when n is the
+builder's level and grows the builder when n is above it.  A request past a
+builder's capacity N starts it over at capacity max(n, 2N) instead of
+repacking it; a pattern's first builder gets capacity max(n, 40), so every
+size that ``verify`` and the tests ask for fits it.  A refined read below
+the level starts the builder over at capacity max(n, 40), so the rows of
+n <= 40 keep the narrow slots of capacity 40.  Both keep the table.
 
-Retention.  ``distribution_table`` reads ``_BUILDERS``, whose builders keep
-only the last row, packed g_{n-1} and g_n, and g_1 .. g_n unpacked;
-``refined_g1k`` reads ``_REFINED``, whose builders keep every row and unpack
-only the entries read.  A step computes into locals
-and commits its level in one assignment, and a build that stops with any
-exception, an interrupt included, drops that pattern's builder, so the next
-call starts again from scratch.  The returned tables and polynomials are
-immutable values, but the builders are not thread safe, and the two memos
-are module-level dicts, one per process, with no lock: the library is
-single-threaded, so call it from one thread at a time.  Separate processes
-share nothing and may run freely in parallel.
+That is the trade for keeping one row: a read below the level costs one
+build to that n (reading the 23-1 rows with k = 2 from n = 40 down to 2
+took 0.21-0.24 s of CPU, against 0.03 s when every row was kept).  Every
+caller in this package reads n ascending per pattern, so each of them
+builds a level at most once per start-over, and re-built levels pass every
+row step and assertion again.
+
+A step computes the next record into locals, asserts the level's
+difference recurrences, unpacks g_n only after they pass, and commits the
+record by one assignment, so a build that stops with any exception, an
+interrupt included, leaves the last committed level whole, and the next
+call goes on from it.  The returned tables and polynomials are immutable
+values, but the memo is a module-level dict, one per process, with no lock:
+the library is single-threaded, so call it from one thread at a time.
+Separate processes share nothing and may run freely in parallel.
 
 Independent check.  The paper's coefficient-table recurrences
 
@@ -562,231 +574,221 @@ def _slot_bytes(capacity: int) -> int:
 
 
 class _Level(NamedTuple):
-    """A builder's state after level n, replaced whole by each step."""
+    """A pattern's memo record at level n, replaced whole by each step.
 
-    rows: tuple    # packed rows; rows[-1] is level n (so it has n + 1
-                   # entries), and rows[m] is level m when every row is kept
-    g: tuple       # packed g_{n-1}, g_n
-    polys: tuple   # g_1 .. g_n, unpacked; empty when every row is kept,
-                   # since refined_g1k never reads them
-
-
-class _RefinedBuilder:
-    """Rows of g_n(1k), 2 <= k <= n, as packed integers, grown level by level.
-
-    A row is a tuple indexed by k (entries 0 and 1 unused), each entry the
-    polynomial's value at q = 2^s, s = 8 * width; 12-3 rows hold the
-    q-lowered low_n(k) = g_n(1k) / q^(n-k).  ``keep_rows`` keeps every row,
-    for reads of g_n(1k); otherwise only the last row is kept.
-
-    A step builds the next level as ``pending``, asserts the difference
-    recurrences on it against ``level``, and then commits it by one
-    assignment, so an interrupted step leaves ``level`` whole.
+    ``row`` is level n's row, a tuple indexed by k (entries 0 and 1
+    unused), each entry a polynomial's value at q = 2^(8 width); 12-3 rows
+    hold the q-lowered low_n(k) = g_n(1k) / q^(n-k).  No older row is kept.
     """
 
-    def __init__(self, pattern: PatternId, capacity: int, keep_rows: bool):
-        self.pattern = pattern
-        self.capacity = capacity
-        self.keep_rows = keep_rows
-        self.width = _slot_bytes(capacity)
-        self.s = 8 * self.width
-        self._row = getattr(self, "_row_" + pattern.name.lower())
-        self.level = _Level(rows=((), (0, 0)), g=(0, 1),
-                            polys=() if keep_rows else (_ONE,))
-        self.pending = self.level
+    capacity: int
+    width: int     # bytes per slot, from the capacity
+    n: int
+    row: tuple
+    g: tuple       # packed g_{n-1}, g_n
+    polys: tuple   # g_1 .. g_M unpacked, M >= n the highest level committed
 
-    @property
-    def top(self) -> int:
-        return len(self.level.rows[-1]) - 1
 
-    def extend(self, n_max: int):
-        if n_max > self.capacity:
-            raise ValueError(f"n={n_max} exceeds the builder's capacity "
-                             f"{self.capacity}")
-        while self.top < n_max:
-            self._append(self.top + 1)
+def _start(capacity: int, polys: tuple = (_ONE,)) -> _Level:
+    """A builder of the given capacity at level 1, keeping the table
+    ``polys``."""
+    return _Level(capacity, _slot_bytes(capacity), 1, (0, 0), (0, 1), polys)
 
-    def g1k(self, n: int, k: int) -> QPoly:
-        """g_n(1k), unpacked from a kept row."""
-        value = _unpack(self.level.rows[n][k], self.width)
-        return value.shifted(n - k) if self.pattern is PatternId.P12_3 \
-            else value
 
-    def _append(self, n: int):
-        level = self.level
-        g2, g1 = level.g
-        row = self._row(n, level.rows[-1], g1, g2)
-        if self.pattern is PatternId.P12_3:
-            s = self.s
-            g = sum(row[k] << s * (n - k) for k in range(2, n + 1))
-        else:
-            g = sum(row[2:])
-        if self.keep_rows:
-            rows, polys = level.rows + (row,), ()
-        else:
-            rows, polys = (row,), level.polys + (_unpack(g, self.width),)
-        self.pending = _Level(rows, (g1, g), polys)
-        self._assert_difference_recurrence(n)
-        self.level = self.pending
+def _step(pattern: PatternId, builder: _Level) -> _Level:
+    """The record one level up: the row, its difference-recurrence
+    assertions, and only then g_n, unpacked for a level past the table."""
+    n, width = builder.n + 1, builder.width
+    s = 8 * width
+    g2, g1 = builder.g
+    row = _ROWS[pattern](s, n, builder.row, g1, g2)
+    _assert_difference_recurrence(pattern, s, n, row, builder.row, g1, g2)
+    if pattern is PatternId.P12_3:
+        g = sum(row[k] << s * (n - k) for k in range(2, n + 1))
+    else:
+        g = sum(row[2:])
+    polys = builder.polys
+    if n > len(polys):
+        polys += (_unpack(g, width),)
+    return _Level(builder.capacity, width, n, row, (g1, g), polys)
 
-    # -- per-pattern rows: q^t p is p << s*t --------------------------
 
-    def _row_p31_2(self, n, prev, g1, g2):
-        # g_n(1k) = (q+1) g_n(1,k-1) - q g_n(1,k-2) + (q-1) g_{n-1}(1,k-2)
-        s = self.s
-        row = [0, 0, 2 * g1]
-        if n >= 3:
-            row.append(g1)
-        if n >= 4:
-            row.append(g1 + ((2 * g2) << s) - 2 * g2)
-        for k in range(5, n + 1):
-            r1, r2, p = row[k - 1], row[k - 2], prev[k - 2]
-            row.append(((r1 - r2 + p) << s) + r1 - p)
-        return tuple(row)
+# -- per-pattern rows: q^t p is p << s*t ------------------------------------
 
-    def _row_p32_1(self, n, prev, g1, g2):
-        # g_n(1k) = g_n(1,k-1) + (q^(k-3) - 1) g_{n-1}(1,k-1)
-        s = self.s
-        row = [0, 0, 2 * g1]
-        if n >= 3:
-            row.append(g1)
-        for k in range(4, n + 1):
-            p = prev[k - 1]
-            row.append(row[k - 1] + (p << s * (k - 3)) - p)
-        return tuple(row)
+def _row_p31_2(s, n, prev, g1, g2):
+    # g_n(1k) = (q+1) g_n(1,k-1) - q g_n(1,k-2) + (q-1) g_{n-1}(1,k-2)
+    row = [0, 0, 2 * g1]
+    if n >= 3:
+        row.append(g1)
+    if n >= 4:
+        row.append(g1 + ((2 * g2) << s) - 2 * g2)
+    for k in range(5, n + 1):
+        r1, r2, p = row[k - 1], row[k - 2], prev[k - 2]
+        row.append(((r1 - r2 + p) << s) + r1 - p)
+    return tuple(row)
 
-    def _row_p23_1(self, n, prev, g1, g2):
-        # g_n(1k) = q^(k-2) g_{n-1} + (1 - q^(k-2)) sum_{j<k} g_{n-1}(1j)
-        s = self.s
-        row = [0, 0, 2 * g1]
-        prefix = 0
-        for k in range(3, n + 1):
-            prefix += prev[k - 1]
-            t = s * (k - 2)
-            row.append((g1 << t) + prefix - (prefix << t))
-        return tuple(row)
 
-    def _row_p21_3(self, n, prev, g1, g2):
-        # g_n(1k) = g_{n-1} - (1 - q^(n-k)) sum_{j<k} g_{n-1}(1j)
-        s = self.s
-        row = [0, 0, 2 * g1]
-        prefix = 0
-        for k in range(3, n + 1):
-            prefix += prev[k - 1]
-            row.append(g1 - prefix + (prefix << s * (n - k)))
-        return tuple(row)
+def _row_p32_1(s, n, prev, g1, g2):
+    # g_n(1k) = g_n(1,k-1) + (q^(k-3) - 1) g_{n-1}(1,k-1)
+    row = [0, 0, 2 * g1]
+    if n >= 3:
+        row.append(g1)
+    for k in range(4, n + 1):
+        p = prev[k - 1]
+        row.append(row[k - 1] + (p << s * (k - 3)) - p)
+    return tuple(row)
 
-    def _row_p12_3(self, n, prev, g1, g2):
-        # Rows are carried q-lowered, which turns the refinement recurrence
-        # into nonnegative-shift prefix and suffix sums, for k >= 3:
-        # low_n(k) = sum_{j<k} low_{n-1}(j) + sum_{j>=k} q^(n-1-j) low_{n-1}(j).
-        s = self.s
-        row = [0] * (n + 1)
-        row[2] = 2 * g1
-        prefix, suffix = sum(prev[2:]), 0
-        for k in range(n, 2, -1):
-            if k < n:
-                p = prev[k]
-                prefix -= p
-                suffix += p << s * (n - 1 - k)
-            row[k] = prefix + suffix
-        return tuple(row)
 
-    # -- difference-recurrence assertions, at q = 2^s -------------------
+def _row_p23_1(s, n, prev, g1, g2):
+    # g_n(1k) = q^(k-2) g_{n-1} + (1 - q^(k-2)) sum_{j<k} g_{n-1}(1j)
+    row = [0, 0, 2 * g1]
+    prefix = 0
+    for k in range(3, n + 1):
+        prefix += prev[k - 1]
+        t = s * (k - 2)
+        row.append((g1 << t) + prefix - (prefix << t))
+    return tuple(row)
 
-    def _assert_difference_recurrence(self, n: int):
-        checker = getattr(self, "_check_" + self.pattern.name.lower(), None)
-        if checker is not None:
-            g2, g1 = self.level.g
-            checker(n, self.pending.rows[-1], self.level.rows[-1], g1, g2)
 
-    def _fail(self, n: int, k: int):
+def _row_p21_3(s, n, prev, g1, g2):
+    # g_n(1k) = g_{n-1} - (1 - q^(n-k)) sum_{j<k} g_{n-1}(1j)
+    row = [0, 0, 2 * g1]
+    prefix = 0
+    for k in range(3, n + 1):
+        prefix += prev[k - 1]
+        row.append(g1 - prefix + (prefix << s * (n - k)))
+    return tuple(row)
+
+
+def _row_p12_3(s, n, prev, g1, g2):
+    # Rows are carried q-lowered, which turns the refinement recurrence
+    # into nonnegative-shift prefix and suffix sums, for k >= 3:
+    # low_n(k) = sum_{j<k} low_{n-1}(j) + sum_{j>=k} q^(n-1-j) low_{n-1}(j).
+    row = [0] * (n + 1)
+    row[2] = 2 * g1
+    prefix, suffix = sum(prev[2:]), 0
+    for k in range(n, 2, -1):
+        if k < n:
+            p = prev[k]
+            prefix -= p
+            suffix += p << s * (n - 1 - k)
+        row[k] = prefix + suffix
+    return tuple(row)
+
+
+_ROWS = {
+    PatternId.P31_2: _row_p31_2,
+    PatternId.P32_1: _row_p32_1,
+    PatternId.P23_1: _row_p23_1,
+    PatternId.P21_3: _row_p21_3,
+    PatternId.P12_3: _row_p12_3,
+}
+
+
+# -- difference-recurrence assertions, at q = 2^s ---------------------------
+# Each returns the first k whose identity fails, or None.
+
+def _check_p12_3(s, n, row, prev, g1, g2):
+    # q g_n(1k) = g_n(1,k-1) + q (1 - q^(n-k)) g_{n-1}(1,k-1) and
+    # g_n(13) = q^(n-3) (g_{n-1} - 2 (q^(n-3) - 1) g_{n-2}), both
+    # divided through by the power of q that the lowered rows carry.
+    if n >= 3 and row[3] != g1 + 2 * g2 - ((2 * g2) << s * (n - 3)):
+        return 3
+    for k in range(4, n + 1):
+        p = prev[k - 1]
+        if row[k] != row[k - 1] + p - (p << s * (n - k)):
+            return k
+    return None
+
+
+def _check_p23_1(s, n, row, prev, g1, g2):
+    # [k-3] g_n(1k) = -q^(k-3) g_{n-1} + [k-2] g_n(1,k-1)
+    #                 + (1-q) [k-2] [k-3] g_{n-1}(1,k-1),
+    # times (q - 1) and regrouped as Q (X + (q-1)(g_{n-1} - g_n(1,k-1)))
+    # = X with Q = q^(k-3), X = g_n(1k) - g_n(1,k-1)
+    # + (q^(k-2) - 1) g_{n-1}(1,k-1); and g_n(13) = q g_{n-1}
+    # + 2 (1 - q) g_{n-2}.
+    if n >= 3 and row[3] != (g1 << s) + 2 * g2 - ((2 * g2) << s):
+        return 3
+    for k in range(4, n + 1):
+        r1, p = row[k - 1], prev[k - 1]
+        x = row[k] - r1 + (p << s * (k - 2)) - p
+        d = g1 - r1
+        if (x + (d << s) - d) << s * (k - 3) != x:
+            return k
+    return None
+
+
+def _check_p21_3(s, n, row, prev, g1, g2):
+    # [n-k+1] g_n(1k) = q^(n-k) g_{n-1} + [n-k] g_n(1,k-1)
+    #                   + (q-1) [n-k] [n-k+1] g_{n-1}(1,k-1),
+    # times (q - 1) and regrouped as Q (Y + (q-1)(g_n(1k) - g_{n-1}))
+    # = Y with Q = q^(n-k), Y = g_n(1k) - g_n(1,k-1)
+    # - (q^(n-k+1) - 1) g_{n-1}(1,k-1); and g_n(13) = g_{n-1}
+    # + 2 (q^(n-3) - 1) g_{n-2}.
+    if n >= 3 and row[3] != g1 + ((2 * g2) << s * (n - 3)) - 2 * g2:
+        return 3
+    for k in range(4, n + 1):
+        r, p = row[k], prev[k - 1]
+        y = r - row[k - 1] - (p << s * (n - k + 1)) + p
+        e = r - g1
+        if (y + (e << s) - e) << s * (n - k) != y:
+            return k
+    return None
+
+
+_CHECKS = {
+    PatternId.P12_3: _check_p12_3,
+    PatternId.P23_1: _check_p23_1,
+    PatternId.P21_3: _check_p21_3,
+}
+
+
+def _assert_difference_recurrence(pattern, s, n, row, prev, g1, g2):
+    """Raise IdentityViolation unless every difference recurrence that
+    ``pattern`` asserts holds on level n's row."""
+    check = _CHECKS.get(pattern)
+    k = check(s, n, row, prev, g1, g2) if check else None
+    if k is not None:
         raise IdentityViolation(
-            f"{self.pattern} refined difference recurrence failed "
+            f"{pattern} refined difference recurrence failed "
             f"at n={n}, k={k}")
 
-    def _check_p12_3(self, n, row, prev, g1, g2):
-        # q g_n(1k) = g_n(1,k-1) + q (1 - q^(n-k)) g_{n-1}(1,k-1) and
-        # g_n(13) = q^(n-3) (g_{n-1} - 2 (q^(n-3) - 1) g_{n-2}), both
-        # divided through by the power of q that the lowered rows carry.
-        s = self.s
-        if n >= 3 and row[3] != g1 + 2 * g2 - ((2 * g2) << s * (n - 3)):
-            self._fail(n, 3)
-        for k in range(4, n + 1):
-            p = prev[k - 1]
-            if row[k] != row[k - 1] + p - (p << s * (n - k)):
-                self._fail(n, k)
 
-    def _check_p23_1(self, n, row, prev, g1, g2):
-        # [k-3] g_n(1k) = -q^(k-3) g_{n-1} + [k-2] g_n(1,k-1)
-        #                 + (1-q) [k-2] [k-3] g_{n-1}(1,k-1),
-        # times (q - 1) and regrouped as Q (X + (q-1)(g_{n-1} - g_n(1,k-1)))
-        # = X with Q = q^(k-3), X = g_n(1k) - g_n(1,k-1)
-        # + (q^(k-2) - 1) g_{n-1}(1,k-1); and g_n(13) = q g_{n-1}
-        # + 2 (1 - q) g_{n-2}.
-        s = self.s
-        if n >= 3 and row[3] != (g1 << s) + 2 * g2 - ((2 * g2) << s):
-            self._fail(n, 3)
-        for k in range(4, n + 1):
-            r1, p = row[k - 1], prev[k - 1]
-            x = row[k] - r1 + (p << s * (k - 2)) - p
-            d = g1 - r1
-            if (x + (d << s) - d) << s * (k - 3) != x:
-                self._fail(n, k)
-
-    def _check_p21_3(self, n, row, prev, g1, g2):
-        # [n-k+1] g_n(1k) = q^(n-k) g_{n-1} + [n-k] g_n(1,k-1)
-        #                   + (q-1) [n-k] [n-k+1] g_{n-1}(1,k-1),
-        # times (q - 1) and regrouped as Q (Y + (q-1)(g_n(1k) - g_{n-1}))
-        # = Y with Q = q^(n-k), Y = g_n(1k) - g_n(1,k-1)
-        # - (q^(n-k+1) - 1) g_{n-1}(1,k-1); and g_n(13) = g_{n-1}
-        # + 2 (q^(n-3) - 1) g_{n-2}.
-        s = self.s
-        if n >= 3 and row[3] != g1 + ((2 * g2) << s * (n - 3)) - 2 * g2:
-            self._fail(n, 3)
-        for k in range(4, n + 1):
-            r, p = row[k], prev[k - 1]
-            y = r - row[k - 1] - (p << s * (n - k + 1)) + p
-            e = r - g1
-            if (y + (e << s) - e) << s * (n - k) != y:
-                self._fail(n, k)
+_BUILDERS: dict[PatternId, _Level] = {}
 
 
-_BUILDERS: dict[PatternId, _RefinedBuilder] = {}
-_REFINED: dict[PatternId, _RefinedBuilder] = {}
+def _grown(pattern: PatternId, n: int) -> _Level:
+    """The memoized builder of ``pattern``, grown to level n.
 
-
-def _grown(memo: dict, pattern: PatternId, n: int,
-           keep_rows: bool) -> _RefinedBuilder:
-    """The memoized builder of ``pattern`` in ``memo``, grown to level n.
-
-    A request past the builder's capacity N starts a new builder at
-    capacity max(n, 2N); a build that raises drops the pattern's builder.
+    A pattern's first builder gets capacity max(n, _MIN_CAPACITY); a
+    request past a builder's capacity N starts it over at capacity
+    max(n, 2N), keeping its table.  Each step commits the whole record.
     """
-    builder = memo.get(pattern)
-    if builder is None or builder.capacity < n:
-        capacity = max(n, 2 * builder.capacity if builder else _MIN_CAPACITY)
-        builder = memo[pattern] = _RefinedBuilder(pattern, capacity,
-                                                  keep_rows)
-    try:
-        builder.extend(n)
-    except BaseException:
-        memo.pop(pattern, None)
-        raise
+    builder = _BUILDERS.get(pattern)
+    if builder is None:
+        builder = _BUILDERS[pattern] = _start(max(n, _MIN_CAPACITY))
+    elif n > builder.capacity:
+        builder = _BUILDERS[pattern] = _start(max(n, 2 * builder.capacity),
+                                              builder.polys)
+    while builder.n < n:
+        builder = _BUILDERS[pattern] = _step(pattern, builder)
     return builder
 
 
 def distribution_table(pattern: PatternId, n_max: int) -> DistributionTable:
     """The recurrence-computed table g_1 .. g_{n_max} for one pattern.
 
-    State is memoized per pattern and grown incrementally, so asking for a
-    larger n_max later reuses everything already computed (up to the
-    builder's capacity; see the module docstring).
+    The table is memoized per pattern and grown incrementally: an n_max
+    within it runs no step, and a larger n_max later grows the pattern's
+    builder (see the module docstring).
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    builder = _grown(_BUILDERS, pattern, n_max, keep_rows=False)
-    return DistributionTable(pattern, builder.level.polys[:n_max])
+    builder = _BUILDERS.get(pattern)
+    if builder is None or n_max > len(builder.polys):
+        builder = _grown(pattern, n_max)
+    return DistributionTable(pattern, builder.polys[:n_max])
 
 
 def g_31_2(n_max: int) -> DistributionTable:
@@ -810,12 +812,22 @@ def g_21_3(n_max: int) -> DistributionTable:
 
 
 def refined_g1k(pattern: PatternId, n: int, k: int) -> QPoly:
-    """g_n(1k): the distribution restricted to flattened forms starting 1,k."""
+    """g_n(1k): the distribution restricted to flattened forms starting 1,k.
+
+    Served from the last row of the pattern's builder: reads at its level or
+    above are cheap, and a read below it builds the rows again from n = 2,
+    so read n ascending (see the module docstring).
+    """
     if n < 2:
         raise ValueError("refined distributions need n >= 2")
     if not 2 <= k <= n:
         raise ValueError(f"prefix letter k={k} out of range 2..{n}")
-    return _grown(_REFINED, pattern, n, keep_rows=True).g1k(n, k)
+    builder = _BUILDERS.get(pattern)
+    if builder is not None and n < builder.n:
+        _BUILDERS[pattern] = _start(max(n, _MIN_CAPACITY), builder.polys)
+    builder = _grown(pattern, n)
+    value = _unpack(builder.row[k], builder.width)
+    return value.shifted(n - k) if pattern is PatternId.P12_3 else value
 
 
 def g1k_via_elementary_32_1(n: int, k: int) -> QPoly:

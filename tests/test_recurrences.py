@@ -16,8 +16,8 @@ from flatperm.recurrences import (ALL_PATTERNS, DistributionTable, PatternId,
                                   g_12_3, g_21_3, g_23_1, g_31_2, g_32_1,
                                   refined_g1k, qbinom_coefficient_12_3,
                                   qbinom_form_consistency_12_3)
-from flatperm.recurrences import (_SIDE_WEIGHT, _Builder31_2,
-                                  _RefinedBuilder, _slot_bytes,
+from flatperm.recurrences import (_MIN_CAPACITY, _SIDE_WEIGHT,
+                                  _Builder31_2, _slot_bytes,
                                   coefficient_table)
 from flatperm.verification import CROSS_PATTERN_N_MAX
 
@@ -269,27 +269,27 @@ def test_slot_width_bounds_every_asserted_side():
 @pytest.mark.parametrize("bump", ["+1", "-1", "+q^(n-2)"])
 @pytest.mark.parametrize("pattern", [PatternId.P12_3, PatternId.P21_3,
                                      PatternId.P23_1], ids=str)
-def test_asserted_identities_reject_a_corrupted_row(pattern, bump):
-    # keep_rows=True unpacks nothing during a step, so only the
-    # difference-recurrence assertions can raise
-    builder = _RefinedBuilder(pattern, 12, keep_rows=True)
-    builder.extend(2)
-    row_of = builder._row
+def test_asserted_identities_reject_a_corrupted_row(pattern, bump,
+                                                    monkeypatch):
+    # the assertions run before g_n is unpacked, so only they can raise
+    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    distribution_table(pattern, 2)
+    s = 8 * recurrences._BUILDERS[pattern].width
+    row_of = recurrences._ROWS[pattern]
     for n in range(3, 13):
-        delta = {"+1": 1, "-1": -1,
-                 "+q^(n-2)": 1 << builder.s * (n - 2)}[bump]
+        delta = {"+1": 1, "-1": -1, "+q^(n-2)": 1 << s * (n - 2)}[bump]
         for k in range(3, n + 1):
             def corrupted(*args):
                 row = list(row_of(*args))
                 row[k] += delta
                 return tuple(row)
 
-            builder._row = corrupted
+            monkeypatch.setitem(recurrences._ROWS, pattern, corrupted)
             with pytest.raises(IdentityViolation, match=f"n={n}, k={k}$"):
-                builder.extend(n)
-            assert builder.top == n - 1
-        builder._row = row_of
-        builder.extend(n)
+                distribution_table(pattern, n)
+            assert recurrences._BUILDERS[pattern].n == n - 1
+        monkeypatch.setitem(recurrences._ROWS, pattern, row_of)
+        distribution_table(pattern, n)
 
 
 def test_pack_unpack_round_trip():
@@ -321,15 +321,14 @@ def test_request_past_capacity_starts_over(monkeypatch):
 
 def test_memo_tables_empty_at_import():
     src = os.path.dirname(os.path.dirname(recurrences.__file__))
-    # the benchmark's cold-state probe reads these by name: the two memo
-    # dicts, and every list in closed_forms.numbers by its length - 1; the
+    # the benchmark's cold-state probe reads these by name: the one memo
+    # dict, and every list in closed_forms.numbers by its length - 1; the
     # oracle's memo perm_core._FRONTS is checked here only
     probe = (f"import sys; sys.path.insert(0, {src!r})\n"
              "import flatperm.cli\n"
              "from flatperm import closed_forms, perm_core, recurrences as r\n"
-             "print(r._BUILDERS == {} == r._REFINED == perm_core._FRONTS,\n"
-             "      type(r._BUILDERS) is dict is type(r._REFINED)\n"
-             "      is type(perm_core._FRONTS),\n"
+             "print(r._BUILDERS == {} == perm_core._FRONTS,\n"
+             "      type(r._BUILDERS) is dict is type(perm_core._FRONTS),\n"
              "      sum(len(v) - 1 for v in vars(closed_forms.numbers).values()\n"
              "          if isinstance(v, list)))\n")
     out = subprocess.run([sys.executable, "-I", "-c", probe],
@@ -370,58 +369,117 @@ def test_refined_rebuilt_after_interrupted_step(pattern, monkeypatch):
         return {(n, k): refined_g1k(pattern, n, k)
                 for n in range(2, n_max + 1) for k in range(2, n + 1)}
 
-    monkeypatch.setattr(recurrences, "_REFINED", {})
+    monkeypatch.setattr(recurrences, "_BUILDERS", {})
     fresh = rows(9)
     for _ in _interrupt_every_line(
-            monkeypatch, "_REFINED",
+            monkeypatch, "_BUILDERS",
             lambda n: refined_g1k(pattern, n, 2)):
         assert rows(9) == fresh
 
 
-@pytest.mark.parametrize("keep_rows", [False, True])
+@pytest.mark.parametrize("restarted", [False, True])
 @pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
-def test_interrupted_step_leaves_a_whole_level(pattern, keep_rows,
+def test_interrupted_step_leaves_a_whole_level(pattern, restarted,
                                                monkeypatch):
-    # the builder alone, without the memo that drops it on an exception
-    def fresh(n):
-        builder = _RefinedBuilder(pattern, 40, keep_rows)
-        builder.extend(n)
-        return builder
-
-    whole = (fresh(6).level, fresh(7).level)
-    want = fresh(9).level
-    held = []
-
+    # a builder grown from nothing, or one started over below the level
+    # it had reached, so that it keeps a table past its level
     def build_to(n):
         if n == 6:
-            held[:] = [fresh(6)]
-        else:
-            held[0].extend(n)
+            monkeypatch.setattr(recurrences, "_BUILDERS", {})
+            if restarted:
+                distribution_table(pattern, 9)
+        refined_g1k(pattern, n, 2)
+        return recurrences._BUILDERS[pattern]
 
+    whole = (build_to(6), build_to(7))
+    want = build_to(9)
+    assert len(want.polys) == 9
     for _ in _interrupt_every_line(monkeypatch, None, build_to):
-        assert held[0].level in whole
-        held[0].extend(9)
-        assert held[0].level == want
+        assert recurrences._BUILDERS[pattern] in whole
+        assert build_to(9) == want
 
 
 @pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
 def test_refined_failed_check_raises_again(pattern, monkeypatch):
-    original = _RefinedBuilder._assert_difference_recurrence
+    original = recurrences._assert_difference_recurrence
 
-    def failing(self, n):
+    def failing(pattern, s, n, *rest):
         if n == 7:
-            self._fail(n, 3)
-        original(self, n)
+            raise IdentityViolation(f"{pattern} failed at n={n}, k=3")
+        original(pattern, s, n, *rest)
 
-    monkeypatch.setattr(recurrences, "_REFINED", {})
-    monkeypatch.setattr(_RefinedBuilder, "_assert_difference_recurrence",
+    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    monkeypatch.setattr(recurrences, "_assert_difference_recurrence",
                         failing)
     for _ in range(2):
         with pytest.raises(IdentityViolation):
             refined_g1k(pattern, 7, 3)
         with pytest.raises(IdentityViolation):
             refined_g1k(pattern, 8, 3)
-    monkeypatch.setattr(_RefinedBuilder, "_assert_difference_recurrence",
+    monkeypatch.setattr(recurrences, "_assert_difference_recurrence",
                         original)
     assert refined_g1k(pattern, 7, 3) \
         == perm_core.brute_refined_distribution(7, pattern.vincular(), 3)
+
+
+# ---------------------------------------------------------------------------
+# One builder per pattern, keeping only its last row
+# ---------------------------------------------------------------------------
+
+def _fresh(monkeypatch, read):
+    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    return read()
+
+
+@pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+def test_read_below_the_level_then_the_table(pattern, monkeypatch):
+    def row(n):
+        return [refined_g1k(pattern, n, k) for k in range(2, n + 1)]
+
+    want = (_fresh(monkeypatch, lambda: row(40)),
+            _fresh(monkeypatch, lambda: row(3)),
+            _fresh(monkeypatch, lambda: distribution_table(pattern, 50)))
+    got = _fresh(monkeypatch, lambda: (
+        row(40), row(3), distribution_table(pattern, 50)))
+    assert got == want
+    assert recurrences._BUILDERS[pattern].capacity == 80
+
+
+def test_table_reads_within_the_table_run_no_step(monkeypatch):
+    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    fresh = {p: distribution_table(p, 12).polys for p in ALL_PATTERNS}
+    for p in ALL_PATTERNS:
+        refined_g1k(p, 3, 2)
+
+    def no_step(*args):
+        raise AssertionError("a row step ran")
+
+    for p in ALL_PATTERNS:
+        monkeypatch.setitem(recurrences._ROWS, p, no_step)
+    for p in ALL_PATTERNS:
+        for n in (1, 3, 7, 12):
+            assert distribution_table(p, n).polys == fresh[p][:n]
+    with pytest.raises(AssertionError, match="a row step ran"):
+        distribution_table(PatternId.P31_2, 13)
+
+
+def test_memo_keeps_one_row_per_pattern(monkeypatch):
+    # the deep_tables benchmark order: each table to n = 50, then every
+    # g_n(1k) to n = 40 with n ascending
+    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    for p in ALL_PATTERNS:
+        distribution_table(p, 50)
+    for p in ALL_PATTERNS:
+        for n in range(2, 41):
+            for k in range(2, n + 1):
+                refined_g1k(p, n, k)
+    assert set(recurrences._BUILDERS) == set(ALL_PATTERNS)
+    for builder in recurrences._BUILDERS.values():
+        assert type(builder) is recurrences._Level
+        # the rows were built at the slot width of capacity 40, not 50
+        assert (builder.capacity, builder.width) \
+            == (_MIN_CAPACITY, _slot_bytes(_MIN_CAPACITY))
+        assert builder.n == 40 and len(builder.row) == 41
+        assert all(type(x) is int for x in builder.row + builder.g)
+        assert len(builder.polys) == 50
+        assert all(type(x) is QPoly for x in builder.polys)
