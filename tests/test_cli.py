@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from flatperm import bijections, closed_forms
+from flatperm import bijections, cli, closed_forms
 from flatperm.cli import main
 from flatperm.perm_core import CycleForm, VincularPattern3, _count_word
 from flatperm.qpoly import IdentityViolation
@@ -325,6 +325,21 @@ def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "table", "--n-max", "5", "--format", "json")
     _, second, _ = run(capsys, "table", "--n-max", "5", "--format", "json")
     assert first == second
+
+
+def test_main_reuses_one_parser(capsys):
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    # a parse that fails leaves the shared parser as it was
+    with pytest.raises(SystemExit):
+        main(["distribution", "--pattern", "13-2", "--n", "3"])
+    with pytest.raises(SystemExit):
+        main(["verify"])
+    capsys.readouterr()
+    status, out, _ = run(capsys, "distribution", "--pattern", "12-3",
+                         "--n", "3", "--format", "json")
+    assert status == 0 and json.loads(out)["coefficients"] == {"0": "2",
+                                                                "1": "4"}
 
 
 def test_json_round_trip_idempotent(capsys):
