@@ -75,12 +75,16 @@ Independent check.  The paper's coefficient-table recurrences
 
 with each c_{n,j} an exact polynomial obtained by literal summation
 (products of q-integer runs carried with their (1-q)- or (q-1)-power
-prefactors already multiplied in), are kept as the ``_Builder*`` classes.
-They run only through ``coefficient_table``, which the tests compare with
+prefactors already multiplied in), are kept as one plain function per
+pattern (``_coefficients_p31_2`` and so on), whose state is a few local
+``QPoly`` values.  They run only through ``coefficient_table``, which
+builds from scratch on every call and which the tests compare with
 ``distribution_table`` for n <= 40.  Building 32-1 that way also evaluates
 its two coefficient routes (the alternating q-binomial triple sum and the
-elementary-symmetric-function form) and raises IdentityViolation where they
-disagree; ``verify`` runs that to n = max(n_max, 20).
+elementary-symmetric-function form) on every entry and raises
+IdentityViolation where they disagree, and every 31-2 coefficient
+(``b_coeff_31_2``) is checked to be an integer; ``verify`` runs the 32-1
+build to n = max(n_max, 20).
 """
 
 from __future__ import annotations
@@ -146,7 +150,7 @@ class DistributionTable:
         fact = 1
         for n, poly in enumerate(self.polys, start=1):
             fact *= n
-            if poly.evaluate(1) != fact:
+            if sum(poly.coeffs) != fact:
                 raise ValueError(f"g_{n}(1) != {n}! for pattern {self.pattern}")
 
     @property
@@ -167,47 +171,10 @@ class DistributionTable:
 
 
 # ---------------------------------------------------------------------------
-# Small helpers shared by the builders
+# The independent check: the paper's coefficient-table recurrences
 # ---------------------------------------------------------------------------
 
-# Coefficient-table state lives in plain mutable lists of ints (index =
-# exponent); these accumulate in place, which is what keeps table builds at
-# a handful of machine operations per stored coefficient.
-
-def _acc(acc: list, src, shift: int = 0, sign: int = 1, scale: int = 1):
-    """acc += sign * scale * q^shift * src, in place."""
-    if not src:
-        return
-    need = shift + len(src)
-    if len(acc) < need:
-        acc.extend([0] * (need - len(acc)))
-    k = sign * scale
-    window = acc[shift:need]
-    if k == 1:
-        acc[shift:need] = [x + y for x, y in zip(window, src)]
-    elif k == -1:
-        acc[shift:need] = [x - y for x, y in zip(window, src)]
-    else:
-        acc[shift:need] = [x + k * y for x, y in zip(window, src)]
-
-
-def _acc_one_minus_qt(acc: list, src, t: int):
-    """acc += (1 - q^t) * src, in place."""
-    _acc(acc, src)
-    _acc(acc, src, shift=t, sign=-1)
-
-
-def _acc_qt_minus_one(acc: list, src, t: int):
-    """acc += (q^t - 1) * src, in place."""
-    _acc(acc, src, shift=t)
-    _acc(acc, src, sign=-1)
-
-
-def _lists_match(a: list, b: list) -> bool:
-    """Equality of coefficient lists up to trailing zeros."""
-    if len(a) < len(b):
-        a, b = b, a
-    return a[:len(b)] == b and not any(a[len(b):])
+_TWO = QPoly((2,))
 
 
 def _qint_times(p: QPoly, m: int) -> QPoly:
@@ -229,48 +196,18 @@ def _binom(m: int, r: int) -> int:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Unrefined tables
-# ---------------------------------------------------------------------------
-
-class _TableBuilder:
-    """Grows g_1, g_2, ... one entry at a time, keeping coefficient state."""
-
-    def __init__(self):
-        self.g: list[QPoly] = [_ZERO, _ONE]  # index n; g[0] unused
-
-    @property
-    def top(self) -> int:
-        return len(self.g) - 1
-
-    def extend(self, n_max: int):
-        while self.top < n_max:
-            self._append(self.top + 1)
-
-    def _append(self, n: int):
-        raise NotImplementedError
-
-
-class _Builder31_2(_TableBuilder):
-    """g_n = n g_{n-1} + sum_{j=2}^{floor(n/2)} (q-1)^{j-1} b_{n,j} g_{n-j},
-    with b_{n,j} given by an explicit single sum over q-powers."""
-
-    @staticmethod
-    def b(n: int, j: int) -> QPoly:
-        coeffs = []
-        for k in range(n - j):
-            t = (n - k) * _binom(n - j - 1 - k, j - 1) * _binom(j - 2 + k, j - 2)
-            if t % j:
-                raise IdentityViolation(
-                    f"31-2 coefficient not an integer at n={n}, j={j}, k={k}")
-            coeffs.append(t // j)
-        return QPoly(coeffs)
-
-    def _append(self, n: int):
-        total = n * self.g[n - 1]
-        for j in range(2, n // 2 + 1):
-            total = total + (_Q_MINUS_ONE ** (j - 1)) * self.b(n, j) * self.g[n - j]
-        self.g.append(total)
+def b_coeff_31_2(n: int, j: int) -> QPoly:
+    """b_{n,j} of the 31-2 recurrence, by its explicit single sum over
+    q-powers; a coefficient that is not an integer raises
+    IdentityViolation."""
+    coeffs = []
+    for k in range(n - j):
+        t = (n - k) * _binom(n - j - 1 - k, j - 1) * _binom(j - 2 + k, j - 2)
+        if t % j:
+            raise IdentityViolation(
+                f"31-2 coefficient not an integer at n={n}, j={j}, k={k}")
+        coeffs.append(t // j)
+    return QPoly(coeffs)
 
 
 def a_coeff_table_31_2(k_max: int) -> dict[tuple[int, int], QPoly]:
@@ -279,7 +216,7 @@ def a_coeff_table_31_2(k_max: int) -> dict[tuple[int, int], QPoly]:
     table: dict[tuple[int, int], QPoly] = {}
     for j in range(0, k_max + 1):
         table[(3, j)] = _ONE if j == 1 else _ZERO
-        table[(4, j)] = _ONE if j == 1 else (QPoly((2,)) if j == 2 else _ZERO)
+        table[(4, j)] = _ONE if j == 1 else (_TWO if j == 2 else _ZERO)
     q = QPoly.q()
     for k in range(5, k_max + 1):
         for j in range(0, k_max + 1):
@@ -288,48 +225,48 @@ def a_coeff_table_31_2(k_max: int) -> dict[tuple[int, int], QPoly]:
     return table
 
 
-class _Builder32_1(_TableBuilder):
+# Each _coefficients_* function returns g_1 .. g_{n_max} of its pattern,
+# starting from g_1 = 1, g_2 = 2; g[n] is g_n, g[0] a placeholder.
+
+def _coefficients_p31_2(n_max: int) -> list[QPoly]:
+    """g_n = n g_{n-1} + sum_{j=2}^{floor(n/2)} (q-1)^{j-1} b_{n,j} g_{n-j}."""
+    g = [_ZERO, _ONE, _TWO]
+    for n in range(3, n_max + 1):
+        total = n * g[n - 1]
+        for j in range(2, n // 2 + 1):
+            total += _Q_MINUS_ONE ** (j - 1) * b_coeff_31_2(n, j) * g[n - j]
+        g.append(total)
+    return g[1:n_max + 1]
+
+
+def _coefficients_p32_1(n_max: int) -> list[QPoly]:
     """g_n = n g_{n-1} + sum_j c_{n,j} g_{n-j} where c_{n,j} is accumulated
     two ways, as (q-1)^{j-1} sum_k e_{j-1}([1],...,[k-3]) and as the
     alternating q-binomial triple sum, with exact agreement enforced."""
-
-    def __init__(self):
-        super().__init__()
-        # ebar[m] = e_m([1..t]) * (q-1)^m at the current top t = n-3
-        self._ebar: list[list] = [[1]]
-        self._sym: dict[int, list] = {}     # symmetric-route c_{n,j}
-        self._triple: dict[int, list] = {}  # triple-sum route c_{n,j}
-
-    def _advance_ebar(self, t: int):
-        ebar = self._ebar
-        ebar.append([])
-        for m in range(len(ebar) - 1, 0, -1):
-            _acc_qt_minus_one(ebar[m], ebar[m - 1], t)
-
-    def _append(self, n: int):
-        if n >= 4:
-            self._advance_ebar(n - 3)
-        total = n * self.g[n - 1]
+    g = [_ZERO, _ONE, _TWO]
+    ebar = [_ONE]         # ebar[m] = e_m([1..t]) (q-1)^m at t = n-3
+    sym, triple = {}, {}  # c_{n,j} by each route
+    for n in range(3, n_max + 1):
+        t = n - 3
+        ebar = [_ONE] + [e + p.shifted(t) - p
+                         for e, p in zip(ebar[1:] + [_ZERO], ebar)]
+        qb = [q_binomial(n - 3, a - 1).shifted(a * (a - 1) // 2)
+              for a in range(1, n - 1)]
+        total = n * g[n - 1]
         for j in range(2, n - 1):
-            sym = self._sym.setdefault(j, [])
-            _acc(sym, self._ebar[j - 1])
-            triple = self._triple.setdefault(j, [])
-            kk = n - 2 - j
-            for a in range(1, j + 1):
-                c = _binom(j - a + kk, kk)
-                if c == 0:
-                    continue
-                _acc(triple, q_binomial(j - 1 + kk, a - 1).coeffs,
-                     shift=a * (a - 1) // 2,
-                     sign=1 if (j - a) % 2 == 0 else -1, scale=c)
-            if not _lists_match(triple, sym):
+            sym[j] = sym.get(j, _ZERO) + ebar[j - 1]
+            triple[j] = sum((math.comb(n - 2 - a, j - a) * (-1) ** (j - a)
+                             * qb[a - 1] for a in range(1, j + 1)),
+                            triple.get(j, _ZERO))
+            if triple[j] != sym[j]:
                 raise IdentityViolation(
                     f"32-1 coefficient routes disagree at n={n}, j={j}")
-            total = total + QPoly(sym) * self.g[n - j]
-        self.g.append(total)
+            total += sym[j] * g[n - j]
+        g.append(total)
+    return g[1:n_max + 1]
 
 
-class _Builder12_3(_TableBuilder):
+def _coefficients_p12_3(n_max: int) -> list[QPoly]:
     """g_n = (2q^{n-2} + [n-2]) g_{n-1} + sum_j c_{n,j} g_{n-j} where c_{n,j}
     comes from weighted complete-homogeneous sums over windows of consecutive
     q-integers (with (1-q)^{j-1} premultiplied).
@@ -339,28 +276,18 @@ class _Builder12_3(_TableBuilder):
     contribute 0.  U satisfies U_m(h) = U_m(h-1) + (1-q^h) U_{m-1}(h), so one
     anti-diagonal {m + h = n-2} carries all state from step to step.
     """
-
-    def __init__(self):
-        super().__init__()
-        self._diag: list[list] = [[1]]   # entry m holds U_m(n-2-m); n=2 seed
-
-    def _append(self, n: int):
-        prev = self._diag
-        if n > 2:
-            new = [[1] * (n - 1)]   # U_0(n-2) = [n-1]
-            for m in range(1, n - 1):
-                entry = list(prev[m]) if m < len(prev) else []
-                _acc_one_minus_qt(entry, prev[m - 1], n - 2 - m)
-                new.append(entry)
-            self._diag = new
-        total = QPoly([1] * (n - 2) + [2]) * self.g[n - 1]
+    g = [_ZERO, _ONE, _TWO]
+    diag = [_ONE]   # diag[m] = U_m(n-2-m), from the n = 2 seed
+    for n in range(3, n_max + 1):
+        prev = diag + [_ZERO]
+        diag = [q_int(n - 1)] + [prev[m] + prev[m - 1]
+                                 - prev[m - 1].shifted(n - 2 - m)
+                                 for m in range(1, n - 1)]
+        total = QPoly((1,) * (n - 2) + (2,)) * g[n - 1]
         for j in range(2, n):
-            m = j - 1
-            coeff = [2 * x for x in self._diag[m]]
-            if m < len(prev):
-                _acc(coeff, prev[m], sign=-1)
-            total = total + QPoly(coeff) * self.g[n - j]
-        self.g.append(total)
+            total += (2 * diag[j - 1] - prev[j - 1]) * g[n - j]
+        g.append(total)
+    return g[1:n_max + 1]
 
 
 def qbinom_coefficient_12_3(n: int, j: int) -> QPoly:
@@ -403,48 +330,32 @@ def qbinom_form_consistency_12_3(n_max: int) -> list[CoefficientFormComparison12
     return out
 
 
-class _Builder23_1(_TableBuilder):
+def _coefficients_p23_1(n_max: int) -> list[QPoly]:
     """g_n = (1 + [n-1]) g_{n-1} + sum_j c_{n,j} g_{n-j}, with coefficients
     accumulated from sums of products of distinct q-integers (the smallest
     factor weighted by 1 + [i_1]), scaled by (1-q)^{j-1} as they are built."""
-
-    def __init__(self):
-        super().__init__()
-        # The j-th coefficient needs sums over strictly increasing m-tuples
-        # from [1..t] of (1 + [i_1])[i_1]...[i_m] * (1-q)^m; ehat carries the
-        # plain elementary part, ghat the squared-smallest part.
-        self._ehat: list[list] = [[1]]
-        self._ghat: list[list] = [[0]]
-        self._c: dict[int, list] = {}
-
-    def _advance(self, t: int):
-        ehat, ghat = self._ehat, self._ghat
-        ehat.append([])
-        ghat.append([])
-        for m in range(len(ehat) - 1, 1, -1):
-            _acc_one_minus_qt(ehat[m], ehat[m - 1], t)
-            _acc_one_minus_qt(ghat[m], ghat[m - 1], t)
-        _acc_one_minus_qt(ehat[1], [1], t)
-        _acc_one_minus_qt(ghat[1], [1] * t, t)  # (1 - q^t) [t]
-
-    def _append(self, n: int):
-        if n > 3:
-            self._advance(n - 3)
-        lead = QPoly((2,) + (1,) * (n - 2))  # 1 + [n-1]
-        total = lead * self.g[n - 1]
+    g = [_ZERO, _ONE, _TWO]
+    # w[m] = sum over i_1 < ... < i_m in [1..t] of
+    # (1 + [i_1]) [i_1] ... [i_m] (1-q)^m at t = n-3; w[0] unused
+    w = [_ZERO]
+    c = {}
+    for n in range(3, n_max + 1):
+        t = n - 3
+        prev = w + [_ZERO]
+        x = 1 + q_int(t)
+        w = [_ZERO, prev[1] + x - x.shifted(t)] + [
+            prev[m] + prev[m - 1] - prev[m - 1].shifted(t)
+            for m in range(2, len(prev))]
+        total = (1 + q_int(n - 1)) * g[n - 1]
         for j in range(2, n):
-            cj = self._c.setdefault(j, [])
-            if j == 2:
-                _acc_one_minus_qt(cj, [2] + [1] * (n - 3), n - 2)
-            else:
-                m = j - 2
-                _acc_one_minus_qt(cj, self._ehat[m], n - 2)
-                _acc_one_minus_qt(cj, self._ghat[m], n - 2)
-            total = total + QPoly(cj) * self.g[n - j]
-        self.g.append(total)
+            x = 1 + q_int(n - 2) if j == 2 else w[j - 2]
+            c[j] = c.get(j, _ZERO) + x - x.shifted(n - 2)
+            total += c[j] * g[n - j]
+        g.append(total)
+    return g[1:n_max + 1]
 
 
-class _Builder21_3(_TableBuilder):
+def _coefficients_p21_3(n_max: int) -> list[QPoly]:
     """g_n = n g_{n-1} + sum_j c_{n,j} g_{n-j}, with coefficients built from
     weakly increasing runs of q-integers weighted by the distance of the top
     element from the window end, premultiplied by (q-1)^{j-2}.
@@ -454,38 +365,21 @@ class _Builder21_3(_TableBuilder):
     c_{n,j} = (S_{j-2}(n-j-1) + T_{j-2}(n-j-1)) * (q-1); both tables satisfy
     anti-diagonal recurrences over m + u = n-3.
     """
-
-    def __init__(self):
-        super().__init__()
-        self._tdiag: list[list] = []
-        self._sdiag: list[list] = []
-
-    def _append(self, n: int):
-        if n >= 3:
-            prev_t, prev_s = self._tdiag, self._sdiag
-            u0 = n - 3
-            first = list(prev_t[0]) if prev_t else []
-            _acc(first, [1] * u0)   # + [u0]
-            new_t = [first]
-            for m in range(1, n - 2):
-                entry = list(prev_t[m]) if m < len(prev_t) else []
-                _acc_qt_minus_one(entry, prev_t[m - 1], u0 - m)
-                new_t.append(entry)
-            new_s = []
-            for m in range(n - 2):
-                entry = list(prev_s[m]) if m < len(prev_s) else []
-                _acc(entry, new_t[m])
-                new_s.append(entry)
-            self._tdiag, self._sdiag = new_t, new_s
-        total = n * self.g[n - 1]
+    g = [_ZERO, _ONE, _TWO]
+    tdiag, sdiag = [], []   # T_m(n-3-m), S_m(n-3-m)
+    for n in range(3, n_max + 1):
+        u = n - 3
+        prev = tdiag + [_ZERO]
+        tdiag = [prev[0] + q_int(u)] + [prev[m] + prev[m - 1].shifted(u - m)
+                                        - prev[m - 1]
+                                        for m in range(1, n - 2)]
+        sdiag = [s + t for s, t in zip(sdiag + [_ZERO], tdiag)]
+        total = n * g[n - 1]
         for j in range(2, n):
-            m = j - 2
-            base = list(self._sdiag[m])
-            _acc(base, self._tdiag[m])
-            coeff = [-x for x in base]   # (q - 1) * base
-            _acc(coeff, base, shift=1)
-            total = total + QPoly(coeff) * self.g[n - j]
-        self.g.append(total)
+            base = sdiag[j - 2] + tdiag[j - 2]
+            total += (base.shifted(1) - base) * g[n - j]
+        g.append(total)
+    return g[1:n_max + 1]
 
 
 def b2_poly_23_1(n: int) -> QPoly:
@@ -530,12 +424,12 @@ def b2_rational_identity_21_3(n: int) -> bool:
     return lhs == rhs
 
 
-_BUILDER_CLASSES = {
-    PatternId.P31_2: _Builder31_2,
-    PatternId.P32_1: _Builder32_1,
-    PatternId.P12_3: _Builder12_3,
-    PatternId.P23_1: _Builder23_1,
-    PatternId.P21_3: _Builder21_3,
+_COEFFICIENT_ROUTES = {
+    PatternId.P31_2: _coefficients_p31_2,
+    PatternId.P32_1: _coefficients_p32_1,
+    PatternId.P12_3: _coefficients_p12_3,
+    PatternId.P23_1: _coefficients_p23_1,
+    PatternId.P21_3: _coefficients_p21_3,
 }
 
 
@@ -548,9 +442,8 @@ def coefficient_table(pattern: PatternId, n_max: int) -> DistributionTable:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    builder = _BUILDER_CLASSES[pattern]()
-    builder.extend(n_max)
-    return DistributionTable(pattern, tuple(builder.g[1:n_max + 1]))
+    return DistributionTable(pattern,
+                             tuple(_COEFFICIENT_ROUTES[pattern](n_max)))
 
 
 # ---------------------------------------------------------------------------

@@ -432,17 +432,20 @@ def _suite_identities(report: Report, n_max: int):
     _run(report, "identities", "occurrence totals vs brute force", check_totals)
 
     def check_total_identities():
+        # on the oracle's totals: closed_forms defines the 21-3 and 12-3
+        # totals by these identities, and 32-1 and 23-1 by one formula
+        def total(text, n):
+            return perm_core.brute_total_occurrences(
+                n, perm_core.VincularPattern3.from_string(text))
+
         for n in range(3, n_max + 1):
-            _require(closed_forms.total_occurrences("32-1", n)
-                     == closed_forms.total_occurrences("23-1", n),
+            _require(total("32-1", n) == total("23-1", n),
                      lambda: f"tot(32-1) != tot(23-1) at n={n}")
             fact = math.factorial(n - 1)
-            lhs = (closed_forms.total_occurrences("21-3", n)
-                   + closed_forms.total_occurrences(closed_forms.AUX_3_21, n))
+            lhs = total("21-3", n) + total(closed_forms.AUX_3_21, n)
             _require(lhs == fact * sum((n - i) * (i - 2) for i in range(3, n)),
                      lambda: f"21-3 pair identity at n={n}")
-            lhs = (closed_forms.total_occurrences("12-3", n)
-                   + closed_forms.total_occurrences(closed_forms.AUX_3_12, n))
+            lhs = total("12-3", n) + total(closed_forms.AUX_3_12, n)
             _require(lhs == fact * sum((n - i) * i for i in range(2, n)),
                      lambda: f"12-3 pair identity at n={n}")
         return f"pairing identities hold, n=3..{n_max}"
@@ -482,7 +485,7 @@ def _suite_identities(report: Report, n_max: int):
         table = recurrences.a_coeff_table_31_2(k_max)
         for n in range(4, k_max + 1):
             for j in range(2, n // 2 + 1):
-                explicit = recurrences._Builder31_2.b(n, j)
+                explicit = recurrences.b_coeff_31_2(n, j)
                 summed = QPoly()
                 for k in range(3, n + 1):
                     summed = summed + table.get((k, j), QPoly())

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from conftest import interrupt_every_line
 
-from flatperm import closed_forms, perm_core, qpoly
+from flatperm import closed_forms, perm_core, qpoly, verification
 from flatperm.closed_forms import (AUX_3_12, AUX_3_21, SpecialNumberCache,
                                    average_occurrences, avoiders, limit_check,
                                    limit_deviation_strictly_decreasing,
@@ -116,14 +116,36 @@ def test_totals_against_brute_force():
                 == perm_core.brute_total_occurrences(n, vinc)
 
 
+def _brute_total(text, n):
+    return perm_core.brute_total_occurrences(
+        n, perm_core.VincularPattern3.from_string(text))
+
+
 def test_total_pairing_identities():
+    # on the oracle's totals: total_occurrences defines the 21-3 and 12-3
+    # totals by these identities, and 32-1 and 23-1 by one formula
     for n in range(3, 9):
         fact = math.factorial(n - 1)
-        assert total_occurrences("21-3", n) + total_occurrences(AUX_3_21, n) \
+        assert _brute_total("21-3", n) + _brute_total(AUX_3_21, n) \
             == fact * sum((n - i) * (i - 2) for i in range(3, n))
-        assert total_occurrences("12-3", n) + total_occurrences(AUX_3_12, n) \
+        assert _brute_total("12-3", n) + _brute_total(AUX_3_12, n) \
             == fact * sum((n - i) * i for i in range(2, n))
-        assert total_occurrences("32-1", n) == total_occurrences("23-1", n)
+        assert _brute_total("32-1", n) == _brute_total("23-1", n)
+
+
+def test_pairing_identities_check_fails_on_a_wrong_brute_total(monkeypatch):
+    real = perm_core.brute_total_occurrences
+    aux = perm_core.VincularPattern3.from_string(AUX_3_21)
+
+    def off_by_one(n, pat, *args):
+        return real(n, pat, *args) + (pat == aux)
+
+    monkeypatch.setattr(perm_core, "brute_total_occurrences", off_by_one)
+    report = verification.run_suite("identities", 4)
+    [result] = [r for r in report.results
+                if r.name == "occurrence-total pairing identities"]
+    assert not result.passed
+    assert result.detail == "21-3 pair identity at n=3"
 
 
 def test_totals_equal_scaled_averages():

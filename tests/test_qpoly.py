@@ -8,7 +8,7 @@ from flatperm.qpoly import (IdentityViolation, QPoly, complete_h,
                             e_on_qints_closed_form, elementary_e,
                             h_on_qint_window_closed_form, nonadjacent_e_prime,
                             q_binomial, q_factorial, q_int)
-from flatperm.qpoly import (_KRONECKER_THRESHOLD, _mul_kronecker,
+from flatperm.qpoly import (_KRONECKER_MIN_LEN, _mul_kronecker,
                             _mul_schoolbook, _unpack)
 
 Q = QPoly.q()
@@ -217,11 +217,11 @@ def _sized_coeffs(low, high):
 
 
 @settings(max_examples=50)
-@given(_sized_coeffs(50, 85), _sized_coeffs(50, 85))
+@given(_sized_coeffs(6, 20), _sized_coeffs(6, 60))
 def test_products_agree_across_the_kronecker_threshold(a, b):
-    """Operand sizes from 50 x 50 to 85 x 85 straddle the threshold, so
+    """Shorter operands of 6 to 20 coefficients straddle the threshold, so
     QPoly.__mul__ takes both routes; both equal the schoolbook product."""
-    assert 50 * 50 <= _KRONECKER_THRESHOLD < 85 * 85
+    assert 6 <= _KRONECKER_MIN_LEN < 20
     want = _mul_schoolbook(tuple(a), tuple(b))
     assert _mul_kronecker(tuple(a), tuple(b)) == want
     assert QPoly(a) * QPoly(b) == QPoly(want)

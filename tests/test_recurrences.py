@@ -11,13 +11,13 @@ from flatperm.qpoly import IdentityViolation, QPoly, _unpack, q_int
 from flatperm.recurrences import (ALL_PATTERNS, DistributionTable, PatternId,
                                   a_coeff_table_31_2, b2_poly_21_3,
                                   b2_poly_23_1, b2_rational_identity_21_3,
+                                  b_coeff_31_2,
                                   b2_rational_identity_23_1,
                                   distribution_table, g1k_via_elementary_32_1,
                                   g_12_3, g_21_3, g_23_1, g_31_2, g_32_1,
                                   refined_g1k, qbinom_coefficient_12_3,
                                   qbinom_form_consistency_12_3)
-from flatperm.recurrences import (_MIN_CAPACITY, _SIDE_WEIGHT,
-                                  _Builder31_2, _slot_bytes,
+from flatperm.recurrences import (_MIN_CAPACITY, _SIDE_WEIGHT, _slot_bytes,
                                   coefficient_table)
 from flatperm.verification import CROSS_PATTERN_N_MAX
 
@@ -180,7 +180,7 @@ def test_31_2_coefficient_routes():
             summed = QPoly()
             for k in range(3, n + 1):
                 summed = summed + table.get((k, j), QPoly())
-            assert summed == _Builder31_2.b(n, j)
+            assert summed == b_coeff_31_2(n, j)
 
 
 def test_32_1_symmetric_route_for_refined_values():
@@ -256,6 +256,37 @@ def test_coefficient_tables_match_production(pattern):
     # for 32-1 the build also compares its two coefficient routes
     assert coefficient_table(pattern, CROSS_PATTERN_N_MAX).polys \
         == distribution_table(pattern, CROSS_PATTERN_N_MAX).polys
+
+
+def test_32_1_check_rejects_a_wrong_q_binomial(monkeypatch):
+    # q_binomial(3, 1) first enters the triple-sum route at n = 6, j = 2
+    real = recurrences.q_binomial
+
+    def bumped(m, i):
+        return real(m, i) + (1 if (m, i) == (3, 1) else 0)
+
+    monkeypatch.setattr(recurrences, "q_binomial", bumped)
+    coefficient_table(PatternId.P32_1, 5)
+    with pytest.raises(IdentityViolation,
+                       match="^32-1 coefficient routes disagree at n=6, j=2$"):
+        coefficient_table(PatternId.P32_1, 6)
+
+
+def test_31_2_check_rejects_a_fractional_coefficient(monkeypatch):
+    # _binom(2, 1) first enters b_{n,j} at n = 5, j = 2, k = 0, where
+    # (n - k) * 3 * 1 = 15 is odd
+    real = recurrences._binom
+
+    def bumped(m, r):
+        return real(m, r) + (1 if (m, r) == (2, 1) else 0)
+
+    monkeypatch.setattr(recurrences, "_binom", bumped)
+    coefficient_table(PatternId.P31_2, 4)
+    message = "^31-2 coefficient not an integer at n=5, j=2, k=0$"
+    with pytest.raises(IdentityViolation, match=message):
+        coefficient_table(PatternId.P31_2, 5)
+    with pytest.raises(IdentityViolation, match=message):
+        b_coeff_31_2(5, 2)
 
 
 def test_slot_width_bounds_every_asserted_side():
