@@ -11,8 +11,7 @@ from flatperm.qpoly import IdentityViolation, QPoly, _unpack, q_int
 from flatperm.recurrences import (ALL_PATTERNS, DistributionTable, PatternId,
                                   a_coeff_table_31_2, b2_poly_21_3,
                                   b2_poly_23_1, b2_rational_identity_21_3,
-                                  b_coeff_31_2,
-                                  b2_rational_identity_23_1,
+                                  b2_rational_identity_23_1, b_coeff_31_2,
                                   distribution_table, g1k_via_elementary_32_1,
                                   g_12_3, g_21_3, g_23_1, g_31_2, g_32_1,
                                   refined_g1k, qbinom_coefficient_12_3,
