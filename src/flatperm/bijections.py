@@ -47,8 +47,8 @@ library as a whole is single-threaded.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._value import FrozenValue
 from .perm_core import (DEFAULT_MAX_N, CycleForm, VincularPattern3,
                         _check_cap, _flat_words,
                         count_occurrences, flatten_cycle_form)
@@ -57,22 +57,20 @@ _PAT_23_1 = VincularPattern3.from_string("23-1")
 _PAT_32_1 = VincularPattern3.from_string("32-1")
 
 
-@dataclass(frozen=True)
-class MarkedPartition:
+class MarkedPartition(FrozenValue):
     """A set partition of {2,...,n} with a marked subset of blocks.
 
     Blocks are ordered by ascending minima and each block is written in
     descending order; marks[i] tells whether blocks[i] is marked.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
-    marks: tuple[bool, ...]
+    __slots__ = ("blocks", "marks")
 
-    def __post_init__(self):
-        blocks = tuple(tuple(b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "marks", tuple(bool(m) for m in self.marks))
-        if len(blocks) != len(self.marks):
+    def __init__(self, blocks: tuple[tuple[int, ...], ...],
+                 marks: tuple[bool, ...]):
+        blocks = tuple(tuple(b) for b in blocks)
+        marks = tuple(bool(m) for m in marks)
+        if len(blocks) != len(marks):
             raise ValueError("need one mark flag per block")
         support = [x for b in blocks for x in b]
         n = len(support) + 1
@@ -85,6 +83,8 @@ class MarkedPartition:
             minima.append(b[-1])
         if minima != sorted(minima):
             raise ValueError("blocks not ordered by ascending minima")
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "marks", marks)
 
     @classmethod
     def _raw(cls, blocks: tuple[tuple[int, ...], ...],

@@ -126,8 +126,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 
+from ._value import FrozenValue
 from .qpoly import QPoly, _unpack
 
 #: Default refusal bound for the oracle (for the word walk of the classical
@@ -141,17 +141,16 @@ class CapExceeded(ValueError):
     """A brute-force enumeration was refused because n exceeds the cap."""
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(FrozenValue):
     """A permutation of [n] in one-line notation, 1-based values."""
 
-    word: tuple[int, ...]
+    __slots__ = ("word",)
 
-    def __post_init__(self):
-        word = tuple(self.word)
-        object.__setattr__(self, "word", word)
+    def __init__(self, word: tuple[int, ...]):
+        word = tuple(word)
         if sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"not a permutation of [n]: {word}")
+        object.__setattr__(self, "word", word)
 
     @classmethod
     def _raw(cls, word: tuple[int, ...]) -> "Permutation":
@@ -171,15 +170,13 @@ class Permutation:
         return cls(tuple(range(1, n + 1)))
 
 
-@dataclass(frozen=True)
-class CycleForm:
+class CycleForm(FrozenValue):
     """Standard cycle form: min-first cycles, ordered by increasing minima."""
 
-    cycles: tuple[tuple[int, ...], ...]
+    __slots__ = ("cycles",)
 
-    def __post_init__(self):
-        cycles = tuple(tuple(c) for c in self.cycles)
-        object.__setattr__(self, "cycles", cycles)
+    def __init__(self, cycles: tuple[tuple[int, ...], ...]):
+        cycles = tuple(tuple(c) for c in cycles)
         support = [x for c in cycles for x in c]
         if sorted(support) != list(range(1, len(support) + 1)):
             raise ValueError("cycles do not partition [n]")
@@ -190,6 +187,7 @@ class CycleForm:
             firsts.append(c[0])
         if firsts != sorted(firsts):
             raise ValueError("cycles not ordered by increasing first element")
+        object.__setattr__(self, "cycles", cycles)
 
     def to_permutation(self) -> Permutation:
         """Apply the cycle action: within each cycle, x maps to its successor."""
@@ -204,8 +202,7 @@ class CycleForm:
         return "".join("(" + ",".join(map(str, c)) + ")" for c in self.cycles)
 
 
-@dataclass(frozen=True)
-class VincularPattern3:
+class VincularPattern3(FrozenValue):
     """A length-3 pattern with optional adjacency requirements.
 
     ``glue12`` forces the host positions matching letters 1,2 of the pattern
@@ -214,16 +211,18 @@ class VincularPattern3:
     pattern x-y-z.
     """
 
-    letters: tuple[int, int, int]
-    glue12: bool = False
-    glue23: bool = False
+    __slots__ = ("letters", "glue12", "glue23")
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        if sorted(self.letters) != [1, 2, 3]:
-            raise ValueError(f"letters must be a permutation of 1,2,3: {self.letters}")
-        if self.glue12 and self.glue23:
+    def __init__(self, letters: tuple[int, int, int], glue12: bool = False,
+                 glue23: bool = False):
+        letters = tuple(letters)
+        if sorted(letters) != [1, 2, 3]:
+            raise ValueError(f"letters must be a permutation of 1,2,3: {letters}")
+        if glue12 and glue23:
             raise ValueError("fully glued length-3 blocks are not supported")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "glue12", glue12)
+        object.__setattr__(self, "glue23", glue23)
 
     @classmethod
     def from_string(cls, text: str) -> "VincularPattern3":

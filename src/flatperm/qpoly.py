@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 
@@ -64,6 +64,11 @@ class QPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
+
+    def __reduce__(self):
+        # pickle and copy would otherwise restore the slot through the
+        # raising __setattr__
+        return QPoly, (self.coeffs,)
 
     # -- constructors -------------------------------------------------
 
@@ -233,7 +238,7 @@ class QPoly:
         return QPoly._raw(_normalize(
             [i * c for i, c in enumerate(self.coeffs)][1:]))
 
-    def evaluate(self, x: Union[int, Fraction]):
+    def evaluate(self, x: int | Fraction):
         """Horner evaluation; exact for int and Fraction arguments."""
         acc = 0
         for c in reversed(self.coeffs):
@@ -412,7 +417,7 @@ def q_binomial(n: int, k: int) -> QPoly:
 # Callers that need the ordinary "empty list gives 0" behaviour must not
 # pass empty lists.
 
-PolyLike = Union[QPoly, int]
+PolyLike = QPoly | int
 
 
 def _edge_case(j: int, xs: Sequence[PolyLike]):

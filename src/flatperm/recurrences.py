@@ -90,11 +90,11 @@ build to n = max(n_max, 20).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from . import perm_core
+from ._value import FrozenValue
 from .qpoly import IdentityViolation, QPoly, _unpack, q_binomial, q_int
 
 _ONE = QPoly.one()
@@ -130,28 +130,28 @@ class PatternId(Enum):
 ALL_PATTERNS = tuple(PatternId)
 
 
-@dataclass(frozen=True)
-class DistributionTable:
+class DistributionTable(FrozenValue):
     """Distribution polynomials g_1 .. g_n for one pattern.
 
     ``polys[i]`` holds g_{i+1}; ``g(n)`` is the 1-based accessor.  Each
     g_n sums to n! at q=1 (it distributes all of S_n by occurrence count).
     """
 
-    pattern: PatternId
-    polys: tuple[QPoly, ...]
+    __slots__ = ("pattern", "polys")
 
-    def __post_init__(self):
-        object.__setattr__(self, "polys", tuple(self.polys))
-        if not self.polys or self.polys[0] != _ONE:
+    def __init__(self, pattern: PatternId, polys: tuple[QPoly, ...]):
+        polys = tuple(polys)
+        if not polys or polys[0] != _ONE:
             raise ValueError("table must start with g_1 = 1")
-        if len(self.polys) >= 2 and self.polys[1] != QPoly((2,)):
+        if len(polys) >= 2 and polys[1] != QPoly((2,)):
             raise ValueError("g_2 must equal 2")
         fact = 1
-        for n, poly in enumerate(self.polys, start=1):
+        for n, poly in enumerate(polys, start=1):
             fact *= n
             if sum(poly.coeffs) != fact:
-                raise ValueError(f"g_{n}(1) != {n}! for pattern {self.pattern}")
+                raise ValueError(f"g_{n}(1) != {n}! for pattern {pattern}")
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "polys", polys)
 
     @property
     def max_n(self) -> int:
@@ -306,15 +306,18 @@ def qbinom_coefficient_12_3(n: int, j: int) -> QPoly:
     return total
 
 
-@dataclass(frozen=True)
-class CoefficientFormComparison12_3:
+class CoefficientFormComparison12_3(FrozenValue):
     """Outcome of replaying the 12-3 recurrence from its q-binomial
     coefficient form: once with the sum starting at j=2 (no g_{n-1} term)
     and once extended with the j=1 coefficient."""
 
-    n: int
-    j2_only_matches: bool
-    with_j1_term_matches: bool
+    __slots__ = ("n", "j2_only_matches", "with_j1_term_matches")
+
+    def __init__(self, n: int, j2_only_matches: bool,
+                 with_j1_term_matches: bool):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "j2_only_matches", j2_only_matches)
+        object.__setattr__(self, "with_j1_term_matches", with_j1_term_matches)
 
 
 def qbinom_form_consistency_12_3(n_max: int) -> list[CoefficientFormComparison12_3]:
@@ -466,20 +469,18 @@ def _slot_bytes(capacity: int) -> int:
     return (bits + 7) // 8
 
 
-class _Level(NamedTuple):
+class _Level(namedtuple("_Level", "capacity width n row g polys")):
     """A pattern's memo record at level n, replaced whole by each step.
 
-    ``row`` is level n's row, a tuple indexed by k (entries 0 and 1
-    unused), each entry a polynomial's value at q = 2^(8 width); 12-3 rows
-    hold the q-lowered low_n(k) = g_n(1k) / q^(n-k).  No older row is kept.
+    ``width`` is the bytes per slot, from the ``capacity``.  ``row`` is
+    level n's row, a tuple indexed by k (entries 0 and 1 unused), each
+    entry a polynomial's value at q = 2^(8 width); 12-3 rows hold the
+    q-lowered low_n(k) = g_n(1k) / q^(n-k).  No older row is kept.  ``g``
+    holds packed g_{n-1}, g_n, and ``polys`` g_1 .. g_M unpacked, M >= n
+    the highest level committed.
     """
 
-    capacity: int
-    width: int     # bytes per slot, from the capacity
-    n: int
-    row: tuple
-    g: tuple       # packed g_{n-1}, g_n
-    polys: tuple   # g_1 .. g_M unpacked, M >= n the highest level committed
+    __slots__ = ()
 
 
 def _start(capacity: int, polys: tuple = (_ONE,)) -> _Level:
@@ -539,7 +540,7 @@ def _row_p23_1(s, n, prev, g1, g2):
     for k in range(3, n + 1):
         prefix += prev[k - 1]
         t = s * (k - 2)
-        row.append((g1 << t) + prefix - (prefix << t))
+        row.append(((g1 - prefix) << t) + prefix)
     return tuple(row)
 
 

@@ -28,17 +28,17 @@ index shift.  m! is divided out only when the returned series is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Sequence, Union
 
+from ._value import FrozenValue
 from .qpoly import IdentityViolation
 
 DEFAULT_ORDER = 24
 MAX_ORDER = 64
 
-Coeff = Union[int, Fraction]
+Coeff = int | Fraction
 
 
 def _normal(c) -> Coeff:
@@ -59,14 +59,14 @@ def _div(a: Coeff, b: Coeff) -> Coeff:
     return Fraction(a, b)
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    coeffs: tuple[Coeff, ...]
+class PowerSeries(FrozenValue):
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(_normal, self.coeffs)))
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[Coeff, ...]):
+        coeffs = tuple(map(_normal, coeffs))
+        if not coeffs:
             raise ValueError("a series needs a positive truncation order")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:

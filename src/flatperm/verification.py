@@ -14,11 +14,11 @@ their detail text spells the finding out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import bijections, closed_forms, perm_core, recurrences, series
+from ._value import Value
 from .qpoly import QPoly, complete_h, e_on_qints_closed_form, elementary_e, \
     h_on_qint_window_closed_form, q_int
 from .recurrences import ALL_PATTERNS, PatternId
@@ -41,12 +41,14 @@ DEFAULT_N_MAX = {
 CROSS_PATTERN_N_MAX = 40
 
 
-@dataclass
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Value):
+    __slots__ = ("suite", "name", "passed", "detail")
+
+    def __init__(self, suite: str, name: str, passed: bool, detail: str = ""):
+        self.suite = suite
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -54,9 +56,11 @@ class CheckResult:
         return f"{status}  [{self.suite}] {self.name}{tail}"
 
 
-@dataclass
-class Report:
-    results: list[CheckResult] = field(default_factory=list)
+class Report(Value):
+    __slots__ = ("results",)
+
+    def __init__(self, results: list[CheckResult] | None = None):
+        self.results = [] if results is None else results
 
     @property
     def ok(self) -> bool:
@@ -415,29 +419,33 @@ def _suite_bijections(report: Report, n_max: int):
 # ---------------------------------------------------------------------------
 
 def _suite_identities(report: Report, n_max: int):
+    totals: dict[tuple[int, str], int] = {}
+
+    def total(text: str, n: int) -> int:
+        """The oracle's total of the pattern text over S_n, computed once
+        per suite call and shared by both checks.  Each check asks for its
+        own totals, so a check that fails part way leaves the other one to
+        compute what is missing."""
+        key = (n, text)
+        if key not in totals:
+            totals[key] = perm_core.brute_total_occurrences(
+                n, perm_core.VincularPattern3.from_string(text))
+        return totals[key]
+
     def check_totals():
         for n in range(3, n_max + 1):
-            for pattern in ALL_PATTERNS:
-                formula = closed_forms.total_occurrences(pattern, n)
-                brute = perm_core.brute_total_occurrences(n, pattern.vincular())
+            for text in (*map(str, ALL_PATTERNS),
+                         closed_forms.AUX_3_21, closed_forms.AUX_3_12):
+                formula = closed_forms.total_occurrences(text, n)
+                brute = total(text, n)
                 _require(formula == brute, lambda:
-                         f"{pattern}, n={n}: {formula} != brute {brute}")
-            for aux in (closed_forms.AUX_3_21, closed_forms.AUX_3_12):
-                formula = closed_forms.total_occurrences(aux, n)
-                brute = perm_core.brute_total_occurrences(
-                    n, perm_core.VincularPattern3.from_string(aux))
-                _require(formula == brute,
-                         lambda: f"{aux}, n={n}: {formula} != brute {brute}")
+                         f"{text}, n={n}: {formula} != brute {brute}")
         return f"formula totals == brute totals, n=3..{n_max}"
     _run(report, "identities", "occurrence totals vs brute force", check_totals)
 
     def check_total_identities():
         # on the oracle's totals: closed_forms defines the 21-3 and 12-3
         # totals by these identities, and 32-1 and 23-1 by one formula
-        def total(text, n):
-            return perm_core.brute_total_occurrences(
-                n, perm_core.VincularPattern3.from_string(text))
-
         for n in range(3, n_max + 1):
             _require(total("32-1", n) == total("23-1", n),
                      lambda: f"tot(32-1) != tot(23-1) at n={n}")
