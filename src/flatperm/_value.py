@@ -25,8 +25,8 @@ class Value:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if cls.__slots__:
-            cls._names = names = cls.__slots__
+        names = cls.__slots__
+        if names:
             get = attrgetter(*names)
             # the tuple of an instance's fields; attrgetter returns a bare
             # value for a single name
@@ -40,7 +40,7 @@ class Value:
 
     def __repr__(self):
         shown = ", ".join(f"{name}={value!r}" for name, value
-                          in zip(self._names, self._fields(self)))
+                          in zip(self.__slots__, self._fields(self)))
         return f"{self.__class__.__qualname__}({shown})"
 
     def __reduce__(self):

@@ -112,7 +112,9 @@ of a ``CycleForm``, whose own check makes them partition [n]) and
 The exhaustive tests in tests/test_bijections.py compare every such value
 with the checked constructor's for n <= 7.
 
-Threads.  All types here are immutable values.  The memo ``_FRONTS``,
+Threads.  All types here are immutable values (``_value.FrozenValue``):
+assigning to a field raises AttributeError, and pickle and copy rebuild a
+value through its checking constructor.  The memo ``_FRONTS``,
 like the package's other memos (the table builders in ``recurrences``,
 the special numbers in ``closed_forms``), is per process and unguarded,
 so the library is single-threaded: call it from one thread at a time.

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -356,3 +359,16 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["n_max"] == 3
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # start-up: the value classes are plain __slots__ classes and no
+    # annotation needs typing, so a bare interpreter imports neither
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = (f"import sys; sys.path.insert(0, {src!r})\n"
+             "import flatperm.cli\n"
+             "print(sorted({'dataclasses', 'inspect', 'typing'}"
+             " & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", probe],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["[]"]

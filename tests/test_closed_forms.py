@@ -148,6 +148,49 @@ def test_pairing_identities_check_fails_on_a_wrong_brute_total(monkeypatch):
     assert result.detail == "21-3 pair identity at n=3"
 
 
+def _counted_brute_totals(monkeypatch):
+    """Patch perm_core.brute_total_occurrences to record each (n, text)
+    it is asked for; returns the list of records."""
+    real = perm_core.brute_total_occurrences
+    calls = []
+
+    def counted(n, pat, *args):
+        calls.append((n, str(pat)))
+        return real(n, pat, *args)
+
+    monkeypatch.setattr(perm_core, "brute_total_occurrences", counted)
+    return calls
+
+
+TOTAL_TEXTS = [str(p) for p in ALL_PATTERNS] + [AUX_3_21, AUX_3_12]
+
+
+def test_identities_suite_computes_each_brute_total_once(monkeypatch):
+    calls = _counted_brute_totals(monkeypatch)
+    report = verification.run_suite("identities", 5)
+    assert report.ok
+    assert sorted(calls) == sorted((n, text) for n in range(3, 6)
+                                   for text in TOTAL_TEXTS)
+
+
+def test_pairing_identities_compute_what_a_failed_totals_check_left(
+        monkeypatch):
+    # the totals check stops at 23-1, n = 4; the pairing identities then
+    # compute the totals it did not reach, and pass on the exact counts
+    real = closed_forms.total_occurrences
+    monkeypatch.setattr(closed_forms, "total_occurrences", lambda p, n:
+                        real(p, n) + (n == 4 and str(p) == "23-1"))
+    calls = _counted_brute_totals(monkeypatch)
+    report = verification.run_suite("identities", 5)
+    results = {r.name: r for r in report.results}
+    totals = results["occurrence totals vs brute force"]
+    assert not totals.passed
+    assert totals.detail.startswith("23-1, n=4: ")
+    assert results["occurrence-total pairing identities"].passed
+    assert len(calls) == len(set(calls))
+    assert {(4, "32-1"), (5, "23-1")} <= set(calls)
+
+
 def test_totals_equal_scaled_averages():
     for n in range(3, 9):
         for pattern in ALL_PATTERNS:
