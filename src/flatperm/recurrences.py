@@ -43,22 +43,33 @@ table.  A builder of capacity N serves n <= N with s the least multiple of
 Retention.  ``_BUILDERS`` is the one memo: one record per pattern
 (``_Level``), holding the builder's capacity and slot width, its level n
 with the last packed row, packed g_{n-1} and g_n, and g_1 .. g_M unpacked,
-M the highest level ever committed.  No older row is kept.
-``distribution_table(P, n)`` reads the table when n <= M and otherwise grows
-the builder; ``refined_g1k(P, n, k)`` reads the last row when n is the
-builder's level and grows the builder when n is above it.  A request past a
-builder's capacity N starts it over at capacity max(n, 2N) instead of
-repacking it; a pattern's first builder gets capacity max(n, 40), so every
-size that ``verify`` and the tests ask for fits it.  A refined read below
-the level starts the builder over at capacity max(n, 40), so the rows of
-n <= 40 keep the narrow slots of capacity 40.  Both keep the table.
+M the highest level ever committed.  Every pattern keeps its table, but
+only the pattern stepped last keeps a row: before a step of one pattern,
+every other pattern's record goes back to level 1 with its table, one
+assignment per record.  No older row is kept.  ``distribution_table(P, n)``
+reads the table when n <= M and otherwise grows the builder;
+``refined_g1k(P, n, k)`` reads the last row when n is the builder's level
+and grows the builder when n is above it, after sending the record back to
+level 1 when n is below it.  A record back at level 1 has capacity 40, and
+one that must start over, having no row or being below the top of its
+table, gets capacity max(n, 40): the width a fresh process builds at, so
+the rows of n <= 40 keep the narrow slots of capacity 40, and every size
+that ``verify`` and the tests ask for fits a first builder.  Only a live
+builder, one at the top of its table, asked past its capacity N starts over
+at capacity max(n, 2N) instead of repacking: there a start-over builds every
+level of the table again, and doubling amortizes that over a table grown
+step by step.  Every start-over keeps the table.
 
-That is the trade for keeping one row: a read below the level costs one
-build to that n (reading the 23-1 rows with k = 2 from n = 40 down to 2
-took 0.21-0.24 s of CPU, against 0.03 s when every row was kept).  Every
-caller in this package reads n ascending per pattern, so each of them
-builds a level at most once per start-over, and re-built levels pass every
-row step and assertion again.
+That is the trade for keeping one row: at n = 50 the five rows would hold
+6.8 MB of packed integers, against 3.8 MB for the five tables they serve,
+but a refined read below the level costs one build to that n (reading the
+23-1 rows with k = 2 from n = 40 down to 2 took 0.21-0.24 s of CPU, against
+0.03 s when every row was kept), and so does the first refined read of a
+pattern after a step of another: reads that alternate between patterns at
+the same n build levels 2 .. n again on every switch.  Every caller in this
+package reads one pattern at a time, n ascending, so each of them builds a
+level at most once per start-over, and re-built levels pass every row step
+and assertion again.
 
 A step computes the next record into locals, asserts the level's
 difference recurrences, unpacks g_n only after they pass, and commits the
@@ -652,19 +663,34 @@ def _assert_difference_recurrence(pattern, s, n, row, prev, g1, g2):
 _BUILDERS: dict[PatternId, _Level] = {}
 
 
+def _level_one(builder: _Level) -> _Level:
+    """``builder``'s record sent back to level 1: no row, capacity
+    _MIN_CAPACITY, the same table."""
+    return _start(_MIN_CAPACITY, builder.polys)
+
+
 def _grown(pattern: PatternId, n: int) -> _Level:
     """The memoized builder of ``pattern``, grown to level n.
 
-    A pattern's first builder gets capacity max(n, _MIN_CAPACITY); a
-    request past a builder's capacity N starts it over at capacity
-    max(n, 2N), keeping its table.  Each step commits the whole record.
+    Read one pattern at a time, n ascending: before stepping ``pattern``,
+    every other pattern's record goes back to level 1 with its table.  A
+    builder that must start over gets capacity max(n, _MIN_CAPACITY), or
+    max(n, 2N) when it is live (at the top of its table, with a row) and N
+    is its capacity; it keeps its table.  Each step commits the whole
+    record.
     """
     builder = _BUILDERS.get(pattern)
     if builder is None:
         builder = _BUILDERS[pattern] = _start(max(n, _MIN_CAPACITY))
     elif n > builder.capacity:
-        builder = _BUILDERS[pattern] = _start(max(n, 2 * builder.capacity),
+        live = 1 < builder.n == len(builder.polys)
+        capacity = 2 * builder.capacity if live else _MIN_CAPACITY
+        builder = _BUILDERS[pattern] = _start(max(n, capacity),
                                               builder.polys)
+    if builder.n < n:
+        for other, record in tuple(_BUILDERS.items()):
+            if other is not pattern and record.n > 1:
+                _BUILDERS[other] = _level_one(record)
     while builder.n < n:
         builder = _BUILDERS[pattern] = _step(pattern, builder)
     return builder
@@ -675,7 +701,8 @@ def distribution_table(pattern: PatternId, n_max: int) -> DistributionTable:
 
     The table is memoized per pattern and grown incrementally: an n_max
     within it runs no step, and a larger n_max later grows the pattern's
-    builder (see the module docstring).
+    builder.  Read one pattern at a time, n ascending (see the module
+    docstring).
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -709,8 +736,9 @@ def refined_g1k(pattern: PatternId, n: int, k: int) -> QPoly:
     """g_n(1k): the distribution restricted to flattened forms starting 1,k.
 
     Served from the last row of the pattern's builder: reads at its level or
-    above are cheap, and a read below it builds the rows again from n = 2,
-    so read n ascending (see the module docstring).
+    above are cheap, while a read below it, or the first read after a step
+    of another pattern, builds the rows again from n = 2.  Read one pattern
+    at a time, n ascending (see the module docstring).
     """
     if n < 2:
         raise ValueError("refined distributions need n >= 2")
@@ -718,7 +746,7 @@ def refined_g1k(pattern: PatternId, n: int, k: int) -> QPoly:
         raise ValueError(f"prefix letter k={k} out of range 2..{n}")
     builder = _BUILDERS.get(pattern)
     if builder is not None and n < builder.n:
-        _BUILDERS[pattern] = _start(max(n, _MIN_CAPACITY), builder.polys)
+        _BUILDERS[pattern] = _level_one(builder)
     builder = _grown(pattern, n)
     value = _unpack(builder.row[k], builder.width)
     return value.shifted(n - k) if pattern is PatternId.P12_3 else value

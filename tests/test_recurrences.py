@@ -430,6 +430,48 @@ def test_interrupted_step_leaves_a_whole_level(pattern, restarted,
 
 
 @pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+def test_interrupted_step_of_another_pattern(pattern, monkeypatch):
+    # pattern's builder at level 6, then another pattern (at level 1 with
+    # a table to 3) stepped to 7; the interrupts fall in the loop that
+    # sends pattern back to level 1 as well as in the steps
+    other = ALL_PATTERNS[ALL_PATTERNS.index(pattern) - 1]
+
+    def start():
+        monkeypatch.setattr(recurrences, "_BUILDERS", {})
+        distribution_table(other, 3)
+        refined_g1k(pattern, 6, 2)
+        return dict(recurrences._BUILDERS)
+
+    def rows(p, n_max):
+        return {(n, k): refined_g1k(p, n, k)
+                for n in range(2, n_max + 1) for k in range(2, n + 1)}
+
+    def rebuilt():
+        return {p: (rows(p, 8), distribution_table(p, 9).polys)
+                for p in (pattern, other)}
+
+    committed = [start()[other]]
+    while len(committed) < 7:
+        committed.append(recurrences._step(other, committed[-1]))
+    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    fresh = rebuilt()
+
+    seen = set()
+    for memo in interrupt_every_line(
+            recurrences, start, lambda _: distribution_table(other, 7)):
+        assert set(recurrences._BUILDERS) == {pattern, other}
+        mine = recurrences._BUILDERS[pattern]
+        assert mine in (memo[pattern], recurrences._level_one(memo[pattern]))
+        theirs = recurrences._BUILDERS[other]
+        assert theirs in committed
+        seen.add((mine.n, theirs.n))
+        assert rebuilt() == fresh
+    # interrupted before the drop, after it and before the first step, and
+    # after steps
+    assert {(6, 1), (1, 1), (1, 2)} <= seen
+
+
+@pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
 def test_refined_failed_check_raises_again(pattern, monkeypatch):
     original = recurrences._assert_difference_recurrence
 
@@ -472,7 +514,10 @@ def test_read_below_the_level_then_the_table(pattern, monkeypatch):
     got = _fresh(monkeypatch, lambda: (
         row(40), row(3), distribution_table(pattern, 50)))
     assert got == want
-    assert recurrences._BUILDERS[pattern].capacity == 80
+    # the builder started over below the top of its table, so it does not
+    # double its capacity: the table grows at a fresh process's width
+    builder = recurrences._BUILDERS[pattern]
+    assert (builder.capacity, builder.width) == (50, _slot_bytes(50))
 
 
 def test_table_reads_within_the_table_run_no_step(monkeypatch):
@@ -493,9 +538,10 @@ def test_table_reads_within_the_table_run_no_step(monkeypatch):
         distribution_table(PatternId.P31_2, 13)
 
 
-def test_memo_keeps_one_row_per_pattern(monkeypatch):
-    # the deep_tables benchmark order: each table to n = 50, then every
-    # g_n(1k) to n = 40 with n ascending
+def _deep_tables_order(monkeypatch):
+    """The deep_tables benchmark order on an empty memo: each table to
+    n = 50, then every g_n(1k) to n = 40, one pattern at a time with n
+    ascending."""
     monkeypatch.setattr(recurrences, "_BUILDERS", {})
     for p in ALL_PATTERNS:
         distribution_table(p, 50)
@@ -503,13 +549,58 @@ def test_memo_keeps_one_row_per_pattern(monkeypatch):
         for n in range(2, 41):
             for k in range(2, n + 1):
                 refined_g1k(p, n, k)
+
+
+def test_memo_keeps_one_row(monkeypatch):
+    _deep_tables_order(monkeypatch)
+    last = ALL_PATTERNS[-1]
     assert set(recurrences._BUILDERS) == set(ALL_PATTERNS)
-    for builder in recurrences._BUILDERS.values():
+    assert [p for p, b in recurrences._BUILDERS.items() if b.n > 1] == [last]
+    for p, builder in recurrences._BUILDERS.items():
         assert type(builder) is recurrences._Level
-        # the rows were built at the slot width of capacity 40, not 50
-        assert (builder.capacity, builder.width) \
-            == (_MIN_CAPACITY, _slot_bytes(_MIN_CAPACITY))
-        assert builder.n == 40 and len(builder.row) == 41
-        assert all(type(x) is int for x in builder.row + builder.g)
         assert len(builder.polys) == 50
         assert all(type(x) is QPoly for x in builder.polys)
+        if p is last:
+            # the rows were built at the slot width of capacity 40, not 50
+            assert (builder.capacity, builder.width) \
+                == (_MIN_CAPACITY, _slot_bytes(_MIN_CAPACITY))
+            assert builder.n == 40 and len(builder.row) == 41
+            assert all(type(x) is int for x in builder.row + builder.g)
+        else:
+            assert builder == recurrences._start(_MIN_CAPACITY,
+                                                 builder.polys)
+
+
+def test_table_reads_never_step_a_dropped_pattern(monkeypatch):
+    _deep_tables_order(monkeypatch)
+    fresh = {p: recurrences._BUILDERS[p].polys for p in ALL_PATTERNS}
+
+    def no_step(*args):
+        raise AssertionError("a row step ran")
+
+    for p in ALL_PATTERNS:
+        monkeypatch.setitem(recurrences._ROWS, p, no_step)
+    for p in ALL_PATTERNS:
+        for n in range(1, 51):
+            assert distribution_table(p, n).polys == fresh[p][:n]
+
+
+@pytest.mark.parametrize("restart", ["refined read below the level",
+                                     "row dropped by another pattern"])
+def test_table_after_a_start_over_is_built_at_the_fresh_width(
+        restart, monkeypatch):
+    pattern, other = PatternId.P31_2, PatternId.P32_1
+    fresh = _fresh(monkeypatch, lambda: distribution_table(pattern, 50))
+    for n in (30, 50):
+        monkeypatch.setattr(recurrences, "_BUILDERS", {})
+        distribution_table(pattern, n - 5)
+        if restart == "refined read below the level":
+            refined_g1k(pattern, 5, 2)
+        else:
+            distribution_table(other, 3)
+            assert recurrences._BUILDERS[pattern].n == 1
+        assert distribution_table(pattern, n).polys == fresh.polys[:n]
+        builder = recurrences._BUILDERS[pattern]
+        capacity = max(n, _MIN_CAPACITY)
+        assert (builder.capacity, builder.width) \
+            == (capacity, _slot_bytes(capacity))
