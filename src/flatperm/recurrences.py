@@ -60,25 +60,27 @@ at capacity max(n, 2N) instead of repacking: there a start-over builds every
 level of the table again, and doubling amortizes that over a table grown
 step by step.  Every start-over keeps the table.
 
-That is the trade for keeping one row: at n = 50 the five rows would hold
-6.8 MB of packed integers, against 3.8 MB for the five tables they serve,
-but a refined read below the level costs one build to that n (reading the
-23-1 rows with k = 2 from n = 40 down to 2 took 0.21-0.24 s of CPU, against
-0.03 s when every row was kept), and so does the first refined read of a
-pattern after a step of another: reads that alternate between patterns at
-the same n build levels 2 .. n again on every switch.  Every caller in this
-package reads one pattern at a time, n ascending, so each of them builds a
-level at most once per start-over, and re-built levels pass every row step
-and assertion again.
+That is the trade for keeping one row: at n = 50 the five builders' packed
+rows and g values would hold 6.8 MB, against 3.8 MB for the five tables
+they serve, but a refined read below the level costs one build to that n
+(reading the 23-1 rows with k = 2 from n = 40 down to 2 took 0.21-0.24 s of
+CPU, against 0.03 s when every row was kept), and so does the first refined
+read of a pattern after a step of another: reads that alternate between
+patterns at the same n build levels 2 .. n again on every switch.  Every
+caller in this package reads one pattern at a time, n ascending, so each of
+them builds a level at most once per start-over, and re-built levels pass
+every row step and assertion again.
 
 A step computes the next record into locals, asserts the level's
 difference recurrences, unpacks g_n only after they pass, and commits the
 record by one assignment, so a build that stops with any exception, an
 interrupt included, leaves the last committed level whole, and the next
-call goes on from it.  The returned tables and polynomials are immutable
-values, but the memo is a module-level dict, one per process, with no lock:
-the library is single-threaded, so call it from one thread at a time.
-Separate processes share nothing and may run freely in parallel.
+call goes on from it.  A record sent back to level 1 is replaced by one
+assignment too, so a stop between two of them leaves every record whole.
+The returned tables and polynomials are immutable values, but the memo is
+a module-level dict, one per process, with no lock: the library is
+single-threaded, so call it from one thread at a time.  Separate processes
+share nothing and may run freely in parallel.
 
 Independent check.  The paper's coefficient-table recurrences
 
