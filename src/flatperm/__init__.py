@@ -37,8 +37,8 @@ from .qpoly import (IdentityViolation, QPoly, Rational, complete_h,
                     h_on_qint_window_closed_form, nonadjacent_e_prime,
                     q_binomial, q_factorial, q_int)
 from .recurrences import (ALL_PATTERNS, DistributionTable, PatternId,
-                          distribution_table, g_12_3, g_21_3, g_23_1, g_31_2,
-                          g_32_1, refined_g1k)
+                          distribution_polynomial, distribution_table, g_12_3,
+                          g_21_3, g_23_1, g_31_2, g_32_1, refined_g1k)
 from .series import (PowerSeries, exp_series, expand_egf_12_3_avoid,
                      expand_egf_21_3_avoid, expand_G_r_31_2, sqrt_series)
 from .verification import run_suite
@@ -52,11 +52,11 @@ __all__ = [
     "average_occurrences", "avoider_23_1_to_partition", "avoiders",
     "brute_distribution", "brute_refined_distribution",
     "check_31_2_equivalence", "complete_h", "count_in_flattened_sense",
-    "count_occurrences", "distribution_table", "e_on_qints_closed_form",
-    "elementary_e", "enumerate_marked_partitions", "enumerate_permutations",
-    "exp_series", "expand_G_r_31_2", "expand_egf_12_3_avoid",
-    "expand_egf_21_3_avoid", "flatten", "g_12_3", "g_21_3", "g_23_1",
-    "g_31_2", "g_32_1", "h_on_qint_window_closed_form",
+    "count_occurrences", "distribution_polynomial", "distribution_table",
+    "e_on_qints_closed_form", "elementary_e", "enumerate_marked_partitions",
+    "enumerate_permutations", "exp_series", "expand_G_r_31_2",
+    "expand_egf_12_3_avoid", "expand_egf_21_3_avoid", "flatten", "g_12_3",
+    "g_21_3", "g_23_1", "g_31_2", "g_32_1", "h_on_qint_window_closed_form",
     "inverse_32_1_to_23_1", "limit_check", "map_23_1_to_32_1",
     "nonadjacent_e_prime", "numbers", "partition_to_23_1_avoider",
     "q_binomial", "q_factorial", "q_int", "refined_g1k", "run_suite",

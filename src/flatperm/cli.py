@@ -82,8 +82,8 @@ def cmd_distribution(args: argparse.Namespace) -> str:
         if args.n > RECURRENCE_MAX_N:
             raise UsageError(
                 f"n={args.n} exceeds the recurrence cap {RECURRENCE_MAX_N}")
-        results["recurrence"] = recurrences.distribution_table(
-            pattern, args.n).g(args.n)
+        results["recurrence"] = recurrences.distribution_polynomial(
+            pattern, args.n)
         _check_closed_forms(pattern, args.n, results["recurrence"])
     if args.method in ("brute", "both"):
         try:

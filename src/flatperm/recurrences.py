@@ -17,9 +17,10 @@ Packing.  Every polynomial of that recurrence is carried as one Python int,
 its value at q = 2^s.  Evaluation at an integer is a ring homomorphism
 Z[q] -> Z, so each row step and each assertion is integer ``+``, ``-`` and
 ``<<`` (q^t p is p << s*t), and a polynomial is cut out of its s-bit slots
-only on the way out: per read in ``refined_g1k``, once per g_n for the
-table.  A builder of capacity N serves n <= N with s the least multiple of
-8 such that 8 N! < 2^(s-2).  That bound is enough:
+only on the way out: per read in ``refined_g1k`` and
+``distribution_polynomial``, once per g_n for the table.  A builder of
+capacity N serves n <= N with s the least multiple of 8 such that
+8 N! < 2^(s-2).  That bound is enough:
 
 * every packed value (g_n, g_n(1k), low_n(k) for n <= N) counts permutations
   of S_n by occurrences, so its coefficients lie in [0, N!], below 2^s, and
@@ -43,22 +44,29 @@ table.  A builder of capacity N serves n <= N with s the least multiple of
 Retention.  ``_BUILDERS`` is the one memo: one record per pattern
 (``_Level``), holding the builder's capacity and slot width, its level n
 with the last packed row, packed g_{n-1} and g_n, and g_1 .. g_M unpacked,
-M the highest level ever committed.  Every pattern keeps its table, but
-only the pattern stepped last keeps a row: before a step of one pattern,
-every other pattern's record goes back to level 1 with its table, one
-assignment per record.  No older row is kept.  ``distribution_table(P, n)``
-reads the table when n <= M and otherwise grows the builder;
-``refined_g1k(P, n, k)`` reads the last row when n is the builder's level
-and grows the builder when n is above it, after sending the record back to
-level 1 when n is below it.  A record back at level 1 has capacity 40, and
-one that must start over, having no row or being below the top of its
-table, gets capacity max(n, 40): the width a fresh process builds at, so
-the rows of n <= 40 keep the narrow slots of capacity 40, and every size
-that ``verify`` and the tests ask for fits a first builder.  Only a live
-builder, one at the top of its table, asked past its capacity N starts over
-at capacity max(n, 2N) instead of repacking: there a start-over builds every
-level of the table again, and doubling amortizes that over a table grown
-step by step.  Every start-over keeps the table.
+M the highest n that ``distribution_table`` was asked for; the level may be
+above M or below it.  Only ``distribution_table`` unpacks g_n into the
+table.  ``refined_g1k(P, n, k)`` and ``distribution_polynomial(P, n)`` (g_n
+alone, which the CLI prints) step without unpacking and read the table
+only when it already holds n.  Every pattern keeps its table, but only the
+pattern stepped last keeps a row: before a step of one pattern, every
+other pattern's record goes back to level 1 with its table, one assignment
+per record.  No older row is kept, and a step releases each entry of the
+last row once past its last use, so it holds about one row, not two.
+``distribution_table(P, n)`` reads the table when n <= M; otherwise it
+grows the builder and unpacks every level past the table, after sending
+the record back to level 1 when its level is above M (the levels between
+have left no g to unpack).  The other two reads use the builder's row or g_n when
+n is its level, grow it when n is above, and send it back to level 1
+first when n is below.  A record back at level 1 has capacity 40, and one
+that must start over, having no row or being below the top of its table,
+gets capacity max(n, 40): the width a fresh process builds at, so the rows
+of n <= 40 keep the narrow slots of capacity 40, and every size that
+``verify`` and the tests ask for fits a first builder.  Only a live
+builder, one with a row at or above the top of its table, asked past its
+capacity N starts over at capacity max(n, 2N) instead of repacking: there
+a start-over builds every level again, and doubling amortizes that over
+reads that ascend step by step.  Every start-over keeps the table.
 
 That is the trade for keeping one row: at n = 50 the five builders' packed
 rows and g values would hold 6.8 MB, against 3.8 MB for the five tables
@@ -71,16 +79,20 @@ caller in this package reads one pattern at a time, n ascending, so each of
 them builds a level at most once per start-over, and re-built levels pass
 every row step and assertion again.
 
-A step computes the next record into locals, asserts the level's
-difference recurrences, unpacks g_n only after they pass, and commits the
-record by one assignment, so a build that stops with any exception, an
-interrupt included, leaves the last committed level whole, and the next
-call goes on from it.  A record sent back to level 1 is replaced by one
-assignment too, so a stop between two of them leaves every record whole.
-The returned tables and polynomials are immutable values, but the memo is
-a module-level dict, one per process, with no lock: the library is
-single-threaded, so call it from one thread at a time.  Separate processes
-share nothing and may run freely in parallel.
+A step first sends its pattern's record back to level 1 with its table,
+which hands it the last row to release entry by entry.  It asserts each
+difference recurrence as soon as the row entries it needs are in place,
+unpacks g_n (for ``distribution_table``) only after every one has passed,
+and commits the new record by one assignment.  So a build that stops with
+any exception, an interrupt included, leaves the pattern's record at the
+last committed level or at level 1 with the same table: a stop mid-step
+restarts the pattern from level 1 on the next call.  A record sent back to
+level 1 is replaced by one assignment too, so a stop between two of them
+leaves every record whole.  The returned tables and polynomials are
+immutable values, but the memo is a module-level dict, one per process,
+with no lock: the library is single-threaded, so call it from one thread
+at a time.  Separate processes share nothing and may run freely in
+parallel.
 
 Independent check.  The paper's coefficient-table recurrences
 
@@ -489,11 +501,21 @@ class _Level(namedtuple("_Level", "capacity width n row g polys")):
     level n's row, a tuple indexed by k (entries 0 and 1 unused), each
     entry a polynomial's value at q = 2^(8 width); 12-3 rows hold the
     q-lowered low_n(k) = g_n(1k) / q^(n-k).  No older row is kept.  ``g``
-    holds packed g_{n-1}, g_n, and ``polys`` g_1 .. g_M unpacked, M >= n
-    the highest level committed.
+    holds packed g_{n-1}, g_n, and ``polys`` g_1 .. g_M unpacked, M the
+    highest level that ``distribution_table`` asked for.
     """
 
     __slots__ = ()
+
+    def __repr__(self):
+        # the packed values pass the limit on int-to-str digits from a 32-1
+        # record at n = 16 on, so only their sizes are shown
+        bits = [x.bit_length() for x in self.row]
+        return (f"_Level(capacity={self.capacity}, width={self.width}, "
+                f"n={self.n}, row of {len(self.row)} entries: {sum(bits)} "
+                f"bits, at most {max(bits)} each, g of "
+                f"{self.g[0].bit_length()} and {self.g[1].bit_length()} "
+                f"bits, table g_1..g_{len(self.polys)})")
 
 
 def _start(capacity: int, polys: tuple = (_ONE,)) -> _Level:
@@ -502,122 +524,117 @@ def _start(capacity: int, polys: tuple = (_ONE,)) -> _Level:
     return _Level(capacity, _slot_bytes(capacity), 1, (0, 0), (0, 1), polys)
 
 
-def _step(pattern: PatternId, builder: _Level) -> _Level:
-    """The record one level up: the row, its difference-recurrence
-    assertions, and only then g_n, unpacked for a level past the table."""
-    n, width = builder.n + 1, builder.width
-    s = 8 * width
-    g2, g1 = builder.g
-    row = _ROWS[pattern](s, n, builder.row, g1, g2)
-    _assert_difference_recurrence(pattern, s, n, row, builder.row, g1, g2)
-    if pattern is PatternId.P12_3:
-        g = sum(row[k] << s * (n - k) for k in range(2, n + 1))
-    else:
-        g = sum(row[2:])
-    polys = builder.polys
-    if n > len(polys):
-        polys += (_unpack(g, width),)
-    return _Level(builder.capacity, width, n, row, (g1, g), polys)
+# -- per-pattern row entries: q^t p is p << s*t ------------------------------
+# Each generator yields the pairs (k, entry k of level n's row), 2 <= k <= n,
+# from the previous row ``prev`` (a list it owns) and packed g_{n-1}, g_{n-2}.
+# Once the entry whose check reads prev[j] last has been yielded, it sets
+# prev[j] to None and keeps no other reference to it, so a step holds about
+# one row.
 
-
-# -- per-pattern rows: q^t p is p << s*t ------------------------------------
-
-def _row_p31_2(s, n, prev, g1, g2):
+def _entries_p31_2(s, n, prev, g1, g2):
     # g_n(1k) = (q+1) g_n(1,k-1) - q g_n(1,k-2) + (q-1) g_{n-1}(1,k-2)
-    row = [0, 0, 2 * g1]
+    yield 2, 2 * g1
+    r2, r1 = g1, g1 + ((2 * g2) << s) - 2 * g2
     if n >= 3:
-        row.append(g1)
+        yield 3, r2
     if n >= 4:
-        row.append(g1 + ((2 * g2) << s) - 2 * g2)
+        yield 4, r1
     for k in range(5, n + 1):
-        r1, r2, p = row[k - 1], row[k - 2], prev[k - 2]
-        row.append(((r1 - r2 + p) << s) + r1 - p)
-    return tuple(row)
+        r2, r1 = r1, ((r1 - r2 + prev[k - 2]) << s) + r1 - prev[k - 2]
+        yield k, r1
+        prev[k - 2] = None
 
 
-def _row_p32_1(s, n, prev, g1, g2):
+def _entries_p32_1(s, n, prev, g1, g2):
     # g_n(1k) = g_n(1,k-1) + (q^(k-3) - 1) g_{n-1}(1,k-1)
-    row = [0, 0, 2 * g1]
+    yield 2, 2 * g1
+    r = g1
     if n >= 3:
-        row.append(g1)
+        yield 3, r
     for k in range(4, n + 1):
-        p = prev[k - 1]
-        row.append(row[k - 1] + (p << s * (k - 3)) - p)
-    return tuple(row)
+        r += (prev[k - 1] << s * (k - 3)) - prev[k - 1]
+        yield k, r
+        prev[k - 1] = None
 
 
-def _row_p23_1(s, n, prev, g1, g2):
+def _entries_p23_1(s, n, prev, g1, g2):
     # g_n(1k) = q^(k-2) g_{n-1} + (1 - q^(k-2)) sum_{j<k} g_{n-1}(1j)
-    row = [0, 0, 2 * g1]
+    yield 2, 2 * g1
     prefix = 0
     for k in range(3, n + 1):
         prefix += prev[k - 1]
-        t = s * (k - 2)
-        row.append(((g1 - prefix) << t) + prefix)
-    return tuple(row)
+        yield k, ((g1 - prefix) << s * (k - 2)) + prefix
+        prev[k - 1] = None
 
 
-def _row_p21_3(s, n, prev, g1, g2):
+def _entries_p21_3(s, n, prev, g1, g2):
     # g_n(1k) = g_{n-1} - (1 - q^(n-k)) sum_{j<k} g_{n-1}(1j)
-    row = [0, 0, 2 * g1]
+    yield 2, 2 * g1
     prefix = 0
     for k in range(3, n + 1):
         prefix += prev[k - 1]
-        row.append(g1 - prefix + (prefix << s * (n - k)))
-    return tuple(row)
+        yield k, g1 - prefix + (prefix << s * (n - k))
+        prev[k - 1] = None
 
 
-def _row_p12_3(s, n, prev, g1, g2):
+def _entries_p12_3(s, n, prev, g1, g2):
     # Rows are carried q-lowered, which turns the refinement recurrence
     # into nonnegative-shift prefix and suffix sums, for k >= 3:
-    # low_n(k) = sum_{j<k} low_{n-1}(j) + sum_{j>=k} q^(n-1-j) low_{n-1}(j).
-    row = [0] * (n + 1)
-    row[2] = 2 * g1
+    # low_n(k) = sum_{j<k} low_{n-1}(j) + sum_{j>=k} q^(n-1-j) low_{n-1}(j),
+    # streamed from k = n down.
+    yield 2, 2 * g1
+    if n < 3:
+        return
     prefix, suffix = sum(prev[2:]), 0
-    for k in range(n, 2, -1):
-        if k < n:
-            p = prev[k]
-            prefix -= p
-            suffix += p << s * (n - 1 - k)
-        row[k] = prefix + suffix
-    return tuple(row)
+    prev[2] = None
+    yield n, prefix
+    for k in range(n - 1, 2, -1):
+        prefix -= prev[k]
+        suffix += prev[k] << s * (n - 1 - k)
+        yield k, prefix + suffix
+        prev[k] = None
 
 
-_ROWS = {
-    PatternId.P31_2: _row_p31_2,
-    PatternId.P32_1: _row_p32_1,
-    PatternId.P23_1: _row_p23_1,
-    PatternId.P21_3: _row_p21_3,
-    PatternId.P12_3: _row_p12_3,
+_ENTRIES = {
+    PatternId.P31_2: _entries_p31_2,
+    PatternId.P32_1: _entries_p32_1,
+    PatternId.P23_1: _entries_p23_1,
+    PatternId.P21_3: _entries_p21_3,
+    PatternId.P12_3: _entries_p12_3,
 }
 
 
 # -- difference-recurrence assertions, at q = 2^s ---------------------------
-# Each returns the first k whose identity fails, or None.
+# Each is called as soon as entry k of level n's row is in ``row``, before
+# the generator releases what it read of ``prev``, and returns a k whose
+# identity fails, or None.
 
-def _check_p12_3(s, n, row, prev, g1, g2):
+def _check_p12_3(s, n, k, row, prev, g1, g2):
     # q g_n(1k) = g_n(1,k-1) + q (1 - q^(n-k)) g_{n-1}(1,k-1) and
     # g_n(13) = q^(n-3) (g_{n-1} - 2 (q^(n-3) - 1) g_{n-2}), both
-    # divided through by the power of q that the lowered rows carry.
-    if n >= 3 and row[3] != g1 + 2 * g2 - ((2 * g2) << s * (n - 3)):
+    # divided through by the power of q that the lowered rows carry.  The
+    # row comes from k = n down, so entry k completes the identity at
+    # k + 1, and entry 3 also the one at 3.
+    if k == 3 and row[3] != g1 + 2 * g2 - ((2 * g2) << s * (n - 3)):
         return 3
-    for k in range(4, n + 1):
-        p = prev[k - 1]
-        if row[k] != row[k - 1] + p - (p << s * (n - k)):
-            return k
+    if 3 <= k < n:
+        p = prev[k]
+        if row[k + 1] != row[k] + p - (p << s * (n - 1 - k)):
+            return k + 1
     return None
 
 
-def _check_p23_1(s, n, row, prev, g1, g2):
+def _check_p23_1(s, n, k, row, prev, g1, g2):
     # [k-3] g_n(1k) = -q^(k-3) g_{n-1} + [k-2] g_n(1,k-1)
     #                 + (1-q) [k-2] [k-3] g_{n-1}(1,k-1),
     # times (q - 1) and regrouped as Q (X + (q-1)(g_{n-1} - g_n(1,k-1)))
     # = X with Q = q^(k-3), X = g_n(1k) - g_n(1,k-1)
     # + (q^(k-2) - 1) g_{n-1}(1,k-1); and g_n(13) = q g_{n-1}
     # + 2 (1 - q) g_{n-2}.
-    if n >= 3 and row[3] != (g1 << s) + 2 * g2 - ((2 * g2) << s):
-        return 3
-    for k in range(4, n + 1):
+    if k == 3:
+        if row[3] != (g1 << s) + 2 * g2 - ((2 * g2) << s):
+            return 3
+    elif k > 3:
         r1, p = row[k - 1], prev[k - 1]
         x = row[k] - r1 + (p << s * (k - 2)) - p
         d = g1 - r1
@@ -626,16 +643,17 @@ def _check_p23_1(s, n, row, prev, g1, g2):
     return None
 
 
-def _check_p21_3(s, n, row, prev, g1, g2):
+def _check_p21_3(s, n, k, row, prev, g1, g2):
     # [n-k+1] g_n(1k) = q^(n-k) g_{n-1} + [n-k] g_n(1,k-1)
     #                   + (q-1) [n-k] [n-k+1] g_{n-1}(1,k-1),
     # times (q - 1) and regrouped as Q (Y + (q-1)(g_n(1k) - g_{n-1}))
     # = Y with Q = q^(n-k), Y = g_n(1k) - g_n(1,k-1)
     # - (q^(n-k+1) - 1) g_{n-1}(1,k-1); and g_n(13) = g_{n-1}
     # + 2 (q^(n-3) - 1) g_{n-2}.
-    if n >= 3 and row[3] != g1 + ((2 * g2) << s * (n - 3)) - 2 * g2:
-        return 3
-    for k in range(4, n + 1):
+    if k == 3:
+        if row[3] != g1 + ((2 * g2) << s * (n - 3)) - 2 * g2:
+            return 3
+    elif k > 3:
         r, p = row[k], prev[k - 1]
         y = r - row[k - 1] - (p << s * (n - k + 1)) + p
         e = r - g1
@@ -651,17 +669,6 @@ _CHECKS = {
 }
 
 
-def _assert_difference_recurrence(pattern, s, n, row, prev, g1, g2):
-    """Raise IdentityViolation unless every difference recurrence that
-    ``pattern`` asserts holds on level n's row."""
-    check = _CHECKS.get(pattern)
-    k = check(s, n, row, prev, g1, g2) if check else None
-    if k is not None:
-        raise IdentityViolation(
-            f"{pattern} refined difference recurrence failed "
-            f"at n={n}, k={k}")
-
-
 _BUILDERS: dict[PatternId, _Level] = {}
 
 
@@ -671,31 +678,81 @@ def _level_one(builder: _Level) -> _Level:
     return _start(_MIN_CAPACITY, builder.polys)
 
 
-def _grown(pattern: PatternId, n: int) -> _Level:
-    """The memoized builder of ``pattern``, grown to level n.
+def _step(pattern: PatternId, tabled: bool) -> None:
+    """Step ``pattern``'s record one level up, in one pass over the row.
 
-    Read one pattern at a time, n ascending: before stepping ``pattern``,
-    every other pattern's record goes back to level 1 with its table.  A
-    builder that must start over gets capacity max(n, _MIN_CAPACITY), or
-    max(n, 2N) when it is live (at the top of its table, with a row) and N
-    is its capacity; it keeps its table.  Each step commits the whole
-    record.
+    The record first goes back to level 1 with its table, so the step owns
+    the last row and drops each of its entries once past its last use.
+    Every entry is asserted as it comes; g_n is unpacked into the table,
+    when ``tabled`` and the level is past the table, only after every
+    assertion has passed; then one assignment commits the new record.
+    """
+    capacity, width, n, prev, (g2, g1), polys = _BUILDERS[pattern]
+    _BUILDERS[pattern] = _start(_MIN_CAPACITY, polys)
+    prev, n, s = list(prev), n + 1, 8 * width
+    row = [0] * (n + 1)
+    check = _CHECKS.get(pattern)
+    lowered = pattern is PatternId.P12_3
+    g, failed = 0, []
+    for k, entry in _ENTRIES[pattern](s, n, prev, g1, g2):
+        row[k] = entry
+        g += entry << s * (n - k) if lowered else entry
+        if check and (bad := check(s, n, k, row, prev, g1, g2)) is not None:
+            failed.append(bad)
+    if failed:
+        raise IdentityViolation(
+            f"{pattern} refined difference recurrence failed "
+            f"at n={n}, k={min(failed)}")
+    if tabled and n > len(polys):
+        polys += (_unpack(g, width),)
+    _BUILDERS[pattern] = _Level(capacity, width, n, tuple(row), (g1, g), polys)
+
+
+def _prepared(pattern: PatternId, n: int, tabled: bool) -> int:
+    """Put ``pattern``'s record where a build to level n starts, by one
+    assignment, and return its level.
+
+    A record above n, or (when ``tabled``) above its table, goes back to
+    level 1.  A record asked past its capacity N starts over at capacity
+    max(n, 2N) when it is live (with a row, at or above the top of its
+    table), otherwise at max(n, _MIN_CAPACITY); a new record gets the
+    latter too.  Every start-over keeps the table.
     """
     builder = _BUILDERS.get(pattern)
     if builder is None:
-        builder = _BUILDERS[pattern] = _start(max(n, _MIN_CAPACITY))
-    elif n > builder.capacity:
-        live = 1 < builder.n == len(builder.polys)
+        builder = _start(max(n, _MIN_CAPACITY))
+    elif n < builder.n or tabled and builder.n > len(builder.polys):
+        builder = _level_one(builder)
+    if n > builder.capacity:
+        live = 1 < builder.n >= len(builder.polys)
         capacity = 2 * builder.capacity if live else _MIN_CAPACITY
-        builder = _BUILDERS[pattern] = _start(max(n, capacity),
-                                              builder.polys)
-    if builder.n < n:
-        for other, record in tuple(_BUILDERS.items()):
-            if other is not pattern and record.n > 1:
-                _BUILDERS[other] = _level_one(record)
-    while builder.n < n:
-        builder = _BUILDERS[pattern] = _step(pattern, builder)
-    return builder
+        builder = _start(max(n, capacity), builder.polys)
+    _BUILDERS[pattern] = builder
+    return builder.n
+
+
+def _grown(pattern: PatternId, n: int, tabled: bool = False) -> _Level:
+    """The memoized record of ``pattern`` at level n; when ``tabled``, its
+    table also holds g_1 .. g_n.
+
+    Read one pattern at a time, n ascending: before stepping ``pattern``,
+    every other pattern's record goes back to level 1 with its table.  No
+    caller may hold the record while it steps, or its row stays alive.
+    """
+    level = _prepared(pattern, n, tabled)
+    if level < n:
+        for other in tuple(_BUILDERS):
+            if other is not pattern and _BUILDERS[other].n > 1:
+                _BUILDERS[other] = _level_one(_BUILDERS[other])
+    for _ in range(level, n):
+        _step(pattern, tabled)
+    return _BUILDERS[pattern]
+
+
+def _table(pattern: PatternId) -> tuple:
+    """The unpacked table g_1 .. g_M that the memo holds for ``pattern``."""
+    builder = _BUILDERS.get(pattern)
+    return () if builder is None else builder.polys
 
 
 def distribution_table(pattern: PatternId, n_max: int) -> DistributionTable:
@@ -708,10 +765,29 @@ def distribution_table(pattern: PatternId, n_max: int) -> DistributionTable:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    builder = _BUILDERS.get(pattern)
-    if builder is None or n_max > len(builder.polys):
-        builder = _grown(pattern, n_max)
-    return DistributionTable(pattern, builder.polys[:n_max])
+    polys = _table(pattern)
+    if n_max > len(polys):
+        polys = _grown(pattern, n_max, tabled=True).polys
+    return DistributionTable(pattern, polys[:n_max])
+
+
+def distribution_polynomial(pattern: PatternId, n: int) -> QPoly:
+    """g_n alone, equal to ``distribution_table(pattern, n).g(n)``.
+
+    Read from the memoized table when it holds n; otherwise the pattern's
+    builder is grown to level n (or built again from n = 2 when it is
+    above n), and only g_n is unpacked, not g_1 .. g_{n-1}.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    polys = _table(pattern)
+    if n <= len(polys):
+        return polys[n - 1]
+    builder = _grown(pattern, n)
+    g = _unpack(builder.g[1], builder.width)
+    if sum(g.coeffs) != math.factorial(n):
+        raise ValueError(f"g_{n}(1) != {n}! for pattern {pattern}")
+    return g
 
 
 def g_31_2(n_max: int) -> DistributionTable:
@@ -746,9 +822,6 @@ def refined_g1k(pattern: PatternId, n: int, k: int) -> QPoly:
         raise ValueError("refined distributions need n >= 2")
     if not 2 <= k <= n:
         raise ValueError(f"prefix letter k={k} out of range 2..{n}")
-    builder = _BUILDERS.get(pattern)
-    if builder is not None and n < builder.n:
-        _BUILDERS[pattern] = _level_one(builder)
     builder = _grown(pattern, n)
     value = _unpack(builder.row[k], builder.width)
     return value.shifted(n - k) if pattern is PatternId.P12_3 else value

@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from flatperm import bijections, cli, closed_forms
+from flatperm import bijections, cli, closed_forms, recurrences
 from flatperm.cli import main
 from flatperm.perm_core import CycleForm, VincularPattern3, _count_word
 from flatperm.qpoly import IdentityViolation
-from flatperm.recurrences import PatternId
+from flatperm.recurrences import ALL_PATTERNS, PatternId
 
 PAT_23_1 = VincularPattern3.from_string("23-1")
 
@@ -304,10 +304,38 @@ def test_verify_all_output_is_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[fmt]
 
 
+def _benchmark_reference():
+    path = Path(__file__).parents[1] / "perfbench" / "reference.json"
+    return json.loads(path.read_text())
+
+
 def test_verify_all_pin_matches_the_benchmark_reference():
-    reference = Path(__file__).parents[1] / "perfbench" / "reference.json"
-    pinned = json.loads(reference.read_text())["stdout_sha256"]
+    pinned = _benchmark_reference()["stdout_sha256"]
     assert pinned["verify --suite all"] == VERIFY_ALL_SHA256["text"]
+
+
+# The production route past n = 40, where the coefficient-table check stops,
+# against the digests that the benchmark checks every pass against.
+
+@pytest.mark.parametrize("pattern", [p.value for p in ALL_PATTERNS])
+def test_distribution_n_50_matches_the_benchmark_reference(capsys, pattern):
+    argv = ("distribution", "--pattern", pattern, "--n", "50",
+            "--format", "json")
+    status, out, err = run(capsys, *argv)
+    assert (status, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == _benchmark_reference()["stdout_sha256"][" ".join(argv)]
+
+
+@pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+def test_refined_rows_match_the_benchmark_reference(pattern):
+    # digested as perfbench/child.py's _row_digest does
+    pinned = _benchmark_reference()["refined_row_sha256"]
+    for n in range(2, 41):
+        row = [recurrences.refined_g1k(pattern, n, k) for k in range(2, n + 1)]
+        text = "\n".join(",".join(map(str, v.coeffs)) for v in row)
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == pinned[f"{pattern} n={n}"]
 
 
 def test_verify_rejects_non_positive_n_max(capsys):

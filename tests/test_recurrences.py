@@ -2,17 +2,19 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from conftest import interrupt_every_line
 
-from flatperm import perm_core, recurrences
+from flatperm import cli, perm_core, recurrences
 from flatperm.qpoly import IdentityViolation, QPoly, _unpack, q_int
 from flatperm.recurrences import (ALL_PATTERNS, DistributionTable, PatternId,
                                   a_coeff_table_31_2, b2_poly_21_3,
                                   b2_poly_23_1, b2_rational_identity_21_3,
                                   b2_rational_identity_23_1, b_coeff_31_2,
-                                  distribution_table, g1k_via_elementary_32_1,
+                                  distribution_polynomial, distribution_table,
+                                  g1k_via_elementary_32_1,
                                   g_12_3, g_21_3, g_23_1, g_31_2, g_32_1,
                                   refined_g1k, qbinom_coefficient_12_3,
                                   qbinom_form_consistency_12_3)
@@ -301,24 +303,30 @@ def test_slot_width_bounds_every_asserted_side():
                                      PatternId.P23_1], ids=str)
 def test_asserted_identities_reject_a_corrupted_row(pattern, bump,
                                                     monkeypatch):
-    # the assertions run before g_n is unpacked, so only they can raise
+    # the assertions run before g_n is unpacked, so only they can raise;
+    # 12-3's entries come from k = n down, and the lowest k is still named
     monkeypatch.setattr(recurrences, "_BUILDERS", {})
     distribution_table(pattern, 2)
     s = 8 * recurrences._BUILDERS[pattern].width
-    row_of = recurrences._ROWS[pattern]
+    entries_of = recurrences._ENTRIES[pattern]
     for n in range(3, 13):
         delta = {"+1": 1, "-1": -1, "+q^(n-2)": 1 << s * (n - 2)}[bump]
         for k in range(3, n + 1):
-            def corrupted(*args):
-                row = list(row_of(*args))
-                row[k] += delta
-                return tuple(row)
+            def corrupted(s, m, *rest):
+                for j, entry in entries_of(s, m, *rest):
+                    yield j, entry + delta if (m, j) == (n, k) else entry
 
-            monkeypatch.setitem(recurrences._ROWS, pattern, corrupted)
-            with pytest.raises(IdentityViolation, match=f"n={n}, k={k}$"):
+            monkeypatch.setitem(recurrences._ENTRIES, pattern, corrupted)
+            before = recurrences._BUILDERS[pattern]
+            message = (f"^{pattern} refined difference recurrence failed "
+                       f"at n={n}, k={k}$")
+            with pytest.raises(IdentityViolation, match=message):
                 distribution_table(pattern, n)
-            assert recurrences._BUILDERS[pattern].n == n - 1
-        monkeypatch.setitem(recurrences._ROWS, pattern, row_of)
+            # the failed step left the record at level 1, with its table
+            assert recurrences._BUILDERS[pattern] \
+                == recurrences._level_one(before)
+            assert len(recurrences._BUILDERS[pattern].polys) == n - 1
+        monkeypatch.setitem(recurrences._ENTRIES, pattern, entries_of)
         distribution_table(pattern, n)
 
 
@@ -412,7 +420,8 @@ def test_refined_rebuilt_after_interrupted_step(pattern, monkeypatch):
 def test_interrupted_step_leaves_a_whole_level(pattern, restarted,
                                                monkeypatch):
     # a builder grown from nothing, or one started over below the level
-    # it had reached, so that it keeps a table past its level
+    # it had reached, so that it keeps a table past its level; a whole
+    # level is the last one committed, or that record sent back to level 1
     def build_to(n):
         if n == 6:
             monkeypatch.setattr(recurrences, "_BUILDERS", {})
@@ -421,12 +430,18 @@ def test_interrupted_step_leaves_a_whole_level(pattern, restarted,
         refined_g1k(pattern, n, 2)
         return recurrences._BUILDERS[pattern]
 
-    whole = (build_to(6), build_to(7))
+    six = build_to(6)
+    whole = (six, recurrences._level_one(six), build_to(7))
     want = build_to(9)
-    assert len(want.polys) == 9
+    assert len(want.polys) == (9 if restarted else 1)
+    seen = set()
     for _ in _interrupt_every_line(monkeypatch, None, build_to):
-        assert recurrences._BUILDERS[pattern] in whole
+        got = recurrences._BUILDERS[pattern]
+        assert got in whole
+        seen.add(got.n)
         assert build_to(9) == want
+    # stopped before the step, inside it, and after its commit
+    assert seen == {6, 1, 7}
 
 
 @pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
@@ -452,7 +467,9 @@ def test_interrupted_step_of_another_pattern(pattern, monkeypatch):
 
     committed = [start()[other]]
     while len(committed) < 7:
-        committed.append(recurrences._step(other, committed[-1]))
+        recurrences._step(other, True)
+        committed.append(recurrences._BUILDERS[other])
+    committed += [recurrences._level_one(c) for c in committed]
     monkeypatch.setattr(recurrences, "_BUILDERS", {})
     fresh = rebuilt()
 
@@ -473,23 +490,24 @@ def test_interrupted_step_of_another_pattern(pattern, monkeypatch):
 
 @pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
 def test_refined_failed_check_raises_again(pattern, monkeypatch):
-    original = recurrences._assert_difference_recurrence
+    original = recurrences._CHECKS.get(pattern)
 
-    def failing(pattern, s, n, *rest):
-        if n == 7:
-            raise IdentityViolation(f"{pattern} failed at n={n}, k=3")
-        original(pattern, s, n, *rest)
+    def failing(s, n, k, *rest):
+        if (n, k) == (7, 3):
+            return 3
+        return original(s, n, k, *rest) if original else None
 
     monkeypatch.setattr(recurrences, "_BUILDERS", {})
-    monkeypatch.setattr(recurrences, "_assert_difference_recurrence",
-                        failing)
+    monkeypatch.setitem(recurrences._CHECKS, pattern, failing)
     for _ in range(2):
-        with pytest.raises(IdentityViolation):
+        with pytest.raises(IdentityViolation, match="at n=7, k=3$"):
             refined_g1k(pattern, 7, 3)
-        with pytest.raises(IdentityViolation):
+        with pytest.raises(IdentityViolation, match="at n=7, k=3$"):
             refined_g1k(pattern, 8, 3)
-    monkeypatch.setattr(recurrences, "_assert_difference_recurrence",
-                        original)
+    if original:
+        monkeypatch.setitem(recurrences._CHECKS, pattern, original)
+    else:
+        monkeypatch.delitem(recurrences._CHECKS, pattern)
     assert refined_g1k(pattern, 7, 3) \
         == perm_core.brute_refined_distribution(7, pattern.vincular(), 3)
 
@@ -530,7 +548,7 @@ def test_table_reads_within_the_table_run_no_step(monkeypatch):
         raise AssertionError("a row step ran")
 
     for p in ALL_PATTERNS:
-        monkeypatch.setitem(recurrences._ROWS, p, no_step)
+        monkeypatch.setitem(recurrences._ENTRIES, p, no_step)
     for p in ALL_PATTERNS:
         for n in (1, 3, 7, 12):
             assert distribution_table(p, n).polys == fresh[p][:n]
@@ -579,7 +597,7 @@ def test_table_reads_never_step_a_dropped_pattern(monkeypatch):
         raise AssertionError("a row step ran")
 
     for p in ALL_PATTERNS:
-        monkeypatch.setitem(recurrences._ROWS, p, no_step)
+        monkeypatch.setitem(recurrences._ENTRIES, p, no_step)
     for p in ALL_PATTERNS:
         for n in range(1, 51):
             assert distribution_table(p, n).polys == fresh[p][:n]
@@ -604,3 +622,109 @@ def test_table_after_a_start_over_is_built_at_the_fresh_width(
         capacity = max(n, _MIN_CAPACITY)
         assert (builder.capacity, builder.width) \
             == (capacity, _slot_bytes(capacity))
+
+
+def test_distribution_polynomial_unpacks_only_g_n(monkeypatch):
+    pattern = PatternId.P23_1
+    fresh = _fresh(monkeypatch, lambda: distribution_table(pattern, 20).polys)
+    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    for n in (12, 20, 5):
+        assert distribution_polynomial(pattern, n) == fresh[n - 1]
+        assert recurrences._BUILDERS[pattern].polys == (QPoly.one(),)
+    distribution_table(pattern, 20)
+
+    def no_step(*args):
+        raise AssertionError("a row step ran")
+
+    monkeypatch.setitem(recurrences._ENTRIES, pattern, no_step)
+    # a table that holds n is read, whatever the builder's level
+    for n in (1, 5, 20):
+        assert distribution_polynomial(pattern, n) == fresh[n - 1]
+    with pytest.raises(ValueError):
+        distribution_polynomial(pattern, 0)
+
+
+def test_cli_distribution_then_refined_keeps_one_row(monkeypatch, capsys):
+    """The deep_tables benchmark order through the CLI: distribution
+    unpacks no table, so each record keeps g_1 alone, and only the
+    pattern read last keeps a row."""
+    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    for p in ALL_PATTERNS:
+        assert cli.main(["distribution", "--pattern", p.value, "--n", "50",
+                         "--format", "json"]) == 0
+    capsys.readouterr()
+    for p in ALL_PATTERNS:
+        for n in range(2, 41):
+            for k in range(2, n + 1):
+                refined_g1k(p, n, k)
+    last = ALL_PATTERNS[-1]
+    assert set(recurrences._BUILDERS) == set(ALL_PATTERNS)
+    assert [p for p, b in recurrences._BUILDERS.items() if b.n > 1] == [last]
+    assert all(b.polys == (QPoly.one(),)
+               for b in recurrences._BUILDERS.values())
+
+    def reads(p):
+        return (distribution_table(p, 50).polys,
+                [refined_g1k(p, 50, k) for k in range(2, 51)])
+
+    got = {p: reads(p) for p in ALL_PATTERNS}
+    assert got == {p: _fresh(monkeypatch, lambda: reads(p))
+                   for p in ALL_PATTERNS}
+
+
+def test_ascending_refined_reads_start_over_once_per_doubling(monkeypatch):
+    pattern = PatternId.P31_2
+    step = recurrences._step
+    from_level_one = []
+
+    def counted(p, tabled):
+        if recurrences._BUILDERS[p].n == 1:
+            from_level_one.append(p)
+        step(p, tabled)
+
+    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    monkeypatch.setattr(recurrences, "_step", counted)
+    capacities = []
+    for n in range(2, 91):
+        refined_g1k(pattern, n, 2)
+        capacities.append(recurrences._BUILDERS[pattern].capacity)
+    # the first build, then one start-over at n = 41 and one at n = 81
+    assert len(from_level_one) == 3
+    assert sorted(set(capacities)) == [40, 80, 160]
+    assert capacities.index(80) == 41 - 2 and capacities.index(160) == 81 - 2
+
+
+@pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+def test_a_step_holds_about_one_row(pattern, monkeypatch):
+    # with the committed row traced, a step that kept it whole while it
+    # built the next one would peak at about twice its bytes
+    monkeypatch.setattr(recurrences, "_BUILDERS",
+                        {pattern: recurrences._start(60)})
+    tracemalloc.start()
+    try:
+        refined_g1k(pattern, 59, 2)
+        row = recurrences._BUILDERS[pattern].row
+        row_bytes = sum(map(sys.getsizeof, row))
+        del row
+        tracemalloc.reset_peak()
+        refined_g1k(pattern, 60, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert recurrences._BUILDERS[pattern].n == 60
+    assert peak < 1.25 * row_bytes
+
+
+def test_level_repr_shows_sizes_not_values(monkeypatch):
+    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    refined_g1k(PatternId.P32_1, 60, 2)
+    builder = recurrences._BUILDERS[PatternId.P32_1]
+    # the packed values are too long for str()
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        tuple.__repr__(builder)
+    bits = [x.bit_length() for x in builder.row]
+    assert repr(builder) == (
+        f"_Level(capacity=60, width={_slot_bytes(60)}, n=60, row of 61 "
+        f"entries: {sum(bits)} bits, at most {max(bits)} each, g of "
+        f"{builder.g[0].bit_length()} and {builder.g[1].bit_length()} bits, "
+        f"table g_1..g_1)")
