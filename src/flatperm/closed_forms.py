@@ -14,6 +14,7 @@ avr(n)/n^2 -> 1/12.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .recurrences import ALL_PATTERNS, PatternId
@@ -29,51 +30,78 @@ AUX_3_12 = "3-12"
 TABLE_PATTERNS = tuple(p.value for p in ALL_PATTERNS) + (PATTERN_13_2,)
 
 
+class _RowSums(namedtuple("_RowSums",
+                          "bell complementary_bell doubled weighted")):
+    """The sums of one Stirling row S(m, 0..m) that the closed forms read:
+    the Bell number sum_k S(m, k), the complementary Bell number
+    sum_k (-1)^k S(m, k), the doubled-blocks sum sum_k 2^k S(m, k) of 32-1
+    and 23-1, and the weighted sum sum_k k S(m, k), half that of 21-3."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, row: list[int]) -> _RowSums:
+        return cls(sum(row), sum(row[0::2]) - sum(row[1::2]),
+                   sum(s << k for k, s in enumerate(row)),
+                   sum(k * s for k, s in enumerate(row)))
+
+
+def _next_stirling_row(prev: list[int]) -> list[int]:
+    """S(m+1, 0..m+1) from prev = S(m, 0..m), as a new list."""
+    m = len(prev) - 1
+    return [0] + [prev[k - 1] + k * prev[k] for k in range(1, m + 1)] \
+        + [prev[m]]
+
+
 class SpecialNumberCache:
-    """Grow-on-demand Stirling triangle, Bell sequences, and harmonic numbers.
+    """Grow-on-demand Stirling row sums, Bell sequences and harmonic numbers.
+
+    Only the top Stirling row is kept.  For every m up to it the cache holds
+    the row's ``_RowSums``, computed once when row m is formed, so that a
+    Bell number or an avoider count is one read; a Stirling number below
+    the top row is formed again on demand.  Every list starts with one
+    entry, that of index 0.
 
     The complementary Bell sequence is additionally defined at index -1 with
     value -1, which the 12-3 avoider formula depends on.
     """
 
     def __init__(self):
-        self._stirling: list[list[int]] = [[1]]
-        # (Bell, complementary Bell) number pairs by row, from index 0, so
-        # that one append commits both
-        self._bells: list[tuple[int, int]] = [(1, 1)]
+        # the top Stirling row S(m, 0..m)
+        self._row: list[int] = [1]
+        # _RowSums of rows 0..m: row m + 1 replaces the top row before its
+        # entry is appended, and the entry is read from the committed row,
+        # so a growth stopped between the two finishes it on the next call
+        self._sums: list[_RowSums] = [_RowSums.of([1])]
         self._harmonic: list[Fraction] = [Fraction(0)]
 
     def _grow(self, n: int):
-        while len(self._stirling) <= n:
-            m = len(self._stirling)
-            prev = self._stirling[m - 1]
-            row = [0] * (m + 1)
-            for k in range(1, m + 1):
-                row[k] = prev[k - 1] + (k * prev[k] if k < m else 0)
-            self._stirling.append(row)
+        while len(self._sums) <= n:
+            row = self._row
+            if len(row) == len(self._sums):
+                row = self._row = _next_stirling_row(row)
+            self._sums.append(_RowSums.of(row))
+
+    def _row_sums(self, n: int) -> _RowSums:
+        self._grow(n)
+        return self._sums[n]
 
     def stirling2(self, n: int, k: int) -> int:
         """Partitions of an n-set into exactly k blocks."""
         if n < 0 or k < 0 or k > n:
             return 0
-        return self._stirling_row(n)[k]
-
-    def _stirling_row(self, n: int) -> list[int]:
-        """Row n of the triangle, S(n, 0..n); the caller must not mutate it."""
         self._grow(n)
-        return self._stirling[n]
-
-    def _grow_bell(self, n: int):
-        self._grow(n)
-        while len(self._bells) <= n:
-            row = self._stirling[len(self._bells)]
-            self._bells.append((sum(row), sum(row[0::2]) - sum(row[1::2])))
+        row = self._row
+        if len(row) > n + 1:  # below the top row: form row n again
+            row = [1]
+            for _ in range(n):
+                row = _next_stirling_row(row)
+        return row[k]
 
     def bell(self, n: int) -> int:
         if n < 0:
             raise ValueError("Bell numbers start at index 0")
-        self._grow_bell(n)
-        return self._bells[n][0]
+        return self._row_sums(n).bell
 
     def complementary_bell(self, n: int) -> int:
         """Alternating-sign row sums of the Stirling triangle; index -1 is -1."""
@@ -81,8 +109,7 @@ class SpecialNumberCache:
             return -1
         if n < -1:
             raise ValueError("complementary Bell numbers start at index -1")
-        self._grow_bell(n)
-        return self._bells[n][1]
+        return self._row_sums(n).complementary_bell
 
     def harmonic(self, n: int) -> Fraction:
         if n < 0:
@@ -123,17 +150,17 @@ def avoiders(pattern, n: int) -> int:
         return math.comb(2 * n - 2, n - 1)
     if key == "13-2":
         return 2 ** (n - 1)
+    # S(n - 1, 0) = 0 from n = 2 on, so the k = 0 terms of the row sums
+    # add nothing
     if key in ("32-1", "23-1"):
-        row = numbers._stirling_row(n - 1)
-        return sum(2 ** k * row[k] for k in range(1, n))
+        return numbers._row_sums(n - 1).doubled
     if key == "21-3":
-        row = numbers._stirling_row(n - 1)
-        return 2 * sum(k * row[k] for k in range(1, n))
+        return 2 * numbers._row_sums(n - 1).weighted
     # 12-3: alternating Bell convolution, valid from n = 3
     if n == 2:
         return 2
-    numbers._grow_bell(n - 1)
-    bell, cbell = zip(*numbers._bells[:n])
+    numbers._grow(n - 1)
+    bell, cbell, _, _ = zip(*numbers._sums[:n])
     # the last term, i = n - 2, reads index -1 of the complementary Bell
     # sequence, which the list does not hold
     return -2 * (

@@ -327,6 +327,14 @@ def test_distribution_n_50_matches_the_benchmark_reference(capsys, pattern):
         == _benchmark_reference()["stdout_sha256"][" ".join(argv)]
 
 
+def test_table_n_200_matches_the_benchmark_reference(capsys):
+    argv = ("table", "--n-max", "200")
+    status, out, err = run(capsys, *argv)
+    assert (status, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == _benchmark_reference()["stdout_sha256"][" ".join(argv)]
+
+
 @pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
 def test_refined_rows_match_the_benchmark_reference(pattern):
     # digested as perfbench/child.py's _row_digest does

@@ -225,13 +225,17 @@ def _special_numbers(cache):
             [cache.harmonic(n) for n in range(12)])
 
 
+STIRLING_AVOIDER_KEYS = ("32-1", "23-1", "21-3")
+
+
 def test_special_numbers_after_interrupted_growth(monkeypatch):
-    """A growth of the Stirling rows, the Bell pairs and the harmonic
-    numbers stopped at any line leaves only whole entries: every later
-    value equals a fresh cache's, and so does the 12-3 avoider count that
-    reads the complementary Bell numbers."""
+    """A growth of the Stirling row, its sums and the harmonic numbers
+    stopped at any line leaves only whole entries: every later value equals
+    a fresh cache's, and so do the avoider counts that read the row sums
+    and the complementary Bell numbers."""
     want = _special_numbers(SpecialNumberCache())
-    avoiders_12_3 = [avoiders("12-3", n) for n in range(3, 12)]
+    want_avoiders = {key: [avoiders(key, n) for n in range(1, 12)]
+                     for key in STIRLING_AVOIDER_KEYS + ("12-3",)}
 
     def start():
         cache = SpecialNumberCache()
@@ -245,8 +249,96 @@ def test_special_numbers_after_interrupted_growth(monkeypatch):
 
     for cache in interrupt_every_line(closed_forms, start, grow):
         monkeypatch.setattr(closed_forms, "numbers", cache)
-        assert [avoiders("12-3", n) for n in range(3, 12)] == avoiders_12_3
+        assert {key: [avoiders(key, n) for n in range(1, 12)]
+                for key in want_avoiders} == want_avoiders
         assert _special_numbers(cache) == want
+
+
+# ---------------------------------------------------------------------------
+# The memo against the whole Stirling triangle
+# ---------------------------------------------------------------------------
+
+M_REF = 200
+
+
+def _stirling_triangle(m_max):
+    """Every row S(m, 0..m) for m <= m_max, by S(m, k) = S(m-1, k-1) +
+    k S(m-1, k) on a zero-padded (m_max + 1)-square table."""
+    tri = [[0] * (m_max + 1) for _ in range(m_max + 1)]
+    tri[0][0] = 1
+    for m in range(1, m_max + 1):
+        for k in range(1, m + 1):
+            tri[m][k] = tri[m - 1][k - 1] + k * tri[m - 1][k]
+    return [tri[m][:m + 1] for m in range(m_max + 1)]
+
+
+def _reference_sums(row):
+    return (sum(row), sum((-1) ** k * s for k, s in enumerate(row)),
+            sum(2 ** k * s for k, s in enumerate(row)),
+            sum(k * s for k, s in enumerate(row)))
+
+
+def _reference_avoiders(tri, key):
+    """avoiders(key, n) for n = 1..m_max, where tri holds rows 0..m_max,
+    by the closed forms read off the whole triangle."""
+    n_max = len(tri) - 1
+    if key in ("32-1", "23-1"):
+        return [1] + [sum(2 ** k * tri[n - 1][k] for k in range(1, n))
+                      for n in range(2, n_max + 1)]
+    if key == "21-3":
+        return [1] + [2 * sum(k * tri[n - 1][k] for k in range(1, n))
+                      for n in range(2, n_max + 1)]
+    bell, cbell, _, _ = zip(*map(_reference_sums, tri))
+    cbell += (-1,)  # index -1
+    return [1, 2] + [-2 * sum(math.comb(n - 2, i) * (bell[i] + bell[i + 1])
+                              * cbell[n - i - 3] for i in range(n - 1))
+                     for n in range(3, n_max + 1)]
+
+
+@pytest.mark.parametrize("reads", [(), (200, 5, 37)],
+                         ids=["fresh", "grown-200-5-37"])
+def test_memo_matches_the_whole_triangle(monkeypatch, reads):
+    """On a fresh cache, and on one grown to row 200 and then read at rows
+    5 and 37, every entry, avoider count and small Stirling number equals
+    the value computed from the whole triangle."""
+    tri = _stirling_triangle(M_REF)
+    cache = SpecialNumberCache()
+    for n in reads:
+        cache.stirling2(n, n // 2)
+    monkeypatch.setattr(closed_forms, "numbers", cache)
+    for key in STIRLING_AVOIDER_KEYS + ("12-3",):
+        assert [avoiders(key, n) for n in range(1, M_REF + 1)] \
+            == _reference_avoiders(tri, key), key
+    for m, row in enumerate(tri):
+        want = _reference_sums(row)
+        assert cache._row_sums(m) == want, m
+        assert (cache.bell(m), cache.complementary_bell(m)) == want[:2]
+    assert [[cache.stirling2(n, k) for k in range(n + 1)]
+            for n in range(31)] == tri[:31]
+
+
+def _ints_held(value):
+    if isinstance(value, int):
+        return 1
+    if isinstance(value, (list, tuple)):
+        return sum(_ints_held(v) for v in value)
+    return 0
+
+
+def test_memo_keeps_one_row_and_four_sums_per_n(monkeypatch):
+    cache = SpecialNumberCache()
+    # every list of a fresh cache holds one entry, so the benchmark runner's
+    # cold check (sum of len - 1 over the list attributes) reads 0
+    assert {name: len(v) for name, v in vars(cache).items()
+            if isinstance(v, list)} == {"_row": 1, "_sums": 1, "_harmonic": 1}
+    monkeypatch.setattr(closed_forms, "numbers", cache)
+    avoiders("32-1", 200)  # reads row 199
+    assert len(cache._row) == len(cache._sums) == 200
+    assert all(len(e) == 4 and all(isinstance(v, int) for v in e)
+               for e in cache._sums)
+    # the whole triangle to row 199 would be 20,100 integers
+    assert sum(_ints_held(v) for v in vars(cache).values()) \
+        <= 201 + 4 * 201
 
 
 def test_q_binomial_rows_after_interrupted_growth(monkeypatch):
