@@ -184,11 +184,11 @@ def average_occurrences(pattern, n: int) -> Fraction:
     return Fraction(n**2 + 3 * n + 8, 12) - h  # 13-2
 
 
-def _i_occurrence_sum(n: int, weight) -> int:
-    """(n-1)! * sum over i of weight(i)/i style totals, kept exact."""
-    total = Fraction(0)
-    for i in range(3, n):
-        total += weight(i)
+def _occurrence_sum(n: int, count) -> int:
+    """sum_{i=3}^{n-1} (n-i) count(i) (n-1)! / i, kept exact; an
+    occurrence total, so it must come out an integer."""
+    fact = math.factorial(n - 1)
+    total = sum(Fraction((n - i) * count(i) * fact, i) for i in range(3, n))
     if total.denominator != 1:
         raise ArithmeticError("occurrence total did not come out integral")
     return int(total)
@@ -206,24 +206,14 @@ def total_occurrences(pattern_or_aux, n: int) -> int:
     if n < 3:
         raise ValueError("occurrence totals need n >= 3")
     fact = math.factorial(n - 1)
-    if key in ("32-1", "23-1"):
-        return _i_occurrence_sum(
-            n, lambda i: Fraction((n - i) * math.comb(i - 1, 2) * fact, i))
-    if key == "31-2":
-        return _i_occurrence_sum(
-            n, lambda i: Fraction((n - i) * (math.comb(i, 2) - 1) * fact, i))
-    if key == AUX_3_21:
-        return _i_occurrence_sum(
-            n, lambda i: Fraction((n - i) * math.comb(i - 1, 2) * fact, i))
+    if key in ("32-1", "23-1", AUX_3_21):
+        return _occurrence_sum(n, lambda i: math.comb(i - 1, 2))
+    # 3-12's sum also has an i = 2 term, (n - 2)(C(2, 2) - 1) = 0
+    if key in ("31-2", AUX_3_12):
+        return _occurrence_sum(n, lambda i: math.comb(i, 2) - 1)
     if key == "21-3":
         both = fact * sum((n - i) * (i - 2) for i in range(3, n))
         return both - total_occurrences(AUX_3_21, n)
-    if key == AUX_3_12:
-        total = sum(Fraction((n - i) * (math.comb(i, 2) - 1) * fact, i)
-                    for i in range(2, n))
-        if total.denominator != 1:
-            raise ArithmeticError("occurrence total did not come out integral")
-        return int(total)
     if key == "12-3":
         both = fact * sum((n - i) * i for i in range(2, n))
         return both - total_occurrences(AUX_3_12, n)

@@ -41,32 +41,27 @@ capacity N serves n <= N with s the least multiple of 8 such that
   makes 2^s divide d, which is impossible.  So equality at q = 2^s is
   equality of polynomials.
 
-Retention.  ``_BUILDERS`` is the one memo: one record per pattern
-(``_Level``), holding the builder's capacity and slot width, its level n
-with the last packed row, packed g_{n-1} and g_n, and g_1 .. g_M unpacked,
-M the highest n that ``distribution_table`` was asked for; the level may be
-above M or below it.  Only ``distribution_table`` unpacks g_n into the
-table.  ``refined_g1k(P, n, k)`` and ``distribution_polynomial(P, n)`` (g_n
-alone, which the CLI prints) step without unpacking and read the table
-only when it already holds n.  Every pattern keeps its table, but only the
-pattern stepped last keeps a row: before a step of one pattern, every
-other pattern's record goes back to level 1 with its table, one assignment
-per record.  No older row is kept, and a step releases each entry of the
-last row once past its last use, so it holds about one row, not two.
-``distribution_table(P, n)`` reads the table when n <= M; otherwise it
-grows the builder and unpacks every level past the table, after sending
-the record back to level 1 when its level is above M (the levels between
-have left no g to unpack).  The other two reads use the builder's row or g_n when
-n is its level, grow it when n is above, and send it back to level 1
-first when n is below.  A record back at level 1 has capacity 40, and one
-that must start over, having no row or being below the top of its table,
-gets capacity max(n, 40): the width a fresh process builds at, so the rows
-of n <= 40 keep the narrow slots of capacity 40, and every size that
+Retention.  The memo is two dicts.  ``_TABLES`` holds each pattern's
+table, g_1 .. g_M unpacked, M the highest n that ``distribution_table`` was
+asked for; only that function grows it.  ``_BUILDERS`` holds at most one
+builder (``_Level``), that of the pattern stepped last: its capacity and
+slot width, its level n with the last packed row, and packed g_{n-1} and
+g_n.  Before a build steps one pattern, every other builder is dropped.
+``refined_g1k(P, n, k)`` and ``distribution_polynomial(P, n)`` (g_n alone,
+which the CLI prints) step without unpacking and read the table only when
+it already holds n.  ``distribution_table(P, n)`` reads the table when
+n <= M; otherwise it grows the builder and unpacks every level past the
+table, starting over when the builder is above M (the levels between have
+left no g to unpack).  The other two reads use the builder's row or g_n
+when n is its level, grow it when n is above, and start over when n is
+below or the pattern has no builder.  A start-over builds from level 1 at
+capacity max(n, 40): the width a fresh process builds at, so the rows of
+n <= 40 keep the narrow slots of capacity 40, and every size that
 ``verify`` and the tests ask for fits a first builder.  Only a live
-builder, one with a row at or above the top of its table, asked past its
-capacity N starts over at capacity max(n, 2N) instead of repacking: there
-a start-over builds every level again, and doubling amortizes that over
-reads that ascend step by step.  Every start-over keeps the table.
+builder, one past level 1 and at or above the top of the table, asked past
+its capacity N starts over at capacity max(n, 2N) instead of repacking:
+there a start-over builds every level again, and doubling amortizes that
+over reads that ascend step by step.  No start-over touches a table.
 
 That is the trade for keeping one row: at n = 50 the five builders' packed
 rows and g values would hold 6.8 MB, against 3.8 MB for the five tables
@@ -77,22 +72,23 @@ read of a pattern after a step of another: reads that alternate between
 patterns at the same n build levels 2 .. n again on every switch.  Every
 caller in this package reads one pattern at a time, n ascending, so each of
 them builds a level at most once per start-over, and re-built levels pass
-every row step and assertion again.
+every row step and assertion again.  A refined or g_n read leaves no
+table either: ``distribution_table(P, n)`` right after
+``distribution_polynomial(P, n)`` builds every level again (see there).
 
-A step first sends its pattern's record back to level 1 with its table,
-which hands it the last row to release entry by entry.  It asserts each
-difference recurrence as soon as the row entries it needs are in place,
-unpacks g_n (for ``distribution_table``) only after every one has passed,
-and commits the new record by one assignment.  So a build that stops with
-any exception, an interrupt included, leaves the pattern's record at the
-last committed level or at level 1 with the same table: a stop mid-step
-restarts the pattern from level 1 on the next call.  A record sent back to
-level 1 is replaced by one assignment too, so a stop between two of them
-leaves every record whole.  The returned tables and polynomials are
-immutable values, but the memo is a module-level dict, one per process,
-with no lock: the library is single-threaded, so call it from one thread
-at a time.  Separate processes share nothing and may run freely in
-parallel.
+A step pops its pattern's builder, so it owns the last row and releases it
+entry by entry, once past each entry's last use; it holds about one row,
+not two.  It asserts each difference recurrence as soon as the row entries
+it needs are in place, appends g_n to the table (for
+``distribution_table``) only after every one has passed, and then commits
+the new builder by one assignment.  So a build that stops with any
+exception, an interrupt included, leaves every table whole, and the
+pattern's builder at the last committed level or gone: a stop mid-step
+restarts the pattern from level 1 on the next call.  The returned tables
+and polynomials are immutable values, but the memo is module-level, one
+per process, with no lock: the library is single-threaded, so call it from
+one thread at a time.  Separate processes share nothing and may run freely
+in parallel.
 
 Independent check.  The paper's coefficient-table recurrences
 
@@ -483,7 +479,8 @@ def coefficient_table(pattern: PatternId, n_max: int) -> DistributionTable:
 _SIDE_WEIGHT = 8
 
 #: Least capacity of a pattern's first builder: the largest n that verify
-#: (CROSS_PATTERN_N_MAX) and the tests ask for.
+#: (CROSS_PATTERN_N_MAX) and the tests ask for.  A test holds verify's
+#: default bounds to it, since a larger one would build at wider slots.
 _MIN_CAPACITY = 40
 
 
@@ -494,15 +491,14 @@ def _slot_bytes(capacity: int) -> int:
     return (bits + 7) // 8
 
 
-class _Level(namedtuple("_Level", "capacity width n row g polys")):
-    """A pattern's memo record at level n, replaced whole by each step.
+class _Level(namedtuple("_Level", "capacity width n row g")):
+    """The live builder's record at level n, replaced whole by each step.
 
     ``width`` is the bytes per slot, from the ``capacity``.  ``row`` is
     level n's row, a tuple indexed by k (entries 0 and 1 unused), each
     entry a polynomial's value at q = 2^(8 width); 12-3 rows hold the
     q-lowered low_n(k) = g_n(1k) / q^(n-k).  No older row is kept.  ``g``
-    holds packed g_{n-1}, g_n, and ``polys`` g_1 .. g_M unpacked, M the
-    highest level that ``distribution_table`` asked for.
+    holds packed g_{n-1}, g_n.
     """
 
     __slots__ = ()
@@ -514,14 +510,12 @@ class _Level(namedtuple("_Level", "capacity width n row g polys")):
         return (f"_Level(capacity={self.capacity}, width={self.width}, "
                 f"n={self.n}, row of {len(self.row)} entries: {sum(bits)} "
                 f"bits, at most {max(bits)} each, g of "
-                f"{self.g[0].bit_length()} and {self.g[1].bit_length()} "
-                f"bits, table g_1..g_{len(self.polys)})")
+                f"{self.g[0].bit_length()} and {self.g[1].bit_length()} bits)")
 
 
-def _start(capacity: int, polys: tuple = (_ONE,)) -> _Level:
-    """A builder of the given capacity at level 1, keeping the table
-    ``polys``."""
-    return _Level(capacity, _slot_bytes(capacity), 1, (0, 0), (0, 1), polys)
+def _start(capacity: int) -> _Level:
+    """A builder of the given capacity at level 1."""
+    return _Level(capacity, _slot_bytes(capacity), 1, (0, 0), (0, 1))
 
 
 # -- per-pattern row entries: q^t p is p << s*t ------------------------------
@@ -669,26 +663,29 @@ _CHECKS = {
 }
 
 
+#: The unpacked table g_1 .. g_M of each pattern, M the highest n that
+#: ``distribution_table`` asked for; only that function grows it.
+_TABLES: dict[PatternId, tuple[QPoly, ...]] = {}
+
+#: The live builder: at most one record, that of the pattern stepped last.
 _BUILDERS: dict[PatternId, _Level] = {}
 
 
-def _level_one(builder: _Level) -> _Level:
-    """``builder``'s record sent back to level 1: no row, capacity
-    _MIN_CAPACITY, the same table."""
-    return _start(_MIN_CAPACITY, builder.polys)
+def _table(pattern: PatternId) -> tuple:
+    """The unpacked table g_1 .. g_M that the memo holds for ``pattern``."""
+    return _TABLES.get(pattern, (_ONE,))
 
 
 def _step(pattern: PatternId, tabled: bool) -> None:
-    """Step ``pattern``'s record one level up, in one pass over the row.
+    """Step ``pattern``'s builder one level up, in one pass over the row.
 
-    The record first goes back to level 1 with its table, so the step owns
-    the last row and drops each of its entries once past its last use.
-    Every entry is asserted as it comes; g_n is unpacked into the table,
-    when ``tabled`` and the level is past the table, only after every
-    assertion has passed; then one assignment commits the new record.
+    The record is popped first, so the step owns the last row and drops
+    each of its entries once past its last use.  Every entry is asserted
+    as it comes; g_n is appended to the table, when ``tabled`` and the
+    level is past the table, only after every assertion has passed; then
+    one assignment commits the new record.
     """
-    capacity, width, n, prev, (g2, g1), polys = _BUILDERS[pattern]
-    _BUILDERS[pattern] = _start(_MIN_CAPACITY, polys)
+    capacity, width, n, prev, (g2, g1) = _BUILDERS.pop(pattern)
     prev, n, s = list(prev), n + 1, 8 * width
     row = [0] * (n + 1)
     check = _CHECKS.get(pattern)
@@ -703,56 +700,44 @@ def _step(pattern: PatternId, tabled: bool) -> None:
         raise IdentityViolation(
             f"{pattern} refined difference recurrence failed "
             f"at n={n}, k={min(failed)}")
-    if tabled and n > len(polys):
-        polys += (_unpack(g, width),)
-    _BUILDERS[pattern] = _Level(capacity, width, n, tuple(row), (g1, g), polys)
+    if tabled and n > len(polys := _table(pattern)):
+        _TABLES[pattern] = polys + (_unpack(g, width),)
+    _BUILDERS[pattern] = _Level(capacity, width, n, tuple(row), (g1, g))
 
 
 def _prepared(pattern: PatternId, n: int, tabled: bool) -> int:
-    """Put ``pattern``'s record where a build to level n starts, by one
-    assignment, and return its level.
+    """Make ``pattern``'s record the one builder, where a build to level n
+    starts, and return its level.
 
-    A record above n, or (when ``tabled``) above its table, goes back to
-    level 1.  A record asked past its capacity N starts over at capacity
-    max(n, 2N) when it is live (with a row, at or above the top of its
-    table), otherwise at max(n, _MIN_CAPACITY); a new record gets the
-    latter too.  Every start-over keeps the table.
+    A new builder, or one above n or (when ``tabled``) above the top of
+    the table, starts over at capacity max(n, _MIN_CAPACITY).  A builder
+    asked past its capacity N starts over at capacity max(n, 2N) when it is
+    live (past level 1, at or above the top of the table), otherwise at
+    max(n, _MIN_CAPACITY).
     """
-    builder = _BUILDERS.get(pattern)
-    if builder is None:
+    builder, top = _BUILDERS.get(pattern), len(_table(pattern))
+    if builder is None or n < builder.n or tabled and builder.n > top:
         builder = _start(max(n, _MIN_CAPACITY))
-    elif n < builder.n or tabled and builder.n > len(builder.polys):
-        builder = _level_one(builder)
-    if n > builder.capacity:
-        live = 1 < builder.n >= len(builder.polys)
+    elif n > builder.capacity:
+        live = 1 < builder.n >= top
         capacity = 2 * builder.capacity if live else _MIN_CAPACITY
-        builder = _start(max(n, capacity), builder.polys)
+        builder = _start(max(n, capacity))
+    _BUILDERS.clear()
     _BUILDERS[pattern] = builder
     return builder.n
 
 
 def _grown(pattern: PatternId, n: int, tabled: bool = False) -> _Level:
-    """The memoized record of ``pattern`` at level n; when ``tabled``, its
-    table also holds g_1 .. g_n.
+    """The builder of ``pattern`` at level n; when ``tabled``, the table
+    also holds g_1 .. g_n.
 
-    Read one pattern at a time, n ascending: before stepping ``pattern``,
-    every other pattern's record goes back to level 1 with its table.  No
-    caller may hold the record while it steps, or its row stays alive.
+    Read one pattern at a time, n ascending: every other pattern's
+    builder is dropped first.  No caller may hold the record while it
+    steps, or its row stays alive.
     """
-    level = _prepared(pattern, n, tabled)
-    if level < n:
-        for other in tuple(_BUILDERS):
-            if other is not pattern and _BUILDERS[other].n > 1:
-                _BUILDERS[other] = _level_one(_BUILDERS[other])
-    for _ in range(level, n):
+    for _ in range(_prepared(pattern, n, tabled), n):
         _step(pattern, tabled)
     return _BUILDERS[pattern]
-
-
-def _table(pattern: PatternId) -> tuple:
-    """The unpacked table g_1 .. g_M that the memo holds for ``pattern``."""
-    builder = _BUILDERS.get(pattern)
-    return () if builder is None else builder.polys
 
 
 def distribution_table(pattern: PatternId, n_max: int) -> DistributionTable:
@@ -765,10 +750,9 @@ def distribution_table(pattern: PatternId, n_max: int) -> DistributionTable:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    polys = _table(pattern)
-    if n_max > len(polys):
-        polys = _grown(pattern, n_max, tabled=True).polys
-    return DistributionTable(pattern, polys[:n_max])
+    if n_max > len(_table(pattern)):
+        _grown(pattern, n_max, tabled=True)
+    return DistributionTable(pattern, _table(pattern)[:n_max])
 
 
 def distribution_polynomial(pattern: PatternId, n: int) -> QPoly:

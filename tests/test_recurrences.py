@@ -20,9 +20,16 @@ from flatperm.recurrences import (ALL_PATTERNS, DistributionTable, PatternId,
                                   qbinom_form_consistency_12_3)
 from flatperm.recurrences import (_MIN_CAPACITY, _SIDE_WEIGHT, _slot_bytes,
                                   coefficient_table)
-from flatperm.verification import CROSS_PATTERN_N_MAX
+from flatperm.verification import (CROSS_PATTERN_N_MAX, DEFAULT_N_MAX,
+                                   run_suite)
 
 QM1 = QPoly([-1, 1])
+
+
+def _empty_memo(monkeypatch):
+    """Give ``recurrences`` an empty memo: no tables and no builder."""
+    monkeypatch.setattr(recurrences, "_TABLES", {})
+    monkeypatch.setattr(recurrences, "_BUILDERS", {})
 
 
 def test_pattern_id():
@@ -305,7 +312,7 @@ def test_asserted_identities_reject_a_corrupted_row(pattern, bump,
                                                     monkeypatch):
     # the assertions run before g_n is unpacked, so only they can raise;
     # 12-3's entries come from k = n down, and the lowest k is still named
-    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    _empty_memo(monkeypatch)
     distribution_table(pattern, 2)
     s = 8 * recurrences._BUILDERS[pattern].width
     entries_of = recurrences._ENTRIES[pattern]
@@ -317,15 +324,13 @@ def test_asserted_identities_reject_a_corrupted_row(pattern, bump,
                     yield j, entry + delta if (m, j) == (n, k) else entry
 
             monkeypatch.setitem(recurrences._ENTRIES, pattern, corrupted)
-            before = recurrences._BUILDERS[pattern]
             message = (f"^{pattern} refined difference recurrence failed "
                        f"at n={n}, k={k}$")
             with pytest.raises(IdentityViolation, match=message):
                 distribution_table(pattern, n)
-            # the failed step left the record at level 1, with its table
-            assert recurrences._BUILDERS[pattern] \
-                == recurrences._level_one(before)
-            assert len(recurrences._BUILDERS[pattern].polys) == n - 1
+            # the failed step left no builder, and the table as it was
+            assert recurrences._BUILDERS == {}
+            assert len(recurrences._TABLES[pattern]) == n - 1
         monkeypatch.setitem(recurrences._ENTRIES, pattern, entries_of)
         distribution_table(pattern, n)
 
@@ -347,7 +352,7 @@ def test_unpack_negative_raises():
 
 
 def test_request_past_capacity_starts_over(monkeypatch):
-    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    _empty_memo(monkeypatch)
     low = distribution_table(PatternId.P32_1, 5)
     first = recurrences._BUILDERS[PatternId.P32_1]
     high = distribution_table(PatternId.P32_1, first.capacity + 1)
@@ -357,16 +362,36 @@ def test_request_past_capacity_starts_over(monkeypatch):
     assert high.polys[:5] == low.polys
 
 
+def test_verify_default_bounds_fit_a_first_builder(monkeypatch):
+    # a table past _MIN_CAPACITY is built at wider slots, so verify's table
+    # bounds at their defaults must stay within it
+    assert CROSS_PATTERN_N_MAX <= _MIN_CAPACITY
+    assert max(max(DEFAULT_N_MAX.values()), 20) <= _MIN_CAPACITY
+    step = recurrences._step
+    sizes = set()
+
+    def recorded(p, tabled):
+        builder = recurrences._BUILDERS[p]
+        sizes.add((builder.capacity, builder.width))
+        step(p, tabled)
+
+    _empty_memo(monkeypatch)
+    monkeypatch.setattr(recurrences, "_step", recorded)
+    assert run_suite("all").ok
+    assert sizes == {(_MIN_CAPACITY, _slot_bytes(_MIN_CAPACITY))}
+
+
 def test_memo_tables_empty_at_import():
     src = os.path.dirname(os.path.dirname(recurrences.__file__))
-    # the benchmark's cold-state probe reads these by name: the one memo
+    # the benchmark's cold-state probe reads these by name: the builder
     # dict, and every list in closed_forms.numbers by its length - 1; the
-    # oracle's memo perm_core._FRONTS is checked here only
+    # tables and the oracle's memo perm_core._FRONTS are checked here only
     probe = (f"import sys; sys.path.insert(0, {src!r})\n"
              "import flatperm.cli\n"
              "from flatperm import closed_forms, perm_core, recurrences as r\n"
-             "print(r._BUILDERS == {} == perm_core._FRONTS,\n"
-             "      type(r._BUILDERS) is dict is type(perm_core._FRONTS),\n"
+             "memos = r._BUILDERS, r._TABLES, perm_core._FRONTS\n"
+             "print(all(m == {} and type(m) is dict for m in memos),\n"
+             "      len(set(map(id, memos))) == 3,\n"
              "      sum(len(v) - 1 for v in vars(closed_forms.numbers).values()\n"
              "          if isinstance(v, list)))\n")
     out = subprocess.run([sys.executable, "-I", "-c", probe],
@@ -378,26 +403,30 @@ def test_memo_tables_empty_at_import():
 # Memo state after a step that stops midway
 # ---------------------------------------------------------------------------
 
-def _interrupt_every_line(monkeypatch, memo, build_to):
-    """Build to n = 6 (on an empty memo, if one is named), then run step 7
+def _interrupt_every_line(monkeypatch, empty, build_to):
+    """Build to n = 6 (on an empty memo, if ``empty``), then run step 7
     with a KeyboardInterrupt raised at the i-th line event that
     sys.settrace reports inside ``recurrences``, for every such event of
     the step.  Yields after each interrupted step, for the caller's retry."""
     def start():
-        if memo:
-            monkeypatch.setattr(recurrences, memo, {})
+        if empty:
+            _empty_memo(monkeypatch)
         build_to(6)
 
     return interrupt_every_line(recurrences, start, lambda _: build_to(7))
 
 
+def _memo():
+    """Copies of the builder dict and the table dict."""
+    return dict(recurrences._BUILDERS), dict(recurrences._TABLES)
+
+
 @pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
 def test_table_rebuilt_after_interrupted_step(pattern, monkeypatch):
-    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    _empty_memo(monkeypatch)
     fresh = distribution_table(pattern, 9).polys
     for _ in _interrupt_every_line(
-            monkeypatch, "_BUILDERS",
-            lambda n: distribution_table(pattern, n)):
+            monkeypatch, True, lambda n: distribution_table(pattern, n)):
         assert distribution_table(pattern, 9).polys == fresh
 
 
@@ -407,11 +436,10 @@ def test_refined_rebuilt_after_interrupted_step(pattern, monkeypatch):
         return {(n, k): refined_g1k(pattern, n, k)
                 for n in range(2, n_max + 1) for k in range(2, n + 1)}
 
-    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    _empty_memo(monkeypatch)
     fresh = rows(9)
     for _ in _interrupt_every_line(
-            monkeypatch, "_BUILDERS",
-            lambda n: refined_g1k(pattern, n, 2)):
+            monkeypatch, True, lambda n: refined_g1k(pattern, n, 2)):
         assert rows(9) == fresh
 
 
@@ -420,42 +448,42 @@ def test_refined_rebuilt_after_interrupted_step(pattern, monkeypatch):
 def test_interrupted_step_leaves_a_whole_level(pattern, restarted,
                                                monkeypatch):
     # a builder grown from nothing, or one started over below the level
-    # it had reached, so that it keeps a table past its level; a whole
-    # level is the last one committed, or that record sent back to level 1
+    # it had reached, so that the table reaches past its level; a whole
+    # level is the last one committed, or no builder, with the same table
     def build_to(n):
         if n == 6:
-            monkeypatch.setattr(recurrences, "_BUILDERS", {})
+            _empty_memo(monkeypatch)
             if restarted:
                 distribution_table(pattern, 9)
         refined_g1k(pattern, n, 2)
-        return recurrences._BUILDERS[pattern]
+        return _memo()
 
     six = build_to(6)
-    whole = (six, recurrences._level_one(six), build_to(7))
+    whole = (six, ({}, six[1]), build_to(7))
     want = build_to(9)
-    assert len(want.polys) == (9 if restarted else 1)
+    assert len(want[1].get(pattern, ())) == (9 if restarted else 0)
     seen = set()
-    for _ in _interrupt_every_line(monkeypatch, None, build_to):
-        got = recurrences._BUILDERS[pattern]
+    for _ in _interrupt_every_line(monkeypatch, False, build_to):
+        got = _memo()
         assert got in whole
-        seen.add(got.n)
+        seen.add(got[0][pattern].n if got[0] else None)
         assert build_to(9) == want
     # stopped before the step, inside it, and after its commit
-    assert seen == {6, 1, 7}
+    assert seen == {6, None, 7}
 
 
 @pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
 def test_interrupted_step_of_another_pattern(pattern, monkeypatch):
-    # pattern's builder at level 6, then another pattern (at level 1 with
-    # a table to 3) stepped to 7; the interrupts fall in the loop that
-    # sends pattern back to level 1 as well as in the steps
+    # pattern's builder at level 6, then another pattern (no builder, a
+    # table to 3) grown to 7; the interrupts fall where pattern's builder
+    # is dropped as well as in the steps
     other = ALL_PATTERNS[ALL_PATTERNS.index(pattern) - 1]
 
     def start():
-        monkeypatch.setattr(recurrences, "_BUILDERS", {})
+        _empty_memo(monkeypatch)
         distribution_table(other, 3)
         refined_g1k(pattern, 6, 2)
-        return dict(recurrences._BUILDERS)
+        return _memo()
 
     def rows(p, n_max):
         return {(n, k): refined_g1k(p, n, k)
@@ -465,27 +493,28 @@ def test_interrupted_step_of_another_pattern(pattern, monkeypatch):
         return {p: (rows(p, 8), distribution_table(p, 9).polys)
                 for p in (pattern, other)}
 
-    committed = [start()[other]]
-    while len(committed) < 7:
+    # the whole states: the start, then other's committed levels 1 .. 7,
+    # each also without its builder
+    whole = [start()]
+    recurrences._grown(other, 1, tabled=True)
+    whole.append(_memo())
+    while len(whole) < 8:
         recurrences._step(other, True)
-        committed.append(recurrences._BUILDERS[other])
-    committed += [recurrences._level_one(c) for c in committed]
-    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+        whole.append(_memo())
+    whole += [({}, tables) for _, tables in whole]
+    _empty_memo(monkeypatch)
     fresh = rebuilt()
 
     seen = set()
-    for memo in interrupt_every_line(
+    for _ in interrupt_every_line(
             recurrences, start, lambda _: distribution_table(other, 7)):
-        assert set(recurrences._BUILDERS) == {pattern, other}
-        mine = recurrences._BUILDERS[pattern]
-        assert mine in (memo[pattern], recurrences._level_one(memo[pattern]))
-        theirs = recurrences._BUILDERS[other]
-        assert theirs in committed
-        seen.add((mine.n, theirs.n))
+        assert len(recurrences._BUILDERS) <= 1
+        assert _memo() in whole
+        seen.add(tuple((p, b.n) for p, b in recurrences._BUILDERS.items()))
         assert rebuilt() == fresh
-    # interrupted before the drop, after it and before the first step, and
-    # after steps
-    assert {(6, 1), (1, 1), (1, 2)} <= seen
+    # interrupted before the drop, after it and before the first step,
+    # inside a step, and after steps
+    assert {((pattern, 6),), (), ((other, 1),), ((other, 2),)} <= seen
 
 
 @pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
@@ -497,7 +526,7 @@ def test_refined_failed_check_raises_again(pattern, monkeypatch):
             return 3
         return original(s, n, k, *rest) if original else None
 
-    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    _empty_memo(monkeypatch)
     monkeypatch.setitem(recurrences._CHECKS, pattern, failing)
     for _ in range(2):
         with pytest.raises(IdentityViolation, match="at n=7, k=3$"):
@@ -517,7 +546,7 @@ def test_refined_failed_check_raises_again(pattern, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _fresh(monkeypatch, read):
-    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    _empty_memo(monkeypatch)
     return read()
 
 
@@ -539,7 +568,7 @@ def test_read_below_the_level_then_the_table(pattern, monkeypatch):
 
 
 def test_table_reads_within_the_table_run_no_step(monkeypatch):
-    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    _empty_memo(monkeypatch)
     fresh = {p: distribution_table(p, 12).polys for p in ALL_PATTERNS}
     for p in ALL_PATTERNS:
         refined_g1k(p, 3, 2)
@@ -560,7 +589,7 @@ def _deep_tables_order(monkeypatch):
     """The deep_tables benchmark order on an empty memo: each table to
     n = 50, then every g_n(1k) to n = 40, one pattern at a time with n
     ascending."""
-    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    _empty_memo(monkeypatch)
     for p in ALL_PATTERNS:
         distribution_table(p, 50)
     for p in ALL_PATTERNS:
@@ -570,28 +599,23 @@ def _deep_tables_order(monkeypatch):
 
 
 def test_memo_keeps_one_row(monkeypatch):
+    # every table is kept and read without a step, but only the pattern
+    # stepped last keeps a builder
     _deep_tables_order(monkeypatch)
     last = ALL_PATTERNS[-1]
-    assert set(recurrences._BUILDERS) == set(ALL_PATTERNS)
-    assert [p for p, b in recurrences._BUILDERS.items() if b.n > 1] == [last]
-    for p, builder in recurrences._BUILDERS.items():
-        assert type(builder) is recurrences._Level
-        assert len(builder.polys) == 50
-        assert all(type(x) is QPoly for x in builder.polys)
-        if p is last:
-            # the rows were built at the slot width of capacity 40, not 50
-            assert (builder.capacity, builder.width) \
-                == (_MIN_CAPACITY, _slot_bytes(_MIN_CAPACITY))
-            assert builder.n == 40 and len(builder.row) == 41
-            assert all(type(x) is int for x in builder.row + builder.g)
-        else:
-            assert builder == recurrences._start(_MIN_CAPACITY,
-                                                 builder.polys)
-
-
-def test_table_reads_never_step_a_dropped_pattern(monkeypatch):
-    _deep_tables_order(monkeypatch)
-    fresh = {p: recurrences._BUILDERS[p].polys for p in ALL_PATTERNS}
+    assert list(recurrences._BUILDERS) == [last]
+    builder = recurrences._BUILDERS[last]
+    assert type(builder) is recurrences._Level
+    # the rows were built at the slot width of capacity 40, not 50
+    assert (builder.capacity, builder.width) \
+        == (_MIN_CAPACITY, _slot_bytes(_MIN_CAPACITY))
+    assert builder.n == 40 and len(builder.row) == 41
+    assert all(type(x) is int for x in builder.row + builder.g)
+    tables = dict(recurrences._TABLES)
+    assert set(tables) == set(ALL_PATTERNS)
+    for table in tables.values():
+        assert len(table) == 50
+        assert all(type(x) is QPoly for x in table)
 
     def no_step(*args):
         raise AssertionError("a row step ran")
@@ -600,7 +624,8 @@ def test_table_reads_never_step_a_dropped_pattern(monkeypatch):
         monkeypatch.setitem(recurrences._ENTRIES, p, no_step)
     for p in ALL_PATTERNS:
         for n in range(1, 51):
-            assert distribution_table(p, n).polys == fresh[p][:n]
+            assert distribution_table(p, n).polys == tables[p][:n]
+    assert list(recurrences._BUILDERS) == [last]
 
 
 @pytest.mark.parametrize("restart", ["refined read below the level",
@@ -610,13 +635,13 @@ def test_table_after_a_start_over_is_built_at_the_fresh_width(
     pattern, other = PatternId.P31_2, PatternId.P32_1
     fresh = _fresh(monkeypatch, lambda: distribution_table(pattern, 50))
     for n in (30, 50):
-        monkeypatch.setattr(recurrences, "_BUILDERS", {})
+        _empty_memo(monkeypatch)
         distribution_table(pattern, n - 5)
         if restart == "refined read below the level":
             refined_g1k(pattern, 5, 2)
         else:
             distribution_table(other, 3)
-            assert recurrences._BUILDERS[pattern].n == 1
+            assert pattern not in recurrences._BUILDERS
         assert distribution_table(pattern, n).polys == fresh.polys[:n]
         builder = recurrences._BUILDERS[pattern]
         capacity = max(n, _MIN_CAPACITY)
@@ -627,10 +652,10 @@ def test_table_after_a_start_over_is_built_at_the_fresh_width(
 def test_distribution_polynomial_unpacks_only_g_n(monkeypatch):
     pattern = PatternId.P23_1
     fresh = _fresh(monkeypatch, lambda: distribution_table(pattern, 20).polys)
-    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    _empty_memo(monkeypatch)
     for n in (12, 20, 5):
         assert distribution_polynomial(pattern, n) == fresh[n - 1]
-        assert recurrences._BUILDERS[pattern].polys == (QPoly.one(),)
+        assert recurrences._TABLES == {}
     distribution_table(pattern, 20)
 
     def no_step(*args):
@@ -646,9 +671,9 @@ def test_distribution_polynomial_unpacks_only_g_n(monkeypatch):
 
 def test_cli_distribution_then_refined_keeps_one_row(monkeypatch, capsys):
     """The deep_tables benchmark order through the CLI: distribution
-    unpacks no table, so each record keeps g_1 alone, and only the
-    pattern read last keeps a row."""
-    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    unpacks no table, so the memo holds none, and only the pattern read
+    last keeps a builder."""
+    _empty_memo(monkeypatch)
     for p in ALL_PATTERNS:
         assert cli.main(["distribution", "--pattern", p.value, "--n", "50",
                          "--format", "json"]) == 0
@@ -658,10 +683,8 @@ def test_cli_distribution_then_refined_keeps_one_row(monkeypatch, capsys):
             for k in range(2, n + 1):
                 refined_g1k(p, n, k)
     last = ALL_PATTERNS[-1]
-    assert set(recurrences._BUILDERS) == set(ALL_PATTERNS)
-    assert [p for p, b in recurrences._BUILDERS.items() if b.n > 1] == [last]
-    assert all(b.polys == (QPoly.one(),)
-               for b in recurrences._BUILDERS.values())
+    assert list(recurrences._BUILDERS) == [last]
+    assert recurrences._TABLES == {}
 
     def reads(p):
         return (distribution_table(p, 50).polys,
@@ -682,7 +705,7 @@ def test_ascending_refined_reads_start_over_once_per_doubling(monkeypatch):
             from_level_one.append(p)
         step(p, tabled)
 
-    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    _empty_memo(monkeypatch)
     monkeypatch.setattr(recurrences, "_step", counted)
     capacities = []
     for n in range(2, 91):
@@ -716,7 +739,7 @@ def test_a_step_holds_about_one_row(pattern, monkeypatch):
 
 
 def test_level_repr_shows_sizes_not_values(monkeypatch):
-    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    _empty_memo(monkeypatch)
     refined_g1k(PatternId.P32_1, 60, 2)
     builder = recurrences._BUILDERS[PatternId.P32_1]
     # the packed values are too long for str()
@@ -726,5 +749,4 @@ def test_level_repr_shows_sizes_not_values(monkeypatch):
     assert repr(builder) == (
         f"_Level(capacity=60, width={_slot_bytes(60)}, n=60, row of 61 "
         f"entries: {sum(bits)} bits, at most {max(bits)} each, g of "
-        f"{builder.g[0].bit_length()} and {builder.g[1].bit_length()} bits, "
-        f"table g_1..g_1)")
+        f"{builder.g[0].bit_length()} and {builder.g[1].bit_length()} bits)")
