@@ -611,11 +611,16 @@ def test_memo_keeps_one_row(monkeypatch):
         == (_MIN_CAPACITY, _slot_bytes(_MIN_CAPACITY))
     assert builder.n == 40 and len(builder.row) == 41
     assert all(type(x) is int for x in builder.row + builder.g)
-    tables = dict(recurrences._TABLES)
-    assert set(tables) == set(ALL_PATTERNS)
-    for table in tables.values():
+    assert set(recurrences._TABLES) == set(ALL_PATTERNS)
+    for table in recurrences._TABLES.values():
         assert len(table) == 50
         assert all(type(x) is QPoly for x in table)
+
+
+def test_table_reads_never_step_a_dropped_pattern(monkeypatch):
+    _deep_tables_order(monkeypatch)
+    last = ALL_PATTERNS[-1]
+    tables = dict(recurrences._TABLES)
 
     def no_step(*args):
         raise AssertionError("a row step ran")
