@@ -22,8 +22,8 @@ Which pattern takes which route:
   front letter);
 * x-yz: the mirrored left-to-right pass over (prefix set, last letter);
 * x-y-z (classical): the word walk, which visits the words one by one and
-  counts each in O(n^2) (``_flat_words``, ``_bucket``); so does
-  ``bijections``' 31-2 check.
+  counts each in O(n^2) (``_flat_words``, ``_bucket``).  ``bijections``'
+  31-2 check walks the same words, unweighted (``_flat_word_tuples``).
 
 Both passes are the subset recursion of Bellman and Held-Karp (1962):
 about 2^(n-1) n steps replace (n-1)! n^2 comparisons, and nothing from
@@ -382,13 +382,19 @@ def enumerate_permutations(n: int, max_n: int = DEFAULT_MAX_N):
         yield Permutation._raw(word)
 
 
-def _flat_words(n: int, second: int | None = None):
-    """Yield each flattened word of S_n (starting 1, or 1, second) with its
-    number of preimages 2^(r-1), r = its number of right-to-left minima."""
+def _flat_word_tuples(n: int, second: int | None = None):
+    """Iterate over the flattened words of S_n (the arrangements of [n]
+    starting 1, or 1, second), each once, in lexicographic order."""
     head = (1,) if second is None else (1, second)
     rest = [x for x in range(2, n + 1) if x not in head]
-    for tail in itertools.permutations(rest):
-        word = head + tail
+    return map(head.__add__, itertools.permutations(rest))
+
+
+def _flat_words(n: int, second: int | None = None):
+    """Yield each flattened word of S_n (starting 1, or 1, second) with its
+    number of preimages 2^(r-1), r = its number of right-to-left minima.
+    A caller that needs no weights iterates ``_flat_word_tuples``."""
+    for word in _flat_word_tuples(n, second):
         low, r = n + 1, 0
         for x in reversed(word):
             if x < low:

@@ -14,6 +14,7 @@ their detail text spells the finding out.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from fractions import Fraction
 
@@ -359,7 +360,7 @@ def _suite_bijections(report: Report, n_max: int):
             for mp, cf, word, count in rows:
                 _require(count == 0,
                          lambda: f"n={n}: image contains 23-1: {mp}")
-                ascents = sum(1 for i in range(n - 1) if word[i] < word[i + 1])
+                ascents = sum(map(operator.lt, word, word[1:]))
                 _require(ascents == len(mp.blocks), lambda:
                          f"n={n}: ascent count != block count for {mp}")
                 # the image avoids 23-1, so the inverse's domain check

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from flatperm import perm_core
+from flatperm import bijections, perm_core
 from flatperm.bijections import (MarkedPartition, _chain_reversal,
                                  _contains_3_1_2, _contains_31_2,
                                  _reverse_runs, _runs_partition,
@@ -216,3 +216,11 @@ def test_check_31_2_equivalence():
         assert check_31_2_equivalence(n)
     with pytest.raises(perm_core.CapExceeded):
         check_31_2_equivalence(11)
+
+
+def test_check_31_2_equivalence_can_fail(monkeypatch):
+    """With the 3-1-2 predicate stuck at "avoids", the sweep at n = 4 must
+    see 1423, which contains both patterns, and say no."""
+    assert _contains_31_2((1, 4, 2, 3)) and _contains_3_1_2((1, 4, 2, 3))
+    monkeypatch.setattr(bijections, "_contains_3_1_2", lambda word: False)
+    assert not check_31_2_equivalence(4)

@@ -116,6 +116,20 @@ def test_totals_against_brute_force():
                 == perm_core.brute_total_occurrences(n, vinc)
 
 
+def test_occurrence_sums_match_the_per_term_fraction_sum():
+    """The integer sums behind every occurrence total equal the sum of one
+    exact Fraction per term, (n - i) count(i) (n - 1)! / i, to n = 200."""
+    counts = {"32-1": lambda i: math.comb(i - 1, 2),
+              "31-2": lambda i: math.comb(i, 2) - 1}
+    for key, count in counts.items():
+        for n in range(3, 201):
+            fact = math.factorial(n - 1)
+            want = sum(Fraction((n - i) * count(i) * fact, i)
+                       for i in range(3, n))
+            assert want.denominator == 1
+            assert total_occurrences(key, n) == want, (key, n)
+
+
 def _brute_total(text, n):
     return perm_core.brute_total_occurrences(
         n, perm_core.VincularPattern3.from_string(text))
