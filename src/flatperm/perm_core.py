@@ -130,7 +130,7 @@ import math
 from collections import Counter
 
 from ._value import FrozenValue
-from .qpoly import QPoly, _unpack
+from .qpoly import QPoly, _derivative_at_one, _unpack
 
 #: Default refusal bound for the oracle (for the word walk of the classical
 #: x-y-z patterns, 10! hosts is the practical ceiling of an exhaustive run
@@ -574,7 +574,7 @@ def brute_refined_distribution(n: int, pat: VincularPattern3, k: int,
 def brute_total_occurrences(n: int, pat: VincularPattern3,
                             max_n: int = DEFAULT_MAX_N) -> int:
     """Total occurrences of pat in flatten(p) summed over all p in S_n."""
-    return brute_distribution(n, pat, max_n).derivative().evaluate(1)
+    return _derivative_at_one(brute_distribution(n, pat, max_n))
 
 
 def brute_avoider_count(n: int, pat: VincularPattern3,

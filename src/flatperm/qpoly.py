@@ -10,7 +10,12 @@ consecutive q-integers.
 
 Everything here is exact.  Division is exact division: a nonzero remainder
 never means "round it", it means an identity we rely on is false, so it
-raises IdentityViolation.
+raises IdentityViolation.  ``QPoly.exact_div`` divides by any polynomial.
+Division by a power (1 - q)^m, the denominator of the two closed forms and
+of [m] p = (p - q^m p) / (1 - q), is ``_div_one_minus_q``: m running-sum
+passes over the coefficients, each checking that its remainder, the total
+sum, is 0, so (1 - q)^m is never formed.  The closed forms sum their
+numerators on one list of ints (``_alternating_sum``) before that division.
 
 Rationals are stdlib ``fractions.Fraction`` (re-exported as ``Rational``);
 its normalization already guarantees positive denominators in lowest terms.
@@ -23,7 +28,8 @@ import math
 import struct
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
+from operator import mul
 
 Rational = Fraction
 
@@ -362,6 +368,32 @@ def _unpack(value: int, width: int) -> QPoly:
     return QPoly._raw(tuple(_slots(value, width, count)))
 
 
+def _div_one_minus_q(p: QPoly, m: int) -> QPoly:
+    """Exact quotient p / (1 - q)^m, m >= 0, by m running-sum passes.
+
+    c = p / (1 - q) has c_i = p_0 + ... + p_i, and the last running sum,
+    p(1), is the remainder; a nonzero one raises IdentityViolation, as
+    ``exact_div`` would.  When the remainder is 0 the top sum kept is
+    -p_top, so each quotient is already in canonical form.
+    """
+    coeffs = p.coeffs
+    for _ in range(m):
+        if not coeffs:
+            break
+        sums = list(accumulate(coeffs))
+        if sums.pop():
+            raise IdentityViolation(
+                "exact division by (1 - q) failed: nonzero remainder")
+        coeffs = sums
+    return QPoly._raw(tuple(coeffs))
+
+
+def _derivative_at_one(p: QPoly) -> int:
+    """p'(1) = sum_i i c_i, one weighted sum: for a distribution g_n, the
+    total number of occurrences over S_n."""
+    return sum(map(mul, count(), p.coeffs))
+
+
 _ZERO = QPoly._raw(())
 _ONE = QPoly._raw((1,))
 _Q = QPoly._raw((0, 1))
@@ -477,6 +509,21 @@ def nonadjacent_e_prime(j: int, xs: Sequence[PolyLike]) -> QPoly:
     return prev[j]
 
 
+def _alternating_sum(terms: Iterable[tuple[int, int, QPoly]]) -> QPoly:
+    """sum_i (-1)^i c_i q^(s_i) p_i over the terms (c_i, s_i, p_i), i = 0,
+    1, ..., added on one list of ints and normalized once."""
+    out: list[int] = []
+    for i, (c, shift, p) in enumerate(terms):
+        if i % 2:
+            c = -c
+        end = shift + len(p.coeffs)
+        if len(out) < end:
+            out.extend(repeat(0, end - len(out)))
+        for e, x in enumerate(p.coeffs, shift):
+            out[e] += c * x
+    return QPoly._raw(_normalize(out))
+
+
 def e_on_qints_closed_form(j: int, k: int) -> QPoly:
     """Closed form for elementary_e(j, [[1], [2], ..., [k-3]]).
 
@@ -485,30 +532,27 @@ def e_on_qints_closed_form(j: int, k: int) -> QPoly:
     """
     if k < 3 or j < 1:
         raise ValueError("requires k >= 3 and j >= 1")
-    num = _ZERO
-    for a in range(k - 2):
-        c = math.comb(k - 3 - a, k - 3 - j) if k - 3 - j >= 0 else 0
-        if c == 0:
-            continue
-        term = q_binomial(k - 3, a).shifted(a * (a + 1) // 2) * c
-        num = num - term if a % 2 else num + term
-    return num.exact_div((_ONE - _Q) ** j)
+    if j > k - 3:   # every C(k-3-a, k-3-j) is 0
+        return _ZERO
+    # C(k-3-a, k-3-j) = 0 for a > j
+    num = _alternating_sum(
+        (math.comb(k - 3 - a, k - 3 - j), a * (a + 1) // 2,
+         q_binomial(k - 3, a))
+        for a in range(j + 1))
+    return _div_one_minus_q(num, j)
 
 
 def h_on_qint_window_closed_form(j: int, k: int, n: int) -> QPoly:
     """Closed form for complete_h(j-1, X) with X = {[n], [n+1], ..., [n+k-j-1]}.
 
-    The numerator must be exactly divisible by (1-q)^(j-1).
+    The numerator must be exactly divisible by (1-q)^(j-1); a remainder
+    raises IdentityViolation.
     """
     if n < 0 or j < 0 or j > k - 1:
         raise ValueError("requires n >= 0 and 0 <= j <= k-1")
     if j == 0:
         return _ZERO
-    num = _ZERO
-    for i in range(j):
-        c = math.comb(k - 2, j - 1 - i)
-        if c == 0:
-            continue
-        term = (q_binomial(k - j - 1 + i, i) * c).shifted(i * n)
-        num = num - term if i % 2 else num + term
-    return num.exact_div((_ONE - _Q) ** (j - 1))
+    num = _alternating_sum(
+        (math.comb(k - 2, j - 1 - i), i * n, q_binomial(k - j - 1 + i, i))
+        for i in range(j))
+    return _div_one_minus_q(num, j - 1)

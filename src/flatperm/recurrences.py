@@ -116,11 +116,11 @@ from enum import Enum
 
 from . import perm_core
 from ._value import FrozenValue
-from .qpoly import IdentityViolation, QPoly, _unpack, q_binomial, q_int
+from .qpoly import IdentityViolation, QPoly, _derivative_at_one, \
+    _div_one_minus_q, _unpack, q_binomial, q_int
 
 _ONE = QPoly.one()
 _ZERO = QPoly.zero()
-_ONE_MINUS_Q = QPoly((1, -1))
 _Q_MINUS_ONE = QPoly((-1, 1))
 
 
@@ -188,7 +188,7 @@ class DistributionTable(FrozenValue):
 
     def total_occurrences(self, n: int) -> int:
         """Sum of occurrence counts over all of S_n (the derivative at q=1)."""
-        return self.g(n).derivative().evaluate(1)
+        return _derivative_at_one(self.g(n))
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +199,11 @@ _TWO = QPoly((2,))
 
 
 def _qint_times(p: QPoly, m: int) -> QPoly:
-    """[m] * p in O(deg) via (p - q^m p)/(1 - q)."""
+    """[m] * p in O(deg) as (p - q^m p) / (1 - q), divided by one
+    running-sum pass of ``_div_one_minus_q``."""
     if m == 0 or p.is_zero():
         return _ZERO
-    return (p - p.shifted(m)).exact_div(_ONE_MINUS_Q)
+    return _div_one_minus_q(p - p.shifted(m), 1)
 
 
 def _binom(m: int, r: int) -> int:

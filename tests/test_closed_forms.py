@@ -225,6 +225,59 @@ def test_limit_check():
         assert dev < Fraction(1, 100)
     with pytest.raises(ValueError):
         limit_check(2, 10)
+    for n_lo, n_hi in [(3, 20), (20, 20), (30, 25)]:
+        with pytest.raises(ValueError):
+            limit_deviation_strictly_decreasing(n_lo, n_hi)
+
+
+@pytest.mark.parametrize("change", ["tie", "rise", "fall"])
+def test_limit_check_fails_on_one_tie_or_rise(monkeypatch, change):
+    """Patch avr(100) of 23-1 so that its deviation from 1/12 equals that
+    at n = 99, or doubles it, or falls halfway to that at n = 101: the
+    monotone check fails on the first two and passes on the third."""
+    pattern, n = PatternId.P23_1, 100
+
+    def dev(m):
+        return average_occurrences(pattern, m) / m**2 - Fraction(1, 12)
+
+    before, after = dev(n - 1), dev(n + 1)
+    assert (before > 0) == (after > 0)
+    target = {"tie": before, "rise": 2 * before,
+              "fall": (before + after) / 2}[change]
+    avr = (Fraction(1, 12) + target) * n**2
+    real = closed_forms._average_parts
+
+    def parts(key, m):
+        if (key, m) != (pattern.value, n):
+            return real(key, m)
+        s = real(key, m)[2]
+        rest = avr - s * numbers.harmonic(m)   # avr = rest + s H_m
+        return rest.numerator, rest.denominator, s
+
+    monkeypatch.setattr(closed_forms, "_average_parts", parts)
+    assert limit_deviation_strictly_decreasing(20, 200) \
+        == (change == "fall")
+
+
+def test_far_harmonic_is_one_reduction_outside_the_memo():
+    """H_1000 asked of a memo grown to 200 equals the value a memo grown
+    step by step to 1000 holds, and the memo stays at 200.  Any later
+    request past the top grows the memo."""
+    stepped = SpecialNumberCache()
+    for n in range(1, 1001):   # each n one past the top: the memo grows
+        stepped.harmonic(n)
+    assert len(stepped._harmonic) == 1001
+    cache = SpecialNumberCache()
+    cache.harmonic(200)
+    far = cache.harmonic(1000)
+    assert isinstance(far, Fraction)
+    assert far == stepped._harmonic[1000]
+    assert len(cache._harmonic) == 201
+    assert cache.harmonic(1000) is far   # kept as the one far value
+    assert len(cache._harmonic) == 201
+    assert cache.harmonic(900) == stepped._harmonic[900]
+    assert len(cache._harmonic) == 901
+    assert cache._far_harmonic == (1000, far)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,15 @@ import importlib
 import pkgutil
 import re
 import tokenize
+from pathlib import Path
 
 import flatperm
 
 # a name in double backticks, dotted or not, maybe written as a call
 _CITED = re.compile(r"``([A-Za-z_][\w.]*)(?:\([^`]*\))?``")
+# a recorded benchmark file, kept at the repository root
+_BENCH_FILE = re.compile(r"BENCH_\w+\.json")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _resolves(module, dotted: str) -> bool:
@@ -47,3 +51,18 @@ def test_private_names_in_docs_exist():
                     missing.append(f"{info.name}:{token.start[0]}: {dotted}")
     assert cited > 0
     assert missing == []
+
+
+def test_cited_bench_files_exist():
+    # README.md and the modules cite the BENCH_*.json file behind each
+    # measured figure; a renamed or unrecorded file leaves the figure
+    # without its record
+    texts = {"README.md": (ROOT / "README.md").read_text(encoding="utf-8")}
+    for info in pkgutil.iter_modules(flatperm.__path__):
+        module = importlib.import_module(f"flatperm.{info.name}")
+        texts[info.name] = Path(module.__file__).read_text(encoding="utf-8")
+    cited = {(where, name) for where, text in texts.items()
+             for name in _BENCH_FILE.findall(text)}
+    assert cited
+    assert sorted(f"{where}: {name}" for where, name in cited
+                  if not (ROOT / name).is_file()) == []

@@ -8,8 +8,11 @@ from flatperm.qpoly import (IdentityViolation, QPoly, complete_h,
                             e_on_qints_closed_form, elementary_e,
                             h_on_qint_window_closed_form, nonadjacent_e_prime,
                             q_binomial, q_factorial, q_int)
-from flatperm.qpoly import (_KRONECKER_MIN_LEN, _mul_kronecker,
+from flatperm.qpoly import (_KRONECKER_MIN_LEN, _derivative_at_one,
+                            _div_one_minus_q, _mul_kronecker,
                             _mul_schoolbook, _unpack)
+from flatperm.perm_core import VincularPattern3, brute_distribution
+from flatperm.recurrences import ALL_PATTERNS, distribution_table
 
 Q = QPoly.q()
 ONE = QPoly.one()
@@ -209,6 +212,67 @@ def test_ring_laws(a, b, c):
 @given(_polys, _polys.filter(bool))
 def test_exact_div_inverts_multiplication(a, b):
     assert (a * b).exact_div(b) == a
+
+
+def _quotient_or_violation(divide, p, m):
+    try:
+        return divide(p, m)
+    except IdentityViolation:
+        return IdentityViolation
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_running_sum_division_matches_exact_div(m):
+    """_div_one_minus_q(p, m) returns p.exact_div((1 - q)^m), or raises
+    IdentityViolation where it does: on zero, on constants, on random
+    multiples of (1 - q)^m and on those plus one monomial, which no
+    (1 - q)^m with m >= 1 divides."""
+    rng = random.Random(m)
+    power = (ONE - Q) ** m
+    polys = [QPoly(), ONE, QPoly([-7]), QPoly([2 ** 80])]
+    for _ in range(40):
+        a = QPoly([rng.randint(-2 ** 60, 2 ** 60)
+                   for _ in range(rng.randint(0, 15))])
+        polys.append(a * power)
+        polys.append(a * power + QPoly.monomial(rng.randint(0, 20),
+                                                rng.choice([-3, 1, 5])))
+    divisible = 0
+    for p in polys:
+        want = _quotient_or_violation(lambda p, m: p.exact_div(power), p, m)
+        assert _quotient_or_violation(_div_one_minus_q, p, m) == want, p
+        divisible += want is not IdentityViolation
+    assert divisible == (len(polys) if m == 0 else 41)
+
+
+def test_running_sum_division_raises_at_the_first_nonzero_remainder():
+    # (1 - q)[3] passes one running-sum pass and leaves [3](1) = 3 at the
+    # second
+    assert _div_one_minus_q((ONE - Q) * q_int(3), 1) == q_int(3)
+    for p, m in [((ONE - Q) * q_int(3), 2), (q_int(4), 1), (QPoly([5]), 1)]:
+        with pytest.raises(IdentityViolation, match="nonzero remainder"):
+            _div_one_minus_q(p, m)
+
+
+def test_derivative_at_one_on_tables_and_oracle():
+    """The weighted sum is g'(1) on every g_n to n = 40 of the five tables
+    and on the oracle's distributions, those of 13-2, 3-21 and 3-12 too."""
+    for pattern in ALL_PATTERNS:
+        table = distribution_table(pattern, 40)
+        for n in range(1, 41):
+            g = table.g(n)
+            assert _derivative_at_one(g) == g.derivative().evaluate(1), \
+                (pattern, n)
+    for text in [*map(str, ALL_PATTERNS), "13-2", "3-21", "3-12"]:
+        pat = VincularPattern3.from_string(text)
+        for n in range(1, 9):
+            g = brute_distribution(n, pat)
+            assert _derivative_at_one(g) == g.derivative().evaluate(1), \
+                (text, n)
+
+
+@given(_polys)
+def test_derivative_at_one_is_the_weighted_sum(a):
+    assert _derivative_at_one(a) == a.derivative().evaluate(1)
 
 
 def _sized_coeffs(low, high):
