@@ -254,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    choices=verification.SUITES + ("all",))
     p.add_argument("--n-max", type=int, default=None,
-                   help="exhaustive bound for the brute-force comparisons")
+                   help="exhaustive bound for the brute-force comparisons: "
+                        f"at most {DEFAULT_MAX_N}, or "
+                        f"{verification.MAX_N_MAX['series']} for series")
     add_common(p)
 
     return parser

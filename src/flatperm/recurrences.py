@@ -50,18 +50,21 @@ g_n.  Before a build steps one pattern, every other builder is dropped.
 ``refined_g1k(P, n, k)`` and ``distribution_polynomial(P, n)`` (g_n alone,
 which the CLI prints) step without unpacking and read the table only when
 it already holds n.  ``distribution_table(P, n)`` reads the table when
-n <= M; otherwise it grows the builder and unpacks every level past the
-table, starting over when the builder is above M (the levels between have
-left no g to unpack).  The other two reads use the builder's row or g_n
-when n is its level, grow it when n is above, and start over when n is
-below or the pattern has no builder.  A start-over builds from level 1 at
-capacity max(n, 40): the width a fresh process builds at, so the rows of
-n <= 40 keep the narrow slots of capacity 40, and every size that
-``verify`` and the tests ask for fits a first builder.  Only a live
-builder, one past level 1 and at or above the top of the table, asked past
-its capacity N starts over at capacity max(n, 2N) instead of repacking:
-there a start-over builds every level again, and doubling amortizes that
-over reads that ascend step by step.  No start-over touches a table.
+n <= M; otherwise it grows the builder and unpacks every level past M.
+Two rules, on the builder and the read alone, decide where a build starts:
+
+* A table read steps from M, since a builder above M has left no g to
+  unpack for the levels between; a row or g_n read steps from n.  A
+  pattern with no builder, or with one above that level, starts over from
+  level 1 at capacity max(n, 40): the width a fresh process builds at, so
+  the rows of n <= 40 keep the narrow slots of capacity 40, and every size
+  that ``verify`` asks for at its default bounds fits a first builder.
+* A builder at level L asked past its capacity starts over at capacity
+  max(n, 2L) instead of repacking.  Reads that ascend step by step reach
+  the capacity first, so it doubles, which amortizes the levels built
+  again; a jump from a low level builds at n's own width.
+
+No capacity depends on the table, and no start-over touches one.
 
 That is the trade for keeping one row: at n = 50 the five builders' packed
 rows and g values would hold 6.8 MB, against 3.8 MB for the five tables
@@ -479,9 +482,9 @@ def coefficient_table(pattern: PatternId, n_max: int) -> DistributionTable:
 #: difference recurrence (see the module docstring).
 _SIDE_WEIGHT = 8
 
-#: Least capacity of a pattern's first builder: the largest n that verify
-#: (CROSS_PATTERN_N_MAX) and the tests ask for.  A test holds verify's
-#: default bounds to it, since a larger one would build at wider slots.
+#: Least capacity of a builder that starts over: the largest n that verify
+#: asks for at its default bounds (CROSS_PATTERN_N_MAX).  A test holds
+#: those bounds to it, since a larger one would build at wider slots.
 _MIN_CAPACITY = 40
 
 
@@ -493,7 +496,7 @@ def _slot_bytes(capacity: int) -> int:
 
 
 class _Level(namedtuple("_Level", "capacity width n row g")):
-    """The live builder's record at level n, replaced whole by each step.
+    """A builder's record at level n, replaced whole by each step.
 
     ``width`` is the bytes per slot, from the ``capacity``.  ``row`` is
     level n's row, a tuple indexed by k (entries 0 and 1 unused), each
@@ -668,7 +671,7 @@ _CHECKS = {
 #: ``distribution_table`` asked for; only that function grows it.
 _TABLES: dict[PatternId, tuple[QPoly, ...]] = {}
 
-#: The live builder: at most one record, that of the pattern stepped last.
+#: The builder: at most one record, that of the pattern stepped last.
 _BUILDERS: dict[PatternId, _Level] = {}
 
 
@@ -710,19 +713,16 @@ def _prepared(pattern: PatternId, n: int, tabled: bool) -> int:
     """Make ``pattern``'s record the one builder, where a build to level n
     starts, and return its level.
 
-    A new builder, or one above n or (when ``tabled``) above the top of
-    the table, starts over at capacity max(n, _MIN_CAPACITY).  A builder
-    asked past its capacity N starts over at capacity max(n, 2N) when it is
-    live (past level 1, at or above the top of the table), otherwise at
-    max(n, _MIN_CAPACITY).
+    A build steps from the top of the table when ``tabled``, otherwise
+    from n.  A pattern with no builder, or with one above that level,
+    starts over at capacity max(n, _MIN_CAPACITY); a builder at level L
+    asked past its capacity starts over at capacity max(n, 2L).
     """
-    builder, top = _BUILDERS.get(pattern), len(_table(pattern))
-    if builder is None or n < builder.n or tabled and builder.n > top:
+    builder = _BUILDERS.get(pattern)
+    if builder is None or builder.n > (len(_table(pattern)) if tabled else n):
         builder = _start(max(n, _MIN_CAPACITY))
     elif n > builder.capacity:
-        live = 1 < builder.n >= top
-        capacity = 2 * builder.capacity if live else _MIN_CAPACITY
-        builder = _start(max(n, capacity))
+        builder = _start(max(n, 2 * builder.n))
     _BUILDERS.clear()
     _BUILDERS[pattern] = builder
     return builder.n

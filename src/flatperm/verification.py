@@ -37,6 +37,13 @@ DEFAULT_N_MAX = {
     "identities": 8,
 }
 
+#: The largest n_max each suite can run: past perm_core.DEFAULT_MAX_N the
+#: oracle refuses S_n (and the bijection sweep would walk 4.4 million
+#: marked partitions at n = 11), and series expands to order n_max + 1, at
+#: most series.MAX_ORDER.  "all" takes the smallest.
+MAX_N_MAX = dict.fromkeys(SUITES, perm_core.DEFAULT_MAX_N) \
+    | {"series": series.MAX_ORDER - 1}
+
 # The recurrence-only cross-pattern equalities are cheap and always checked
 # to this bound, independent of the brute-force bound.
 CROSS_PATTERN_N_MAX = 40
@@ -554,14 +561,20 @@ _SUITE_RUNNERS = {
 
 def run_suite(suite: str, n_max: int | None = None) -> Report:
     """Run one named suite, or every suite with "all", at ``n_max`` or, when
-    it is None, at each suite's default bound."""
+    it is None, at each suite's default bound.  An ``n_max`` past the
+    suite's ``MAX_N_MAX`` (the smallest, for "all") raises ValueError
+    before any check runs."""
     if suite != "all" and suite not in _SUITE_RUNNERS:
         raise ValueError(
             f"unknown suite {suite!r}; expected one of {SUITES + ('all',)}")
+    names = SUITES if suite == "all" else (suite,)
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
+    if n_max is not None and n_max > (top := min(map(MAX_N_MAX.get, names))):
+        raise ValueError(
+            f"n_max={n_max} exceeds the limit {top} of suite {suite!r}")
     report = Report()
-    for name in SUITES if suite == "all" else (suite,):
+    for name in names:
         _SUITE_RUNNERS[name](
             report, DEFAULT_N_MAX[name] if n_max is None else n_max)
     return report

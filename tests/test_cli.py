@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from flatperm import bijections, cli, closed_forms, recurrences
+from flatperm import (bijections, cli, closed_forms, recurrences,
+                      verification)
 from flatperm.cli import main
 from flatperm.perm_core import CycleForm, VincularPattern3, _count_word
 from flatperm.qpoly import IdentityViolation
@@ -352,6 +353,31 @@ def test_verify_rejects_non_positive_n_max(capsys):
                                "--n-max", n_max)
         assert (status, out) == (2, "")
         assert err == f"error: n_max must be positive, got {n_max}\n"
+
+
+def test_verify_refuses_n_max_past_the_suite_limit(capsys):
+    # the oracle refuses S_n past 10, so "all" takes that limit
+    status, out, err = run(capsys, "verify", "--suite", "all", "--n-max", "11")
+    assert (status, out) == (2, "")
+    assert err == "error: n_max=11 exceeds the limit 10 of suite 'all'\n"
+    # series expands to order n_max + 1, at most 64
+    status, out, _ = run(capsys, "verify", "--suite", "series",
+                         "--n-max", "63")
+    assert status == 0 and "FAIL" not in out
+    status, out, err = run(capsys, "verify", "--suite", "series",
+                           "--n-max", "64")
+    assert (status, out) == (2, "")
+    assert "limit 63" in err
+
+
+def test_verify_limit_is_checked_before_any_check(monkeypatch):
+    def no_check(report, n_max):
+        raise AssertionError("a suite ran")
+
+    for name in verification.SUITES:
+        monkeypatch.setitem(verification._SUITE_RUNNERS, name, no_check)
+    with pytest.raises(ValueError, match="limit 10 of suite 'bijections'"):
+        verification.run_suite("bijections", 11)
 
 
 def test_verify_unknown_suite(capsys):

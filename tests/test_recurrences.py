@@ -358,7 +358,9 @@ def test_request_past_capacity_starts_over(monkeypatch):
     high = distribution_table(PatternId.P32_1, first.capacity + 1)
     second = recurrences._BUILDERS[PatternId.P32_1]
     assert second is not first
-    assert second.capacity == 2 * first.capacity
+    # from level 5 the build jumps past twice that level, so it builds at
+    # the requested n's own width
+    assert (second.capacity, second.width) == (41, _slot_bytes(41))
     assert high.polys[:5] == low.polys
 
 
@@ -368,17 +370,20 @@ def test_verify_default_bounds_fit_a_first_builder(monkeypatch):
     assert CROSS_PATTERN_N_MAX <= _MIN_CAPACITY
     assert max(max(DEFAULT_N_MAX.values()), 20) <= _MIN_CAPACITY
     step = recurrences._step
-    sizes = set()
+    sizes, steps = set(), []
 
     def recorded(p, tabled):
         builder = recurrences._BUILDERS[p]
         sizes.add((builder.capacity, builder.width))
+        steps.append(p)
         step(p, tabled)
 
     _empty_memo(monkeypatch)
     monkeypatch.setattr(recurrences, "_step", recorded)
     assert run_suite("all").ok
     assert sizes == {(_MIN_CAPACITY, _slot_bytes(_MIN_CAPACITY))}
+    # the verify_breadth benchmark's order: a rebuild added to it fails here
+    assert len(steps) == 328
 
 
 def test_memo_tables_empty_at_import():
@@ -601,7 +606,17 @@ def _deep_tables_order(monkeypatch):
 def test_memo_keeps_one_row(monkeypatch):
     # every table is kept and read without a step, but only the pattern
     # stepped last keeps a builder
+    step, steps = recurrences._step, []
+
+    def counted(p, tabled):
+        steps.append(p)
+        step(p, tabled)
+
+    monkeypatch.setattr(recurrences, "_step", counted)
     _deep_tables_order(monkeypatch)
+    # 49 levels per table, then 39 per pattern's rows from n = 2: a
+    # rebuild added to the deep_tables benchmark's order fails here
+    assert len(steps) == 440
     last = ALL_PATTERNS[-1]
     assert list(recurrences._BUILDERS) == [last]
     builder = recurrences._BUILDERS[last]
@@ -700,7 +715,12 @@ def test_cli_distribution_then_refined_keeps_one_row(monkeypatch, capsys):
                    for p in ALL_PATTERNS}
 
 
-def test_ascending_refined_reads_start_over_once_per_doubling(monkeypatch):
+@pytest.mark.parametrize("table_n", [None, 60],
+                         ids=["empty memo", "table to 60"])
+def test_ascending_refined_reads_start_over_once_per_doubling(table_n,
+                                                              monkeypatch):
+    # after the table's build the builder is above the first read, which
+    # starts over; from there it doubles as it does from an empty memo
     pattern = PatternId.P31_2
     step = recurrences._step
     from_level_one = []
@@ -711,6 +731,8 @@ def test_ascending_refined_reads_start_over_once_per_doubling(monkeypatch):
         step(p, tabled)
 
     _empty_memo(monkeypatch)
+    if table_n:
+        distribution_table(pattern, table_n)
     monkeypatch.setattr(recurrences, "_step", counted)
     capacities = []
     for n in range(2, 91):
