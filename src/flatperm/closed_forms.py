@@ -9,13 +9,49 @@ numbers, and exact harmonic numbers.
 Averages and harmonic numbers are exact rationals throughout; a decimal is
 only ever produced for display.  All averages share the limiting behaviour
 avr(n)/n^2 -> 1/12.
-"""
 
+The avoider counts of 32-1, 23-1, 21-3 and 12-3 are read from four integer
+sequences, each a binomial transform of its own earlier terms,
+
+    x_{m+1} = c sum_{i=0}^{m} C(m, i) x_i  (+ d when m = 0),
+
+that is, the EGF X(x) = sum_m x_m x^m / m! solves X' = c e^x X (+ d).
+The Bell triangle (Aitken's array) forms these sums by additions alone.
+Row m starts with x_m and goes on by row_m[j] = row_m[j-1] + row_{m-1}[j-1],
+so row_m[j] = sum_i C(j, i) x_{m-j+i} by Pascal's rule, and its last entry
+row_m[m] is the sum above.  Growing a sequence to index n takes n(n-1)/2
+additions and keeps one row.
+
+* Bell numbers B_m = sum_k S(m, k): x_0 = 1, c = 1, since the EGF
+  exp(e^x - 1) has derivative e^x times itself.
+* Complementary Bell numbers B~_m = sum_k (-1)^k S(m, k): x_0 = 1, c = -1,
+  from exp(1 - e^x).
+* Doubled blocks T_m(2) = sum_k 2^k S(m, k), the Touchard polynomial at 2:
+  x_0 = 1, c = 2, from exp(2(e^x - 1)).  The paper's 32-1 and 23-1 count
+  is sum_{k>=1} 2^k S(n-1, k), which is T_{n-1}(2), because S(n-1, 0) = 0
+  for n >= 2.
+* 21-3: the paper's count is 2 sum_k k S(n-1, k).  Summing S(m+1, k) =
+  S(m, k-1) + k S(m, k) over k gives B_{m+1} = B_m + sum_k k S(m, k), so
+  the count is 2(B_n - B_{n-1}).
+* 12-3: the paper's alternating Bell convolution, with m = n - 2 >= 1, is
+      -2 sum_{i=0}^{m} C(m, i) (B_i + B_{i+1}) B~_{m-1-i},   B~_{-1} = -1.
+  Let C be the EGF with C' = B~(x) = exp(1 - e^x) and C(0) = B~_{-1} = -1,
+  so that m! [x^m] C = B~_{m-1}, and let G = B C with B(x) = exp(e^x - 1).
+  The sum over B_i is m! [x^m] G.  B' = e^x B, so the sum over B_{i+1} is
+  m! [x^m] e^x G, the EGF coefficient of (1 + e^x) G in all.  As B B~ = 1,
+  G' = B' C + B C' = e^x G + 1, so the coefficients g_m of G form the
+  sequence x_0 = B_0 C(0) = -1, c = 1, d = 1, and the count is
+  -2(g_{n-2} + g_{n-1}).  At n = 2 this also gives 2.
+
+The paper's sums stay in the tests as the reference for every n <= 200,
+and ``verify`` compares these counts with the tables and the oracle.
+"""
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
 
 from .recurrences import ALL_PATTERNS, PatternId
 
@@ -30,27 +66,23 @@ AUX_3_12 = "3-12"
 TABLE_PATTERNS = tuple(p.value for p in ALL_PATTERNS) + (PATTERN_13_2,)
 
 
-class _RowSums(namedtuple("_RowSums",
-                          "bell complementary_bell doubled weighted")):
-    """The sums of one Stirling row S(m, 0..m) that the closed forms read:
-    the Bell number sum_k S(m, k), the complementary Bell number
-    sum_k (-1)^k S(m, k), the doubled-blocks sum sum_k 2^k S(m, k) of 32-1
-    and 23-1, and the weighted sum sum_k k S(m, k), half that of 21-3."""
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, row: list[int]) -> _RowSums:
-        return cls(sum(row), sum(row[0::2]) - sum(row[1::2]),
-                   sum(s << k for k, s in enumerate(row)),
-                   sum(k * s for k, s in enumerate(row)))
-
-
 def _next_stirling_row(prev: list[int]) -> list[int]:
     """S(m+1, 0..m+1) from prev = S(m, 0..m), as a new list."""
     m = len(prev) - 1
     return [0] + [prev[k - 1] + k * prev[k] for k in range(1, m + 1)] \
         + [prev[m]]
+
+
+#: The sequences ``SpecialNumberCache`` grows, by the name of the list that
+#: holds x_0..x_M: (x_0, c, d) of the step x_{m+1} = c row_m[-1] (+ d when
+#: m = 0), so that x_{m+1} = c sum_i C(m, i) x_i (+ d); see the module
+#: docstring
+_SEQUENCES = {
+    "_bell": (1, 1, 0),                  # B_m
+    "_complementary_bell": (1, -1, 0),   # sum_k (-1)^k S(m, k)
+    "_doubled": (1, 2, 0),               # T_m(2) = sum_k 2^k S(m, k)
+    "_g12_3": (-1, 1, 1),                # g_m of the 12-3 count
+}
 
 
 #: Largest n that ``SpecialNumberCache.harmonic`` always reaches by growing
@@ -59,56 +91,57 @@ _HARMONIC_STEP_MAX = 256
 
 
 class SpecialNumberCache:
-    """Grow-on-demand Stirling row sums, Bell sequences and harmonic numbers.
+    """Grow-on-demand Bell-type sequences and harmonic numbers.
 
-    Only the top Stirling row is kept.  For every m up to it the cache holds
-    the row's ``_RowSums``, computed once when row m is formed, so that a
-    Bell number or an avoider count is one read; a Stirling number below
-    the top row is formed again on demand.  Every list starts with one
-    entry, that of index 0.
+    Each sequence of ``_SEQUENCES`` is a list x_0..x_M, read by index, and
+    the last row of its triangle, a tuple kept by the sequence's name: row
+    M - 1, which x_M was formed from, or row -1, empty, at the start.
+    A growth commits row M there before it appends x_{M+1}, so a growth
+    stopped between the two finds the row one step ahead and appends from
+    it.  Every list starts with one entry, that of index 0.  A Stirling
+    number is formed on demand, row by row, and not kept.
 
-    The complementary Bell sequence is additionally defined at index -1 with
-    value -1, which the 12-3 avoider formula depends on.
+    The complementary Bell sequence is additionally defined at index -1
+    with value -1.  The paper's 12-3 convolution reads it there; here it
+    is g_0, the 12-3 sequence's first entry.
     """
 
     def __init__(self):
-        # the top Stirling row S(m, 0..m)
-        self._row: list[int] = [1]
-        # _RowSums of rows 0..m: row m + 1 replaces the top row before its
-        # entry is appended, and the entry is read from the committed row,
-        # so a growth stopped between the two finishes it on the next call
-        self._sums: list[_RowSums] = [_RowSums.of([1])]
+        for name, (x_0, _, _) in _SEQUENCES.items():
+            setattr(self, name, [x_0])
+        self._rows: dict[str, tuple[int, ...]] = dict.fromkeys(_SEQUENCES, ())
         self._harmonic: list[Fraction] = [Fraction(0)]
         # (n, H_n) for the first request far past the memo's top, or None
         self._far_harmonic: tuple[int, Fraction] | None = None
 
-    def _grow(self, n: int):
-        while len(self._sums) <= n:
-            row = self._row
-            if len(row) == len(self._sums):
-                row = self._row = _next_stirling_row(row)
-            self._sums.append(_RowSums.of(row))
-
-    def _row_sums(self, n: int) -> _RowSums:
-        self._grow(n)
-        return self._sums[n]
+    def _grown(self, name: str, n: int) -> list[int]:
+        """The list of sequence ``name``, grown to hold x_n."""
+        xs = getattr(self, name)
+        if n < len(xs):
+            return xs
+        _, c, d = _SEQUENCES[name]
+        rows = self._rows
+        row = rows[name]
+        while len(xs) <= n:
+            if len(row) < len(xs):
+                row = rows[name] = tuple(accumulate(row, add,
+                                                    initial=xs[-1]))
+            xs.append(c * row[-1] + (d if len(xs) == 1 else 0))
+        return xs
 
     def stirling2(self, n: int, k: int) -> int:
         """Partitions of an n-set into exactly k blocks."""
         if n < 0 or k < 0 or k > n:
             return 0
-        self._grow(n)
-        row = self._row
-        if len(row) > n + 1:  # below the top row: form row n again
-            row = [1]
-            for _ in range(n):
-                row = _next_stirling_row(row)
+        row = [1]
+        for _ in range(n):
+            row = _next_stirling_row(row)
         return row[k]
 
     def bell(self, n: int) -> int:
         if n < 0:
             raise ValueError("Bell numbers start at index 0")
-        return self._row_sums(n).bell
+        return self._grown("_bell", n)[n]
 
     def complementary_bell(self, n: int) -> int:
         """Alternating-sign row sums of the Stirling triangle; index -1 is -1."""
@@ -116,7 +149,7 @@ class SpecialNumberCache:
             return -1
         if n < -1:
             raise ValueError("complementary Bell numbers start at index -1")
-        return self._row_sums(n).complementary_bell
+        return self._grown("_complementary_bell", n)[n]
 
     def harmonic(self, n: int) -> Fraction:
         """H_n = 1 + 1/2 + ... + 1/n, exact.
@@ -167,11 +200,13 @@ def avoiders(pattern, n: int) -> int:
 
     Accepts the five recurrence patterns and "13-2".  Every flattened form
     of length at most 2 avoids everything, so n = 1 and n = 2 are 1 and 2
-    for all six columns; the closed forms take over afterwards.
+    for all six columns: n = 1 is returned as such, and every closed form
+    gives 2 at n = 2.  The four Bell-type counts are one or two reads of a
+    sequence that the memo grows (see the module docstring).
 
     The 32-1 / 23-1 count also equals the infinite series
     (1/e^2) sum_k 2^k k^(n-1) / k!; being transcendental in form, it is not
-    evaluated here, the finite doubled-blocks Stirling sum is.
+    evaluated here, the doubled-blocks number T_{n-1}(2) is.
     """
     key = _table_key(pattern)
     if n < 1:
@@ -182,32 +217,13 @@ def avoiders(pattern, n: int) -> int:
         return math.comb(2 * n - 2, n - 1)
     if key == "13-2":
         return 2 ** (n - 1)
-    # S(n - 1, 0) = 0 from n = 2 on, so the k = 0 terms of the row sums
-    # add nothing
     if key in ("32-1", "23-1"):
-        return numbers._row_sums(n - 1).doubled
+        return numbers._grown("_doubled", n - 1)[n - 1]
     if key == "21-3":
-        return 2 * numbers._row_sums(n - 1).weighted
-    # 12-3: alternating Bell convolution, valid from n = 3.  With m = n - 2
-    # it is -2 sum_{i=0}^{m} C(m, i) (B_i + B_{i+1}) B~_{m-1-i}; C(m, i) is
-    # a running binomial and B, B~ are read from the memo's row sums, so a
-    # call builds no list.  The 200 calls of `table --n-max 200` take
-    # 10-14 ms of CPU with the memo grown (shared 2-vCPU Intel Xeon VM,
-    # CPython 3.11.7, best of 9, five runs)
-    if n == 2:
-        return 2
-    m = n - 2
-    numbers._grow(n - 1)
-    sums = numbers._sums
-    total, binom = 0, 1
-    for i in range(m):
-        total += binom * (sums[i].bell + sums[i + 1].bell) \
-            * sums[m - 1 - i].complementary_bell
-        binom = binom * (m - i) // (i + 1)
-    # the last term, i = m, reads index -1 of the complementary Bell
-    # sequence, which the memo does not hold
-    return -2 * (total + (sums[m].bell + sums[m + 1].bell)
-                 * numbers.complementary_bell(-1))
+        bell = numbers._grown("_bell", n)
+        return 2 * (bell[n] - bell[n - 1])
+    g = numbers._grown("_g12_3", n - 1)
+    return -2 * (g[n - 2] + g[n - 1])
 
 
 def _average_parts(key: str, n: int) -> tuple[int, int, int]:

@@ -370,6 +370,17 @@ def test_verify_refuses_n_max_past_the_suite_limit(capsys):
     assert "limit 63" in err
 
 
+@pytest.mark.parametrize("n_max", ["1", "2"])
+def test_verify_series_below_the_31_2_minimum_order(capsys, n_max):
+    # the 31-2 closed forms assemble at order 4 or more, past n_max + 1 here
+    status, out, _ = run(capsys, "verify", "--suite", "series",
+                         "--n-max", n_max)
+    assert status == 0
+    assert out.count("PASS  ") == 4 and out.endswith("4/4 checks passed\n")
+    status, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", n_max)
+    assert status == 0 and "FAIL" not in out
+
+
 def test_verify_limit_is_checked_before_any_check(monkeypatch):
     def no_check(report, n_max):
         raise AssertionError("a suite ran")

@@ -296,16 +296,17 @@ STIRLING_AVOIDER_KEYS = ("32-1", "23-1", "21-3")
 
 
 def test_special_numbers_after_interrupted_growth(monkeypatch):
-    """A growth of the Stirling row, its sums and the harmonic numbers
-    stopped at any line leaves only whole entries: every later value equals
-    a fresh cache's, and so do the avoider counts that read the row sums
-    and the complementary Bell numbers."""
+    """A growth of the four sequences and the harmonic numbers stopped at
+    any line leaves only whole entries and a row that is either the last
+    value's or one step ahead of it: every later value equals a fresh
+    cache's, and so do the avoider counts that read the sequences."""
     want = _special_numbers(SpecialNumberCache())
     want_avoiders = {key: [avoiders(key, n) for n in range(1, 12)]
                      for key in STIRLING_AVOIDER_KEYS + ("12-3",)}
 
     def start():
         cache = SpecialNumberCache()
+        monkeypatch.setattr(closed_forms, "numbers", cache)
         cache.bell(4)
         cache.harmonic(4)
         return cache
@@ -313,9 +314,11 @@ def test_special_numbers_after_interrupted_growth(monkeypatch):
     def grow(cache):
         cache.bell(9)
         cache.harmonic(9)
+        avoiders("32-1", 9)
+        avoiders("12-3", 9)
+        cache.complementary_bell(9)
 
     for cache in interrupt_every_line(closed_forms, start, grow):
-        monkeypatch.setattr(closed_forms, "numbers", cache)
         assert {key: [avoiders(key, n) for n in range(1, 12)]
                 for key in want_avoiders} == want_avoiders
         assert _special_numbers(cache) == want
@@ -340,9 +343,9 @@ def _stirling_triangle(m_max):
 
 
 def _reference_sums(row):
+    """The Bell, complementary Bell and doubled-blocks sums of one row."""
     return (sum(row), sum((-1) ** k * s for k, s in enumerate(row)),
-            sum(2 ** k * s for k, s in enumerate(row)),
-            sum(k * s for k, s in enumerate(row)))
+            sum(2 ** k * s for k, s in enumerate(row)))
 
 
 def _reference_avoiders(tri, key):
@@ -355,7 +358,7 @@ def _reference_avoiders(tri, key):
     if key == "21-3":
         return [1] + [2 * sum(k * tri[n - 1][k] for k in range(1, n))
                       for n in range(2, n_max + 1)]
-    bell, cbell, _, _ = zip(*map(_reference_sums, tri))
+    bell, cbell, _ = zip(*map(_reference_sums, tri))
     cbell += (-1,)  # index -1
     return [1, 2] + [-2 * sum(math.comb(n - 2, i) * (bell[i] + bell[i + 1])
                               * cbell[n - i - 3] for i in range(n - 1))
@@ -365,21 +368,22 @@ def _reference_avoiders(tri, key):
 @pytest.mark.parametrize("reads", [(), (200, 5, 37)],
                          ids=["fresh", "grown-200-5-37"])
 def test_memo_matches_the_whole_triangle(monkeypatch, reads):
-    """On a fresh cache, and on one grown to row 200 and then read at rows
-    5 and 37, every entry, avoider count and small Stirling number equals
-    the value computed from the whole triangle."""
+    """On a fresh cache, and on one whose sequences were grown to index 200
+    and then read at 5 and 37, every entry, avoider count and small
+    Stirling number equals the value computed from the whole triangle."""
     tri = _stirling_triangle(M_REF)
     cache = SpecialNumberCache()
     for n in reads:
+        for name in closed_forms._SEQUENCES:
+            cache._grown(name, n)
         cache.stirling2(n, n // 2)
     monkeypatch.setattr(closed_forms, "numbers", cache)
     for key in STIRLING_AVOIDER_KEYS + ("12-3",):
         assert [avoiders(key, n) for n in range(1, M_REF + 1)] \
             == _reference_avoiders(tri, key), key
     for m, row in enumerate(tri):
-        want = _reference_sums(row)
-        assert cache._row_sums(m) == want, m
-        assert (cache.bell(m), cache.complementary_bell(m)) == want[:2]
+        assert (cache.bell(m), cache.complementary_bell(m),
+                cache._grown("_doubled", m)[m]) == _reference_sums(row), m
     assert [[cache.stirling2(n, k) for k in range(n + 1)]
             for n in range(31)] == tri[:31]
 
@@ -387,25 +391,34 @@ def test_memo_matches_the_whole_triangle(monkeypatch, reads):
 def _ints_held(value):
     if isinstance(value, int):
         return 1
+    if isinstance(value, dict):
+        value = list(value.values())
     if isinstance(value, (list, tuple)):
         return sum(_ints_held(v) for v in value)
     return 0
 
 
-def test_memo_keeps_one_row_and_four_sums_per_n(monkeypatch):
+def test_memo_keeps_one_row_per_sequence(monkeypatch):
     cache = SpecialNumberCache()
     # every list of a fresh cache holds one entry, so the benchmark runner's
     # cold check (sum of len - 1 over the list attributes) reads 0
     assert {name: len(v) for name, v in vars(cache).items()
-            if isinstance(v, list)} == {"_row": 1, "_sums": 1, "_harmonic": 1}
+            if isinstance(v, list)} \
+        == {"_bell": 1, "_complementary_bell": 1, "_doubled": 1,
+            "_g12_3": 1, "_harmonic": 1}
+    assert cache._rows == dict.fromkeys(closed_forms._SEQUENCES, ())
     monkeypatch.setattr(closed_forms, "numbers", cache)
-    avoiders("32-1", 200)  # reads row 199
-    assert len(cache._row) == len(cache._sums) == 200
-    assert all(len(e) == 4 and all(isinstance(v, int) for v in e)
-               for e in cache._sums)
-    # the whole triangle to row 199 would be 20,100 integers
-    assert sum(_ints_held(v) for v in vars(cache).values()) \
-        <= 201 + 4 * 201
+    avoiders("32-1", 201)  # reads T_200(2)
+    avoiders("21-3", 200)  # B_200 and B_199
+    avoiders("12-3", 201)  # g_199 and g_200
+    cache.complementary_bell(200)
+    # each sequence holds x_0..x_200 and row 199, the row x_200 came from
+    for name in closed_forms._SEQUENCES:
+        assert len(getattr(cache, name)) == 201, name
+        assert len(cache._rows[name]) == 200, name
+    # 4 x (201 + 200) = 1,604 integers in all, where the whole Stirling
+    # triangle to row 200 alone would be 20,301
+    assert sum(_ints_held(v) for v in vars(cache).values()) == 4 * (201 + 200)
 
 
 def test_q_binomial_rows_after_interrupted_growth(monkeypatch):
