@@ -28,14 +28,24 @@ unchecked value with the checked constructor's for n <= 7.
 Each map is its flatten and domain check around a word-level core that
 takes the cycle form and its flattened word and returns plain fields:
 ``_runs_partition`` (blocks and marks), and ``_reverse_runs`` (cycles),
-which the reversal and its inverse share.  The ``verify`` bijection suite
-flattens and counts each source once and calls the cores itself: it
-raises the maps' domain error from its stored count, builds each forward
-image through the checking constructor, and builds no round-trip value at
-all, comparing the core's fields with the valid source's instead (fields
-equal to a valid value's are valid).  That is as strong as comparing
-values because the cores return tuples, exactly as the constructors store
-them; tests/test_bijections.py checks this for every source with n <= 7.
+which the reversal and its inverse share: it cuts (``_cut``) the word
+that ``_chain_reversal`` returns at the cycle lengths.  Each domain check
+is one right-to-left scan, ``_contains_23_1`` or ``_contains_32_1``.
+
+The ``verify`` bijection suite flattens and scans each source once and
+calls the word operations itself: it raises the maps' domain error from
+its stored flag, builds each forward image through the checking
+constructor, and builds no round-trip value at all (fields equal to a
+valid value's are valid).  The partition check compares
+``_runs_partition``'s fields with the source's; that is as strong as
+comparing values because the core returns tuples, exactly as the
+constructor stores them.  The reversal check calls ``_chain_reversal``
+once per direction.  The image's cycles are the reversed word cut at the
+source's cycle lengths by ``_cut``, and the round trip compares the
+reversal of that word with the source's word: both sides are cut at the
+same lengths, so the words are equal exactly when the cycles are.
+tests/test_bijections.py checks the cores against the maps for every
+source with n <= 7.
 
 Threads.  Everything here is a pure function of immutable values, and this
 module keeps no memo; the exhaustive sweeps can be partitioned freely
@@ -50,8 +60,7 @@ import itertools
 
 from ._value import FrozenValue
 from .perm_core import (DEFAULT_MAX_N, CycleForm, VincularPattern3,
-                        _check_cap, _flat_word_tuples,
-                        count_occurrences, flatten_cycle_form)
+                        _check_cap, _flat_word_tuples, flatten_cycle_form)
 
 _PAT_23_1 = VincularPattern3.from_string("23-1")
 _PAT_32_1 = VincularPattern3.from_string("32-1")
@@ -162,10 +171,10 @@ def avoider_23_1_to_partition(c: CycleForm) -> MarkedPartition:
     The blocks are the maximal descending runs of the flattened word; a
     block is marked exactly when its minimum opens a cycle of c.
     """
-    flat = flatten_cycle_form(c)
-    if count_occurrences(flat, _PAT_23_1):
+    word = flatten_cycle_form(c).word
+    if _contains_23_1(word):
         raise _domain_error(_PAT_23_1)
-    return MarkedPartition(*_runs_partition(c, flat.word))
+    return MarkedPartition(*_runs_partition(c, word))
 
 
 def _runs_partition(c: CycleForm, word: tuple[int, ...]
@@ -186,11 +195,15 @@ def _reverse_runs(c: CycleForm, word: tuple[int, ...]
     """The cycles of the chain reversal of word (c's flattened word), cut
     at c's cycle lengths: the word operation of map_23_1_to_32_1 and of
     its inverse alike."""
-    new_word = _chain_reversal(word)
+    return _cut(_chain_reversal(word), c)
+
+
+def _cut(word, c: CycleForm) -> tuple[tuple[int, ...], ...]:
+    """word cut into tuples at c's cycle lengths."""
     out = []
     pos = 0
     for cyc in c.cycles:
-        out.append(tuple(new_word[pos:pos + len(cyc)]))
+        out.append(tuple(word[pos:pos + len(cyc)]))
         pos += len(cyc)
     return tuple(out)
 
@@ -228,19 +241,51 @@ def map_23_1_to_32_1(c: CycleForm) -> CycleForm:
     ascent bottoms" description extended to the final run, which it must
     cover: the image of 1432 has to avoid 32-1.
     """
-    flat = flatten_cycle_form(c)
-    if count_occurrences(flat, _PAT_23_1):
+    word = flatten_cycle_form(c).word
+    if _contains_23_1(word):
         raise _domain_error(_PAT_23_1)
-    return CycleForm(_reverse_runs(c, flat.word))
+    return CycleForm(_reverse_runs(c, word))
 
 
 def inverse_32_1_to_23_1(c: CycleForm) -> CycleForm:
     """Inverse of map_23_1_to_32_1: the identical chain reversal, entered
     from the 32-1-avoiding side."""
-    flat = flatten_cycle_form(c)
-    if count_occurrences(flat, _PAT_32_1):
+    word = flatten_cycle_form(c).word
+    if _contains_32_1(word):
         raise _domain_error(_PAT_32_1)
-    return CycleForm(_reverse_runs(c, flat.word))
+    return CycleForm(_reverse_runs(c, word))
+
+
+def _contains_23_1(word: tuple[int, ...]) -> bool:
+    """Whether word has an occurrence of the vincular 23-1: an ascent
+    word[i] < word[i + 1] and a later letter below word[i].  One
+    right-to-left scan keeps low, the smallest letter of word[i + 2:]."""
+    if len(word) < 3:
+        return False
+    low = word[-1]
+    for i in range(len(word) - 3, -1, -1):
+        a, b = word[i], word[i + 1]
+        if low < a < b:
+            return True
+        if b < low:
+            low = b
+    return False
+
+
+def _contains_32_1(word: tuple[int, ...]) -> bool:
+    """Whether word has an occurrence of the vincular 32-1: a descent
+    word[i] > word[i + 1] and a later letter below word[i + 1], by the
+    scan of ``_contains_23_1``."""
+    if len(word) < 3:
+        return False
+    low = word[-1]
+    for i in range(len(word) - 3, -1, -1):
+        a, b = word[i], word[i + 1]
+        if low < b < a:
+            return True
+        if b < low:
+            low = b
+    return False
 
 
 def _contains_31_2(word: tuple[int, ...]) -> bool:

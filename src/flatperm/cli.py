@@ -7,8 +7,10 @@ six patterns), ``series`` (generating-function coefficients), and ``verify``
 
 Output is deterministic byte-for-byte for a given invocation: no
 timestamps, fixed orderings, and big integers serialized as decimal
-strings.  Exit status 0 on success, 1 when a verification suite fails,
-2 on usage errors (including cap violations).
+strings.  Exit status 0 on success, 1 when a verification suite fails or
+when stdout is closed before the output is written (``table --n-max 200
+| head`` exits 1 with no traceback), 2 on usage errors (including cap
+violations).
 """
 
 from __future__ import annotations
@@ -290,7 +292,15 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(output + "\n")
     else:
-        print(output)
+        try:
+            print(output)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe, as `| head` does.  Point stdout
+            # at devnull, as the Python docs advise, so that the flush at
+            # interpreter exit does not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return status
 
 

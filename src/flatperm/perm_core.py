@@ -178,9 +178,10 @@ class CycleForm(FrozenValue):
     __slots__ = ("cycles",)
 
     def __init__(self, cycles: tuple[tuple[int, ...], ...]):
-        cycles = tuple(tuple(c) for c in cycles)
+        cycles = tuple(map(tuple, cycles))
         support = [x for c in cycles for x in c]
-        if sorted(support) != list(range(1, len(support) + 1)):
+        support.sort()
+        if support != list(range(1, len(support) + 1)):
             raise ValueError("cycles do not partition [n]")
         firsts = []
         for c in cycles:

@@ -116,11 +116,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from enum import Enum
+from itertools import repeat
 
 from . import perm_core
 from ._value import FrozenValue
 from .qpoly import IdentityViolation, QPoly, _derivative_at_one, \
-    _div_one_minus_q, _unpack, q_binomial, q_int
+    _div_one_minus_q, _normalize, _unpack, q_binomial, q_int
 
 _ONE = QPoly.one()
 _ZERO = QPoly.zero()
@@ -267,23 +268,36 @@ def _coefficients_p31_2(n_max: int) -> list[QPoly]:
 def _coefficients_p32_1(n_max: int) -> list[QPoly]:
     """g_n = n g_{n-1} + sum_j c_{n,j} g_{n-j} where c_{n,j} is accumulated
     two ways, as (q-1)^{j-1} sum_k e_{j-1}([1],...,[k-3]) and as the
-    alternating q-binomial triple sum, with exact agreement enforced."""
+    alternating q-binomial triple sum, with exact agreement enforced.  The
+    triple sum adds its terms C(n-2-a, j-a) (-1)^(j-a) q^(a(a-1)/2)
+    [n-3 choose a-1]_q on one list of ints per j, as
+    ``qpoly._alternating_sum`` does, and is normalized only to be
+    compared."""
     g = [_ZERO, _ONE, _TWO]
-    ebar = [_ONE]         # ebar[m] = e_m([1..t]) (q-1)^m at t = n-3
-    sym, triple = {}, {}  # c_{n,j} by each route
+    ebar = [_ONE]   # ebar[m] = e_m([1..t]) (q-1)^m at t = n-3
+    sym: dict[int, QPoly] = {}         # c_{n,j} by symmetric functions
+    triple: dict[int, list[int]] = {}  # c_{n,j} by the triple sum
     for n in range(3, n_max + 1):
         t = n - 3
         ebar = [_ONE] + [e + p.shifted(t) - p
                          for e, p in zip(ebar[1:] + [_ZERO], ebar)]
-        qb = [q_binomial(n - 3, a - 1).shifted(a * (a - 1) // 2)
-              for a in range(1, n - 1)]
+        qb = [q_binomial(n - 3, a - 1).coeffs for a in range(1, n - 1)]
         total = n * g[n - 1]
         for j in range(2, n - 1):
             sym[j] = sym.get(j, _ZERO) + ebar[j - 1]
-            triple[j] = sum((math.comb(n - 2 - a, j - a) * (-1) ** (j - a)
-                             * qb[a - 1] for a in range(1, j + 1)),
-                            triple.get(j, _ZERO))
-            if triple[j] != sym[j]:
+            acc = triple.setdefault(j, [])
+            for a in range(1, j + 1):
+                c = math.comb(n - 2 - a, j - a)
+                if (j - a) % 2:
+                    c = -c
+                shift = a * (a - 1) // 2
+                coeffs = qb[a - 1]
+                end = shift + len(coeffs)
+                if len(acc) < end:
+                    acc.extend(repeat(0, end - len(acc)))
+                for e, x in enumerate(coeffs, shift):
+                    acc[e] += c * x
+            if _normalize(acc) != sym[j].coeffs:
                 raise IdentityViolation(
                     f"32-1 coefficient routes disagree at n={n}, j={j}")
             total += sym[j] * g[n - j]

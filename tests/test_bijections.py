@@ -4,7 +4,8 @@ import pytest
 
 from flatperm import bijections, perm_core
 from flatperm.bijections import (MarkedPartition, _chain_reversal,
-                                 _contains_3_1_2, _contains_31_2,
+                                 _contains_3_1_2, _contains_23_1,
+                                 _contains_31_2, _contains_32_1,
                                  _reverse_runs, _runs_partition,
                                  avoider_23_1_to_partition,
                                  check_31_2_equivalence,
@@ -141,9 +142,10 @@ def test_reversal_bijection_exhaustive():
 def test_public_maps_equal_their_word_cores():
     """Each public map is its domain check plus its word-level core, which
     the bijection suite calls directly on the words it flattened once.
-    The suite compares a core's round-trip fields with a valid source's
-    instead of building a value, so the cores must return the very fields
-    the checked constructors store: tuples, not lists."""
+    The suite compares a core's round-trip fields, or the reversal's
+    words, with a valid source's instead of building a value, so the cores
+    must return the very fields the checked constructors store: tuples,
+    not lists."""
     for n in range(1, 8):
         for mp in enumerate_marked_partitions(n):
             cf = partition_to_23_1_avoider(mp)
@@ -156,6 +158,9 @@ def test_public_maps_equal_their_word_cores():
             out = map_23_1_to_32_1(cf)
             assert out.cycles == cycles == CycleForm(cycles).cycles
             out_word = flatten_cycle_form(out).word
+            # the suite's reversal check reads these two words only
+            assert out_word == tuple(_chain_reversal(word))
+            assert tuple(_chain_reversal(out_word)) == word
             cycles = _reverse_runs(out, out_word)
             assert inverse_32_1_to_23_1(out) == CycleForm(cycles) == cf
             assert cycles == CycleForm(cycles).cycles == cf.cycles
@@ -209,6 +214,8 @@ def test_containment_predicates_match_the_counts():
     for w in words:
         assert _contains_31_2(w) == (_count_word(w, p31_2) != 0)
         assert _contains_3_1_2(w) == (_count_word(w, p3_1_2) != 0)
+        assert _contains_23_1(w) == (_count_word(w, PAT_23_1) != 0)
+        assert _contains_32_1(w) == (_count_word(w, PAT_32_1) != 0)
 
 
 def test_check_31_2_equivalence():

@@ -10,11 +10,13 @@ import pytest
 from flatperm import (bijections, cli, closed_forms, recurrences,
                       verification)
 from flatperm.cli import main
-from flatperm.perm_core import CycleForm, VincularPattern3, _count_word
+from flatperm.perm_core import (CycleForm, VincularPattern3, _count_word,
+                                flatten_cycle_form)
 from flatperm.qpoly import IdentityViolation
 from flatperm.recurrences import ALL_PATTERNS, PatternId
 
 PAT_23_1 = VincularPattern3.from_string("23-1")
+PAT_32_1 = VincularPattern3.from_string("32-1")
 
 
 def run(capsys, *argv):
@@ -121,32 +123,106 @@ def test_verify_suite_pass(capsys):
     assert all(check["passed"] for check in payload["checks"])
 
 
+def _first_source(n, predicate):
+    """The first 23-1 avoider, in the bijection suite's order of marked
+    partitions of {2,...,n}, whose flattened word satisfies predicate."""
+    for mp in bijections.enumerate_marked_partitions(n):
+        cf = bijections.partition_to_23_1_avoider(mp)
+        if predicate(flatten_cycle_form(cf).word):
+            return cf
+    raise AssertionError("no such source")
+
+
 def test_verify_failure_names_the_counterexample(capsys, monkeypatch):
     # failure text is built only when a check fails; it must still name
-    # the input that broke the round trip.  The reversal check inverts
-    # through the word-level core that both reversal maps share, so the
-    # core is broken on the first word that contains 23-1: no source's
-    # word does, so only the inverse reads it
-    original = bijections._reverse_runs
+    # the input that broke the round trip.  The reversal check reverses
+    # each source's word and then the image's, so the reversal is broken
+    # on the first word that contains 23-1: no source's word does, so
+    # only the round trip reads it
+    original = bijections._chain_reversal
     broken = []
 
-    def reverse(c, word):
-        cycles = original(c, word)
+    def reverse(word):
         if not broken and _count_word(word, PAT_23_1):
-            broken.append(CycleForm(cycles))
-            return tuple((x,) for x in range(1, len(word) + 1))
-        return cycles
+            broken.append(tuple(original(word)))
+            return list(range(1, len(word) + 1))
+        return original(word)
 
-    monkeypatch.setattr(bijections, "_reverse_runs", reverse)
+    monkeypatch.setattr(bijections, "_chain_reversal", reverse)
     status, out, _ = run(capsys, "verify", "--suite", "bijections",
                          "--n-max", "4")
     assert status == 1
     lines = out.splitlines()
     fails = [line for line in lines if line.startswith("FAIL")]
+    source = _first_source(4, broken[0].__eq__)
     assert fails == [
         "FAIL  [bijections] 23-1 avoiders <-> 32-1 avoiders: "
-        f"n=4: round trip failed for {broken[0]}"]
+        f"n=4: round trip failed for {source}"]
     assert lines[-1] == "2/3 checks passed"
+
+
+def _bijection_lines(capsys, n_max):
+    status, out, _ = run(capsys, "verify", "--suite", "bijections",
+                         "--n-max", str(n_max))
+    assert status == 1
+    lines = out.splitlines()
+    assert lines[-1] == "2/3 checks passed"
+    return [line for line in lines if line.startswith("FAIL")]
+
+
+def test_reversal_image_that_contains_32_1_fails_by_name(capsys,
+                                                         monkeypatch):
+    # a reversal that changes nothing maps each source to itself, which
+    # is a valid cycle form with its letters in place; the first source
+    # whose word contains 32-1 must fail, before the round trip
+    monkeypatch.setattr(bijections, "_chain_reversal", list)
+    source = _first_source(4, lambda word: _count_word(word, PAT_32_1))
+    assert _bijection_lines(capsys, 4) == [
+        "FAIL  [bijections] 23-1 avoiders <-> 32-1 avoiders: "
+        f"n=4: image contains 32-1: {source}"]
+
+
+def test_reversal_that_moves_letters_across_cycles_fails_by_name(
+        capsys, monkeypatch):
+    # swapping the words 132 and 123 keeps every image a valid 32-1
+    # avoider and every round trip intact, but (1,3)(2) maps to (1,2)(3)
+    original = bijections._chain_reversal
+    swap = {(1, 3, 2): [1, 2, 3], (1, 2, 3): [1, 3, 2]}
+    monkeypatch.setattr(bijections, "_chain_reversal",
+                        lambda word: swap.get(word) or original(word))
+    assert _bijection_lines(capsys, 4) == [
+        "FAIL  [bijections] 23-1 avoiders <-> 32-1 avoiders: "
+        "n=3: letters changed cycle in (1,3)(2)"]
+
+
+def test_partition_round_trip_failure_names_the_partition(capsys,
+                                                          monkeypatch):
+    # the partition check compares the inverse's fields with the source
+    # partition's; inverted marks at n = 3 must name the first source
+    original = bijections._runs_partition
+
+    def runs_partition(c, word):
+        blocks, marks = original(c, word)
+        if len(word) == 3:
+            marks = tuple(not m for m in marks)
+        return blocks, marks
+
+    monkeypatch.setattr(bijections, "_runs_partition", runs_partition)
+    assert _bijection_lines(capsys, 4) == [
+        "FAIL  [bijections] marked partitions <-> 23-1 avoiders: "
+        "n=3: round trip failed for MarkedPartition(blocks=((3, 2),), "
+        "marks=(False,))"]
+
+
+def test_partition_image_size_must_equal_the_avoider_count(capsys,
+                                                           monkeypatch):
+    # every record passes; only the cardinality at n = 3 is off
+    original = closed_forms.avoiders
+    monkeypatch.setattr(closed_forms, "avoiders", lambda pattern, n: original(
+        pattern, n) + (pattern == "23-1" and n == 3))
+    assert _bijection_lines(capsys, 4) == [
+        "FAIL  [bijections] marked partitions <-> 23-1 avoiders: "
+        "n=3: image size 6 != avoider count"]
 
 
 def test_broken_partition_map_fails_both_checks_that_share_it(capsys,
@@ -379,6 +455,54 @@ def test_verify_series_below_the_31_2_minimum_order(capsys, n_max):
     assert out.count("PASS  ") == 4 and out.endswith("4/4 checks passed\n")
     status, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", n_max)
     assert status == 0 and "FAIL" not in out
+
+
+#: The checks of `verify --suite all` whose range of n is empty at small
+#: bounds: each still passes, and its detail says that it compared nothing.
+EMPTY_AT_N_MAX = {
+    1: {f"[refined] {p} g_n(1k) == brute force": "n=2..1" for p in ALL_PATTERNS}
+    | {"[refined] prefix-12 relations": "n=2..1",
+       "[series] 31-2 generating functions vs the table": "n=3..1",
+       "[series] avoider EGFs vs closed forms": "n=2..1",
+       "[identities] occurrence totals vs brute force": "n=3..1",
+       "[identities] occurrence-total pairing identities": "n=3..1"},
+    2: {"[series] 31-2 generating functions vs the table": "n=3..2",
+        "[identities] occurrence totals vs brute force": "n=3..2",
+        "[identities] occurrence-total pairing identities": "n=3..2"},
+}
+
+
+@pytest.mark.parametrize("n_max", sorted(EMPTY_AT_N_MAX))
+def test_verify_checks_that_compare_nothing_say_so(capsys, n_max):
+    status, out, _ = run(capsys, "verify", "--suite", "all",
+                         "--n-max", str(n_max))
+    assert status == 0
+    lines = out.splitlines()
+    assert lines[-1] == "31/31 checks passed"
+    empty = {}
+    for line in lines[:-1]:
+        assert line.startswith("PASS  ")
+        name, _, detail = line[len("PASS  "):].partition(": ")
+        if "no n compared" in detail:
+            empty[name] = detail
+    assert empty == {name: f"no n compared: {span} is empty"
+                     for name, span in EMPTY_AT_N_MAX[n_max].items()}
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # table --n-max 200 writes 262 kB, past a 64 kB pipe buffer, so the
+    # write fails once the reader has closed its end
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    with subprocess.Popen([sys.executable, "-m", "flatperm.cli", "table",
+                           "--n-max", "200"], env=env,
+                          stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10) == b"pattern   "
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait()
+    assert (status, err) == (1, b"")
 
 
 def test_verify_limit_is_checked_before_any_check(monkeypatch):
