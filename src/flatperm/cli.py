@@ -10,7 +10,9 @@ timestamps, fixed orderings, and big integers serialized as decimal
 strings.  Exit status 0 on success, 1 when a verification suite fails or
 when stdout is closed before the output is written (``table --n-max 200
 | head`` exits 1 with no traceback), 2 on usage errors (including cap
-violations).
+violations) and when the ``--out`` path cannot be written (a missing
+directory, or a directory itself): one ``error:`` line that names the
+path, after the command has done its work.
 """
 
 from __future__ import annotations
@@ -289,8 +291,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(output + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(output + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         try:
             print(output)

@@ -21,9 +21,11 @@ Which pattern takes which route:
 * xy-z (all five of the paper's): a right-to-left pass over (suffix set,
   front letter);
 * x-yz: the mirrored left-to-right pass over (prefix set, last letter);
-* x-y-z (classical): the word walk, which visits the words one by one and
-  counts each in O(n^2) (``_flat_words``, ``_bucket``).  ``bijections``'
-  31-2 check walks the same words, unweighted (``_flat_word_tuples``).
+* x-y-z (classical): the word walk, which visits the words one by one
+  (``_flat_words``, ``_bucket``) and counts each in O(n^3) by
+  ``_count_word``'s three position loops (a glued pattern fixes one
+  loop's position, so its count is O(n^2)).  ``bijections``' 31-2 check
+  walks the same words, unweighted (``_flat_word_tuples``).
 
 Both passes are the subset recursion of Bellman and Held-Karp (1962):
 about 2^(n-1) n steps replace (n-1)! n^2 comparisons, and nothing from
@@ -300,53 +302,22 @@ def _flatten_word(word: tuple[int, ...]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _count_word(w: tuple[int, ...], pat: VincularPattern3) -> int:
+    """Occurrences of pat in the word w: the positions i < j < k, with
+    j = i + 1 when pat glues its first two letters and k = j + 1 when it
+    glues its last two, whose letters w[i], w[j], w[k] are in the relative
+    order of ``pat.letters``.  A glue leaves j or k one value, so a word
+    costs O(n^2) for a glued pattern and O(n^3) for a classical one."""
     p1, p2, p3 = pat.letters
     xy, xz, yz = p1 < p2, p1 < p3, p2 < p3
-    if pat.glue12:
-        return _count_glue12(w, xy, xz, yz)
-    if pat.glue23:
-        return _count_glue23(w, xy, xz, yz)
-    return _count_classical(w, xy, xz, yz)
-
-
-def _count_glue12(w, xy, xz, yz):
-    n = len(w)
-    total = 0
-    for i in range(n - 2):
-        a, b = w[i], w[i + 1]
-        if (a < b) != xy:
-            continue
-        for k in range(i + 2, n):
-            c = w[k]
-            if (a < c) == xz and (b < c) == yz:
-                total += 1
-    return total
-
-
-def _count_glue23(w, xy, xz, yz):
-    n = len(w)
-    total = 0
-    for j in range(1, n - 1):
-        b, c = w[j], w[j + 1]
-        if (b < c) != yz:
-            continue
-        for i in range(j):
-            a = w[i]
-            if (a < b) == xy and (a < c) == xz:
-                total += 1
-    return total
-
-
-def _count_classical(w, xy, xz, yz):
     n = len(w)
     total = 0
     for i in range(n - 2):
         a = w[i]
-        for j in range(i + 1, n - 1):
+        for j in range(i + 1, i + 2 if pat.glue12 else n - 1):
             b = w[j]
             if (a < b) != xy:
                 continue
-            for k in range(j + 1, n):
+            for k in range(j + 1, j + 2 if pat.glue23 else n):
                 c = w[k]
                 if (a < c) == xz and (b < c) == yz:
                     total += 1

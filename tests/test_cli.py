@@ -558,6 +558,18 @@ def test_out_file(tmp_path, capsys):
     assert payload["n_max"] == 3
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x.txt" if where == "missing-dir" \
+        else tmp_path
+    status, out, err = run(capsys, "table", "--n-max", "3",
+                           "--out", str(target))
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert err.count("\n") == 1
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     # start-up: the value classes are plain __slots__ classes and no
     # annotation needs typing, so a bare interpreter imports neither

@@ -93,6 +93,10 @@ def test_average_matches_table_derivative():
         for n in range(1, 8):
             assert average_occurrences(pattern, n) * math.factorial(n) \
                 == table.g(n).derivative().evaluate(1)
+            assert table.avoider_count(n) == avoiders(pattern, n)
+            if n >= 3:
+                assert table.total_occurrences(n) \
+                    == total_occurrences(pattern, n)
 
 
 def test_total_examples():

@@ -101,27 +101,36 @@ def test_degenerate_hosts():
             assert count_occurrences(host, pat) == 0
 
 
-def test_glued_count_matches_adjacency_restricted_classical():
-    """A type (2,1) count is the classical count restricted to adjacent
-    first pairs, and is bounded by (n-2)^2."""
-    def classical_with_adjacent_first_pair(w, pat):
+def test_count_matches_the_definition_on_all_18_patterns():
+    """count_occurrences is the definition: the position triples
+    i < j < k, with j = i + 1 for xy-z and k = j + 1 for x-yz, whose
+    letters standardize to the pattern's.  Checked on every word of S_n
+    for n <= 6 and all 6 letter orders of xy-z, x-yz and x-y-z; a glued
+    count is at most (n-2)^2."""
+    def by_definition(w, pat):
         total = 0
-        n = len(w)
-        p1, p2, p3 = pat.letters
-        for i in range(n - 2):
-            for k in range(i + 2, n):
-                a, b, c = w[i], w[i + 1], w[k]
-                if ((a < b) == (p1 < p2) and (a < c) == (p1 < p3)
-                        and (b < c) == (p2 < p3)):
-                    total += 1
+        for i, j, k in itertools.combinations(range(len(w)), 3):
+            if pat.glue12 and j != i + 1 or pat.glue23 and k != j + 1:
+                continue
+            triple = (w[i], w[j], w[k])
+            if tuple(sorted(triple).index(v) + 1 for v in triple) \
+                    == pat.letters:
+                total += 1
         return total
 
-    for p in enumerate_permutations(6):
-        w = flatten(p).word
-        for pat in (P31_2, P23_1, P12_3, P21_3, P32_1):
-            got = count_occurrences(Permutation(w), pat)
-            assert got == classical_with_adjacent_first_pair(w, pat)
-            assert got <= (len(w) - 2) ** 2
+    patterns = [VincularPattern3(letters, glue12, glue23)
+                for letters in itertools.permutations((1, 2, 3))
+                for glue12, glue23 in ((True, False), (False, True),
+                                       (False, False))]
+    assert len({str(pat) for pat in patterns}) == 18
+    for n in range(7):
+        for w in itertools.permutations(range(1, n + 1)):
+            host = Permutation(w)
+            for pat in patterns:
+                got = count_occurrences(host, pat)
+                assert got == by_definition(w, pat), (w, str(pat))
+                if pat.glue12 or pat.glue23:
+                    assert got <= (n - 2) ** 2
 
 
 def test_enumerate_permutations():
