@@ -282,7 +282,11 @@ def total_occurrences(pattern_or_aux, n: int) -> int:
 
 
 def limit_check(n_lo: int, n_hi: int) -> dict[PatternId, list[Fraction]]:
-    """avr(n)/n^2 for each recurrence pattern and every n in [n_lo, n_hi]."""
+    """avr(n)/n^2 for each recurrence pattern and every n in [n_lo, n_hi].
+
+    Public API (exported by the package); the package itself checks the
+    approach to 1/12 with ``limit_deviation_strictly_decreasing``, which
+    forms no ``Fraction`` per n."""
     if not 3 <= n_lo < n_hi:
         raise ValueError("requires 3 <= n_lo < n_hi")
     return {

@@ -18,91 +18,94 @@ counter for n <= 7.
 
 Which pattern takes which route:
 
-* xy-z (all five of the paper's): a right-to-left pass over (suffix set,
-  front letter);
-* x-yz: the mirrored left-to-right pass over (prefix set, last letter);
+* glued, xy-z (all five of the paper's) or x-yz: a right-to-left pass
+  over (suffix set, front letter);
 * x-y-z (classical): the word walk, which visits the words one by one
   (``_flat_words``, ``_bucket``) and counts each in O(n^3) by
   ``_count_word``'s three position loops (a glued pattern fixes one
   loop's position, so its count is O(n^2)).  ``bijections``' 31-2 check
   walks the same words, unweighted (``_flat_word_tuples``).
 
-Both passes are the subset recursion of Bellman and Held-Karp (1962):
-about 2^(n-1) n steps replace (n-1)! n^2 comparisons, and nothing from
-the recurrences is used, so they stay an independent check on them.
-tests/test_perm_core.py compares each pass with the word walk on every
-xy-z and x-yz pattern for n <= 8, whole and for every k, and each layer,
-state by state, with the per-transition loop that steps every state
-(S, b) to every (S + {a}, a) for n <= 9.
+The pass is the subset recursion of Bellman and Held-Karp (1962): about
+2^(n-1) n steps replace (n-1)! n^2 comparisons, and nothing from the
+recurrences is used, so it stays an independent check on them.
+tests/test_perm_core.py compares it with the word walk on all 12 glued
+patterns for n <= 8, whole and for every k, and each layer, state by
+state, with the per-transition loop that steps every state (S, b) to every
+(S + {a}, a) for n <= 9.
 
-The xy-z pass places the letters 2..n right to left; a state (S, b) is the
-set S of letters placed so far and the front letter b.  Prepending a
-letter a not in S adds the occurrences with x = a, y = b and z in S - {b},
-and makes a a right-to-left minimum exactly when a < min(S).  Both depend
-on (a, b, S) alone, not on the order of S - {b}, so one value per state
-carries everything later steps need, and suffixes with equal (S, b) are
-merged.  Placing 1 last adds its occurrences and no weight (1 opens every
-preimage's first cycle); the state whose front letter was k then holds
-g_n(1k).  So one pass yields every g_n(1k) at once, and g_n is their sum.
-``_FRONTS`` keeps those n - 1 packed values per (n, pattern), so the
-whole distribution and every refined call at that n read one pass; an
-entry is stored only once its pass has finished, and only after the cap
-check has let the call through, so a refused or interrupted call leaves
-no entry and the cap holds whatever the memo holds.
+The pass places the letters 2..n right to left; a state (S, b) is the set
+S of letters placed so far and the front letter b.  Prepending a letter a
+not in S puts the pair a, b in the glued positions, as x, y of an xy-z
+pattern or y, z of an x-yz one, and adds the occurrences whose third
+letter is any fitting letter on its side: z in S - {b} for xy-z; x among
+the letters not placed yet, 1 included, a excluded, for x-yz.  It also
+makes a a right-to-left minimum exactly when a < min(S).  All of this
+depends on (a, b, S) alone, not on the order of S - {b}, so one value per
+state carries everything later steps need, and suffixes with equal (S, b)
+are merged.  Placing 1 last adds no weight (1 opens every preimage's first
+cycle), its xy-z occurrences, and no x-yz occurrence (no letter precedes
+it); the state whose front letter was k then holds g_n(1k).  So one pass
+yields every g_n(1k) at once, and g_n is their sum.  ``_FRONTS`` keeps
+those n - 1 packed values per (n, pattern), so the whole distribution and
+every refined call at that n read one pass; an entry is stored only once
+its pass has finished, and only after the cap check has let the call
+through, so a refused or interrupted call leaves no entry and the cap
+holds whatever the memo holds.
 
-The x-yz pass places the letters left to right after 1; a state (P, b) is
-the set P of letters placed so far, 1 included, and the last letter b.
-Appending a letter c not in P adds the occurrences with y = b, z = c and x
-in P - {b}, and makes c a right-to-left minimum exactly when c is the
-least letter not yet placed, since every later letter is larger.  Again
-both depend on (c, b, P) alone, so prefixes with equal (P, b) are merged.
-1 adds no weight; a refined call starts from the state ({1, k}, k).
+The cost of x-yz on this pass: an occurrence is counted as soon as its
+adjacent pair y, z is placed, before its x is, so an x-yz state also
+carries the occurrences its unplaced letters will complete.  Its
+exponents, and so its packed values, run larger than a left-to-right
+pass over (prefix set, last letter) would carry: for 3-12 at n = 14 the
+packed bytes summed over all layers are 2.1 times that pass's.  So a
+whole x-yz distribution takes longer than on such a pass (for 3-12,
+medians in BENCH_glued_pass.json: 19 % at n = 12, 40 % at n = 14 and 16,
+and 41 MB of peak RSS against 31 MB at n = 16), but every g_n(1k) comes
+with it, where that pass needs one run per k.
 
 Each layer is formed one placed set S at a time, from S's states {b:
-value} over its old letters b (front for xy-z, last for x-yz).  The new
-state (S + {a}, a) sums, over b in S, value(S, b) shifted by s once per
-occurrence that putting a next to b adds, and doubles the sum when a is a
-new minimum.  One sweep over the letters, in the order that puts an old
-letter before the new letters it is in the pattern's order with (set by x,
-y for xy-z, by y, z for x-yz), gives every new letter's sum at once.  When
-the sweep reaches an unplaced a, the old letters passed so far are exactly
-those in order with a; the rest add their values unshifted, as the total
-of S's states less the plain prefix sum.  A passed b counts the placed
-letters on the third pattern letter's side, which the pattern fixes as one
-of three places:
+value} over its front letters b.  The new state (S + {a}, a) sums, over b
+in S, value(S, b) shifted by s once per occurrence that putting a before
+b adds, and doubles the sum when a is a new minimum.  One sweep over the
+letters, in the order that puts an old letter before the new letters it
+is in the pattern's order with (set by x, y for xy-z, by y, z for x-yz),
+gives every new letter's sum at once.  When the sweep reaches an unplaced
+a, the old letters passed so far are exactly those in order with a; the
+rest add their values unshifted, as the total of S's states less the
+plain prefix sum.  A passed b counts the letters that can play the third
+pattern letter (the placed letters for xy-z, the unplaced ones for x-yz)
+on that letter's side, which the pattern fixes as one of three places:
 
-* behind b, before it in the sweep: the letters passed before b, so b
-  adds value << s * passed to the accumulator;
-* between b and a: at each placed letter the accumulator shifts by s,
-  then adds that letter's value;
-* beyond a, after it in the sweep: the placed letters not yet passed,
-  the same for every passed b, so a takes the accumulator, a plain sum,
-  shifted by s * (|S| - passed).
+* behind b, before it in the sweep: the third letters passed before b,
+  so b adds value << s * passed to the accumulator (on an ascending x-yz
+  sweep, 1 comes first and counts as passed from the start);
+* between b and a: at each third letter the accumulator shifts by s,
+  before a placed letter's value is added (xy-z), after an unplaced
+  letter has taken its sum (x-yz);
+* beyond a, after it in the sweep: the third letters not yet passed, the
+  same for every passed b, so a takes the accumulator, a plain sum,
+  shifted by s times their number: |S| - passed for xy-z, and
+  n - |S| - 1 - passed for x-yz (1 included, a excluded).
 
 So a set costs one step per letter, |S| placed and the rest new, not one
 per (old, new) pair.
 
 Each state's value is its distribution at q = 2^s, the slot width s the
 least multiple of 8 with n! < 2^s; a new occurrence is a shift by s, and a
-new minimum doubles the value.  That width is enough for both passes:
-
-* xy-z: the suffixes on an L-set, weighted by 2^(their right-to-left
-  minima), total 2 * 3 * ... * (L + 1) = (L + 1)! (the minima's generating
-  function over S_L is x (x + 1) ... (x + L - 1), at x = 2), with
-  L <= n - 1; the fronts together total n!, front k alone (n - 1)!, or
-  2 (n - 1)! for k = 2.
-* x-yz: completing each prefix on P by the unplaced letters in increasing
-  order maps the prefixes on P one-to-one to flattened words, and only
-  adds doublings, so the prefixes on P weigh at most the n! preimages of
-  all words.
-
-A sweep's running sums, and each new letter's value, are sums of shifted
-values of states on one set, each state at most once; a shift moves
-coefficients between slots without adding to them, so every coefficient
-is at most the total weight of the states on that set, at most n!.  So
-every coefficient of every state, and of every sum of states a pass forms,
-lies in [0, n!], below 2^s; no slot carries into the next, and each
-packed value is read back exactly by ``qpoly._unpack``.
+new minimum doubles the value.  That width is enough, whatever the
+pattern: the suffixes on an L-set, weighted by 2^(their right-to-left
+minima), total 2 * 3 * ... * (L + 1) = (L + 1)! (the minima's generating
+function over S_L is x (x + 1) ... (x + L - 1), at x = 2), with
+L <= n - 1; the fronts together total n!, front k alone (n - 1)!, or
+2 (n - 1)! for k = 2.  A sweep's running sums, and each new letter's
+value, are sums of shifted values of states on one set, each state at
+most once; a shift moves coefficients between slots without adding to
+them, so every coefficient is at most the total weight of the states on
+that set, at most n!.  So every coefficient of every state, and of every
+sum of states the pass forms, lies in [0, n!], below 2^s; no slot carries
+into the next, and each packed value is read back exactly by
+``qpoly._unpack``.
 
 Validation.  The public constructors ``Permutation``, ``CycleForm`` and
 ``VincularPattern3`` check their input, since it may come from outside.
@@ -136,8 +139,8 @@ from .qpoly import QPoly, _derivative_at_one, _unpack
 
 #: Default refusal bound for the oracle (for the word walk of the classical
 #: x-y-z patterns, 10! hosts is the practical ceiling of an exhaustive run
-#: on one core; the xy-z and x-yz passes are far cheaper but keep the same
-#: bound).
+#: on one core; the right-to-left pass that serves every glued pattern is
+#: far cheaper but keeps the same bound).
 DEFAULT_MAX_N = 10
 
 
@@ -232,9 +235,11 @@ class VincularPattern3(FrozenValue):
     @classmethod
     def from_string(cls, text: str) -> "VincularPattern3":
         parts = text.strip().split("-")
-        digits = tuple(int(ch) for ch in "".join(parts))
-        if len(digits) != 3 or "" in parts:
+        joined = "".join(parts)
+        if len(joined) != 3 or "" in parts \
+                or not (joined.isascii() and joined.isdigit()):
             raise ValueError(f"cannot parse pattern {text!r}")
+        digits = tuple(map(int, joined))
         lens = tuple(len(p) for p in parts)
         if lens == (2, 1):
             return cls(digits, glue12=True)
@@ -383,32 +388,30 @@ def _bucket(words, pat: VincularPattern3) -> QPoly:
 
 
 def _slot_bytes(n: int) -> int:
-    """Bytes per slot of the oracle passes at n: the least s = 8 * bytes
+    """Bytes per slot of the oracle pass at n: the least s = 8 * bytes
     with n! < 2^s."""
     return (math.factorial(n).bit_length() + 7) // 8
 
 
-#: Where a pass's third pattern letter lies in the sweep order: behind the
+#: Where the pass's third pattern letter lies in the sweep order: behind the
 #: old letter, between the old and the new letter, or beyond the new one.
 _BEHIND, _BETWEEN, _BEYOND = range(3)
 
 
-def _layers(layer: dict, steps: int, letters: range, old: int, new: int,
-            third: int, s: int, appending: bool):
-    """Yield layer, then each of the next steps layers of a pass over
-    letters, a layer being {S: {b: value}} with S the mask of placed
-    letters (letter c at bit c - letters.start) and b an old letter; each
-    set's successors come from one sweep over the letters (see the module
-    docstring).
-
-    The pass puts a new letter a next to the old letter b, so that a and b
-    play the pattern letters new and old, and counts the placed letters
-    that play third.  ``appending`` gives the doubling rule: a appended
-    after the placed letters is a new right-to-left minimum exactly when
-    it is the least unplaced letter; a prepended before them, exactly when
-    it lies below all of them."""
+def _layers(n: int, pat: VincularPattern3, s: int):
+    """Yield the states of the right-to-left pass over the glued pattern
+    pat after each letter of 2..n is placed: {S: {b: value}}, with S the
+    mask of placed letters (letter c at bit c - 2), b the front one, and
+    value the weighted distribution of the suffixes on S that start with
+    b, evaluated at q = 2^s (n >= 2).  Each set's successors come from one
+    sweep over the letters (see the module docstring)."""
+    x, y, z = pat.letters
+    # the new letter a and the front letter b play x, y with z placed
+    # (xy-z), or y, z with x unplaced, 1 included (x-yz)
+    new, old, third = (x, y, z) if pat.glue12 else (y, z, x)
     down = old > new
-    order = [(c, 1 << (c - letters.start))
+    letters = range(2, n + 1)
+    order = [(c, 1 << (c - 2))
              for c in (reversed(letters) if down else letters)]
     if (third > old) == down:
         case = _BEHIND
@@ -416,114 +419,93 @@ def _layers(layer: dict, steps: int, letters: range, old: int, new: int,
         case = _BEYOND
     else:
         case = _BETWEEN
+    # a third letter passed counts (behind, beyond) or shifts the
+    # accumulator (between): a placed letter for xy-z, an unplaced one for
+    # x-yz, where an ascending sweep has passed 1 before it starts
+    placed_third = pat.glue12
+    shift_placed = case == _BETWEEN and placed_third
+    shift_unplaced = case == _BETWEEN and not placed_third
+    start_passed = 0 if placed_third or down else 1
+    # the last letter is always a right-to-left minimum
+    layer = {1 << (b - 2): {b: 2} for b in letters}
     yield layer
-    for _ in range(steps):
+    for _ in range(n - 2):
         nxt: dict = {}
         for placed, values in layer.items():
             total = sum(values.values())
             size = placed.bit_count()
-            # a letter at or below this bit is a new minimum
-            low = ~placed & (placed + 1) if appending else placed & -placed
-            passed = prefix = acc = 0
+            # third letters other than a: the placed ones, or the n - size
+            # unplaced ones less a
+            thirds = size if placed_third else n - size - 1
+            low = placed & -placed   # a letter below this bit is a new minimum
+            passed = start_passed
+            prefix = acc = 0
             for c, bit in order:
                 if placed & bit:
                     v = values.get(c, 0)
                     if case == _BEHIND:
                         acc += v << s * passed
-                    elif case == _BETWEEN:
+                    elif shift_placed:
                         acc = (acc << s) + v
                     else:
                         acc += v
                     prefix += v
-                    passed += 1
+                    if placed_third:
+                        passed += 1
                 else:
                     # old letters not passed yet add no occurrence
-                    value = acc << s * (size - passed) if case == _BEYOND \
+                    value = acc << s * (thirds - passed) if case == _BEYOND \
                         else acc
                     value += total - prefix
-                    if bit <= low:
+                    if bit < low:
                         value <<= 1
                     nxt.setdefault(placed | bit, {})[c] = value
+                    if not placed_third:
+                        passed += 1
+                        if shift_unplaced:
+                            acc <<= s
         layer = nxt
         yield layer
 
 
-def _xy_z_layers(n: int, pat: VincularPattern3, s: int):
-    """Yield the states of the right-to-left pass after each letter of
-    2..n is placed: {S: {b: value}}, with S the mask of placed letters, b
-    the front one, and value the weighted distribution of the suffixes on S
-    that start with b, evaluated at q = 2^s (n >= 2)."""
-    x, y, z = pat.letters
-    letters = range(2, n + 1)
-    # the last letter is always a right-to-left minimum
-    start = {1 << (b - 2): {b: 2} for b in letters}
-    yield from _layers(start, n - 2, letters, y, x, z, s, appending=False)
-
-
-def _xy_z_fronts(n: int, pat: VincularPattern3) -> tuple[dict, int]:
-    """Packed g_n(1k) for 2 <= k <= n of the xy-z pattern pat, keyed by k,
-    and the slot width in bytes (n >= 2)."""
+def _fronts(n: int, pat: VincularPattern3) -> tuple[dict, int]:
+    """Packed g_n(1k) for 2 <= k <= n of the glued pattern pat, keyed by
+    k, and the slot width in bytes (n >= 2)."""
     width = _slot_bytes(n)
     s = 8 * width
-    for top in _xy_z_layers(n, pat, s):
+    for top in _layers(n, pat, s):
         pass
     (fronts,) = top.values()
-    # prepending 1 adds its occurrences but no weight: 1 opens the first
-    # cycle of every preimage.  x = 1 lies below every other letter, so
-    # x < y = k and x < z are needed, and z is then any letter on its
-    # side of k.
+    # prepending 1 adds no weight (1 opens the first cycle of every
+    # preimage) and no x-yz occurrence (no letter precedes it).  For xy-z,
+    # x = 1 lies below every other letter, so x < y = k and x < z are
+    # needed, and z is then any letter on its side of k.
     x, y, z = pat.letters
-    if x < y and x < z:
+    if pat.glue12 and x < y and x < z:
         fronts = {k: value << s * (n - k if y < z else k - 2)
                   for k, value in fronts.items()}
     return fronts, width
 
 
-#: ``_xy_z_fronts(n, pat)`` by (n, pat), each entry stored once its pass
-#: has finished.
+#: ``_fronts(n, pat)`` by (n, pat), each entry stored once its pass has
+#: finished.
 _FRONTS: dict = {}
 
 
 def _memo_fronts(n: int, pat: VincularPattern3) -> tuple[dict, int]:
-    """``_xy_z_fronts(n, pat)``, read from ``_FRONTS`` once a pass for
-    (n, pat) has finished in this process."""
+    """``_fronts(n, pat)``, read from ``_FRONTS`` once a pass for (n, pat)
+    has finished in this process."""
     key = (n, pat)
     if key not in _FRONTS:
-        _FRONTS[key] = _xy_z_fronts(n, pat)
+        _FRONTS[key] = _fronts(n, pat)
     return _FRONTS[key]
-
-
-def _x_yz_layers(n: int, pat: VincularPattern3, s: int, k: int = 0):
-    """Yield the states of the left-to-right pass, from the start state
-    after 1 (after 1, k when k is given) to the state after all n letters:
-    {P: {b: value}}, with P the mask of placed letters, b the last one, and
-    value the weighted distribution of the prefixes on P that end with b,
-    evaluated at q = 2^s."""
-    x, y, z = pat.letters
-    if k:   # k is a right-to-left minimum exactly when it is 2
-        start = {1 | 1 << (k - 1): {k: 2 if k == 2 else 1}}
-    else:
-        start = {1: {1: 1}}
-    yield from _layers(start, n - (2 if k else 1), range(1, n + 1), y, z, x,
-                       s, appending=True)
-
-
-def _x_yz_pass(n: int, pat: VincularPattern3, k: int = 0) -> QPoly:
-    """Distribution of the x-yz pattern pat over S_n, or g_n(1k) for k."""
-    width = _slot_bytes(n)
-    for top in _x_yz_layers(n, pat, 8 * width, k):
-        pass
-    (last,) = top.values()
-    return _unpack(sum(last.values()), width)
 
 
 def brute_distribution(n: int, pat: VincularPattern3,
                        max_n: int = DEFAULT_MAX_N) -> QPoly:
     """Sum of q^(occurrences of pat in flatten(p)) over all p in S_n."""
     _check_cap(n, max_n)
-    if pat.glue23:
-        return _x_yz_pass(n, pat)
-    if not pat.glue12 or n == 1:
+    if not (pat.glue12 or pat.glue23) or n == 1:
         return _bucket(_flat_words(n), pat)
     fronts, width = _memo_fronts(n, pat)
     return _unpack(sum(fronts.values()), width)
@@ -535,9 +517,7 @@ def brute_refined_distribution(n: int, pat: VincularPattern3, k: int,
     _check_cap(n, max_n)
     if not 2 <= k <= n:
         raise ValueError(f"prefix letter k={k} out of range 2..{n}")
-    if pat.glue23:
-        return _x_yz_pass(n, pat, k)
-    if not pat.glue12:
+    if not (pat.glue12 or pat.glue23):
         return _bucket(_flat_words(n, k), pat)
     fronts, width = _memo_fronts(n, pat)
     return _unpack(fronts[k], width)

@@ -411,7 +411,8 @@ def q_int(n: int) -> QPoly:
 
 
 def q_factorial(m: int) -> QPoly:
-    """[m]! = [1][2]...[m]."""
+    """[m]! = [1][2]...[m].  Public API (exported by the package); the
+    package itself builds Gaussian binomials by Pascal's rule instead."""
     if m < 0:
         raise ValueError("q-factorial of a negative integer")
     out = _ONE
@@ -495,6 +496,8 @@ def nonadjacent_e_prime(j: int, xs: Sequence[PolyLike]) -> QPoly:
     """Sum of products of j pairwise non-adjacent elements of xs.
 
     Non-adjacent means the chosen indices pairwise differ by at least 2.
+    Public API (exported by the package), the paper's e' function; the
+    package itself does not call it.
     """
     edge = _edge_case(j, xs)
     if edge is not None:

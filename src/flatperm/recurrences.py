@@ -188,6 +188,9 @@ class DistributionTable(FrozenValue):
         return self.polys[n - 1]
 
     def avoider_count(self, n: int) -> int:
+        """Permutations of [n] whose flattened form avoids the pattern, the
+        constant term of g_n.  Public API; the package itself reads the
+        constant term directly."""
         return self.g(n).constant_term()
 
     def total_occurrences(self, n: int) -> int:
@@ -834,7 +837,10 @@ def refined_g1k(pattern: PatternId, n: int, k: int) -> QPoly:
 
 def g1k_via_elementary_32_1(n: int, k: int) -> QPoly:
     """The 32-1 refined value through its symmetric-function form:
-    g_n(1k) = sum_j e_{j-1}([1],...,[k-3]) (q-1)^{j-1} g_{n-j}."""
+    g_n(1k) = sum_j e_{j-1}([1],...,[k-3]) (q-1)^{j-1} g_{n-j}.
+
+    An independent check, not a production route: ``refined_g1k`` serves
+    g_n(1k), and tests/test_recurrences.py compares the two for n <= 6."""
     if not 3 <= k <= n:
         raise ValueError("requires 3 <= k <= n")
     from .qpoly import elementary_e

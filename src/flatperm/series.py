@@ -173,6 +173,8 @@ class PowerSeries(FrozenValue):
         return PowerSeries(tuple(out))
 
     def derive(self) -> "PowerSeries":
+        """Termwise derivative; order falls by one.  Public API, the inverse
+        of ``integrate``; the package itself does not call it."""
         if self.order == 1:
             raise ValueError("cannot differentiate an order-1 series")
         return PowerSeries(tuple(i * c for i, c in enumerate(self.coeffs))[1:])

@@ -7,8 +7,7 @@ import pytest
 from flatperm import perm_core
 from flatperm.perm_core import (CapExceeded, CycleForm, Permutation,
                                 VincularPattern3, _bucket, _flat_words,
-                                _slot_bytes, _x_yz_layers, _x_yz_pass,
-                                _xy_z_fronts, _xy_z_layers,
+                                _fronts, _layers, _slot_bytes,
                                 brute_avoider_count, brute_distribution,
                                 brute_refined_distribution,
                                 brute_total_occurrences,
@@ -22,6 +21,8 @@ P23_1 = VincularPattern3.from_string("23-1")
 P12_3 = VincularPattern3.from_string("12-3")
 P21_3 = VincularPattern3.from_string("21-3")
 P32_1 = VincularPattern3.from_string("32-1")
+P3_12 = VincularPattern3.from_string("3-12")
+P3_21 = VincularPattern3.from_string("3-21")
 CLASSICAL_3_1_2 = VincularPattern3.from_string("3-1-2")
 
 
@@ -71,8 +72,9 @@ def test_pattern_parsing():
     assert str(P31_2) == "31-2"
     assert str(VincularPattern3.from_string("3-12")) == "3-12"
     assert str(CLASSICAL_3_1_2) == "3-1-2"
-    with pytest.raises(ValueError):
-        VincularPattern3.from_string("312")
+    for text in ("312", "12-x", "1 2-3", "+1-23"):
+        with pytest.raises(ValueError, match="cannot parse pattern"):
+            VincularPattern3.from_string(text)
     with pytest.raises(ValueError):
         VincularPattern3((1, 2, 2))
     with pytest.raises(ValueError):
@@ -225,10 +227,12 @@ def test_oracle_matches_literal_sweep(text):
 
 
 XY_Z = ["12-3", "21-3", "23-1", "32-1", "31-2", "13-2"]
+X_YZ = ["3-21", "3-12", "1-32", "2-13", "1-23", "2-31"]
+GLUED = XY_Z + X_YZ
 
 
-@pytest.mark.parametrize("text", XY_Z)
-def test_xy_z_pass_matches_word_walk(text):
+@pytest.mark.parametrize("text", GLUED)
+def test_glued_pass_matches_word_walk(text):
     """The (suffix set, front letter) pass against the weighted word walk,
     whole and for every prefix letter k."""
     pat = VincularPattern3.from_string(text)
@@ -239,8 +243,8 @@ def test_xy_z_pass_matches_word_walk(text):
                 == _bucket(_flat_words(n, k), pat)
 
 
-@pytest.mark.parametrize("text", XY_Z)
-def test_xy_z_state_weights_fit_their_slots(text):
+@pytest.mark.parametrize("text", GLUED)
+def test_glued_state_weights_fit_their_slots(text):
     """After L letters are placed, the states on each set S total (L+1)!
     weighted suffixes, and (L+1)! <= n! < 2^s for the least byte-multiple
     slot s, so each state reads back the same as at a slot 4 bytes wider."""
@@ -249,8 +253,8 @@ def test_xy_z_state_weights_fit_their_slots(text):
         width = _slot_bytes(n)
         assert math.factorial(n) < 1 << 8 * width
         assert math.factorial(n) >= 1 << 8 * (width - 1)
-        layers = zip(_xy_z_layers(n, pat, 8 * width),
-                     _xy_z_layers(n, pat, 8 * (width + 4)))
+        layers = zip(_layers(n, pat, 8 * width),
+                     _layers(n, pat, 8 * (width + 4)))
         for placed_count, (layer, wide) in enumerate(layers, 1):
             assert layer.keys() == wide.keys()
             totals = Counter()
@@ -275,7 +279,7 @@ def test_refined_xy_z_pass_matches_all_fronts_pass(text):
     not."""
     pat = VincularPattern3.from_string(text)
     for n in range(2, 11):
-        fronts, width = _xy_z_fronts(n, pat)
+        fronts, width = _fronts(n, pat)
         assert sorted(fronts) == list(range(2, n + 1))
         for k in range(2, n + 1):
             assert brute_refined_distribution(n, pat, k) \
@@ -289,7 +293,7 @@ def test_refined_xy_z_state_weights_fit_their_slots(text):
     n! < 2^s, so no front and no sum of fronts carries out of a slot."""
     pat = VincularPattern3.from_string(text)
     for n in range(2, 11):
-        fronts, width = _xy_z_fronts(n, pat)
+        fronts, width = _fronts(n, pat)
         assert 2 * math.factorial(n - 1) <= math.factorial(n) < 1 << 8 * width
         for k in range(2, n + 1):
             want = math.factorial(n - 1) * (2 if k == 2 else 1)
@@ -300,10 +304,11 @@ def test_refined_xy_z_state_weights_fit_their_slots(text):
 
 
 def test_xy_z_pass_memo_holds_finished_passes_only(monkeypatch):
-    """A pass interrupted after its first layer stores nothing; the next
-    call runs the pass again and stores it once it has finished."""
+    """A pass interrupted after its first layer stores nothing, for an xy-z
+    and an x-yz pattern alike; the next call runs the pass again and
+    stores it once it has finished."""
     monkeypatch.setattr(perm_core, "_FRONTS", {})
-    original = perm_core._xy_z_layers
+    original = perm_core._layers
     layers_seen = []
 
     def interrupted(*args):
@@ -312,90 +317,45 @@ def test_xy_z_pass_memo_holds_finished_passes_only(monkeypatch):
             yield layer
             raise KeyboardInterrupt
 
-    monkeypatch.setattr(perm_core, "_xy_z_layers", interrupted)
-    for call in (lambda: brute_distribution(7, P23_1),
-                 lambda: brute_refined_distribution(7, P23_1, 3)):
-        with pytest.raises(KeyboardInterrupt):
-            call()
-        assert perm_core._FRONTS == {}
-    assert layers_seen == [6, 6]
+    monkeypatch.setattr(perm_core, "_layers", interrupted)
+    for pat in (P23_1, P3_12):
+        for call in (lambda: brute_distribution(7, pat),
+                     lambda: brute_refined_distribution(7, pat, 3)):
+            with pytest.raises(KeyboardInterrupt):
+                call()
+            assert perm_core._FRONTS == {}
+    assert layers_seen == [6, 6, 6, 6]
 
-    monkeypatch.setattr(perm_core, "_xy_z_layers", original)
-    assert brute_refined_distribution(7, P23_1, 3) \
-        == _bucket(_flat_words(7, 3), P23_1)
-    assert list(perm_core._FRONTS) == [(7, P23_1)]
-    assert brute_distribution(7, P23_1) == _bucket(_flat_words(7), P23_1)
+    monkeypatch.setattr(perm_core, "_layers", original)
+    for pat in (P23_1, P3_12):
+        assert brute_refined_distribution(7, pat, 3) \
+            == _bucket(_flat_words(7, 3), pat)
+        assert brute_distribution(7, pat) == _bucket(_flat_words(7), pat)
+    assert list(perm_core._FRONTS) == [(7, P23_1), (7, P3_12)]
 
 
 def test_xy_z_pass_memo_keeps_the_cap(monkeypatch):
     """A call over the cap is refused, with the same message, before the
     memo is read: also once a call with a higher cap has stored that very
-    (n, pattern)."""
-    monkeypatch.setattr(perm_core, "_FRONTS", {})
+    (n, pattern), xy-z or x-yz."""
     message = ("refusing exhaustive enumeration at n=11: cap is 10 (raise "
                "the cap explicitly to go further)")
-    with pytest.raises(CapExceeded) as exc:
-        brute_distribution(11, P32_1)
-    assert str(exc.value) == message
-    assert perm_core._FRONTS == {}
-    whole = brute_distribution(11, P32_1, max_n=11)
-    assert (11, P32_1) in perm_core._FRONTS
-    for refused in (lambda: brute_distribution(11, P32_1),
-                    lambda: brute_refined_distribution(11, P32_1, 2),
-                    lambda: brute_avoider_count(11, P32_1),
-                    lambda: brute_total_occurrences(11, P32_1, max_n=10)):
+    for pat in (P32_1, P3_21):
+        monkeypatch.setattr(perm_core, "_FRONTS", {})
         with pytest.raises(CapExceeded) as exc:
-            refused()
+            brute_distribution(11, pat)
         assert str(exc.value) == message
-    assert brute_distribution(11, P32_1, max_n=12) == whole
-
-
-X_YZ = ["3-21", "3-12", "1-32", "2-13", "1-23", "2-31"]
-
-
-@pytest.mark.parametrize("text", X_YZ)
-def test_x_yz_pass_matches_word_walk(text):
-    """The (prefix set, last letter) pass against the weighted word walk,
-    whole and for every prefix letter k."""
-    pat = VincularPattern3.from_string(text)
-    for n in range(1, 9):
-        assert brute_distribution(n, pat) == _bucket(_flat_words(n), pat)
-        for k in range(2, n + 1):
-            assert brute_refined_distribution(n, pat, k) \
-                == _bucket(_flat_words(n, k), pat)
-
-
-@pytest.mark.parametrize("text", X_YZ)
-def test_x_yz_state_weights_fit_their_slots(text):
-    """Every state on a set P, and the states on P together, weigh at most
-    n! < 2^s, so each state reads back the same as at a slot 4 bytes wider;
-    the last layer weighs the preimages of the words it covers."""
-    pat = VincularPattern3.from_string(text)
-    for n in range(1, 11):
-        width = _slot_bytes(n)
-        assert math.factorial(n) < 1 << 8 * width
-        for k in [0] + list(range(2, n + 1)):
-            layers = zip(_x_yz_layers(n, pat, 8 * width, k),
-                         _x_yz_layers(n, pat, 8 * (width + 4), k))
-            for placed_count, (layer, wide) in enumerate(layers,
-                                                         2 if k else 1):
-                assert layer.keys() == wide.keys()
-                totals = Counter()
-                for placed, values in layer.items():
-                    assert values.keys() == wide[placed].keys()
-                    for b, value in values.items():
-                        assert placed & 1 and placed & 1 << (b - 1)
-                        assert placed.bit_count() == placed_count
-                        poly = _unpack(value, width)
-                        assert poly == _unpack(wide[placed][b], width + 4)
-                        totals[placed] += poly.evaluate(1)
-                assert max(totals.values()) <= math.factorial(n)
-            assert placed_count == n
-            if k:   # (n-1)! weighted tails after 1, k; k a minimum iff 2
-                want = math.factorial(n - 1) * (2 if k == 2 else 1)
-            else:
-                want = math.factorial(n)
-            assert sum(totals.values()) == want
+        assert perm_core._FRONTS == {}
+        whole = brute_distribution(11, pat, max_n=11)
+        assert list(perm_core._FRONTS) == [(11, pat)]
+        for refused in (lambda: brute_distribution(11, pat),
+                        lambda: brute_refined_distribution(11, pat, 2),
+                        lambda: brute_avoider_count(11, pat),
+                        lambda: brute_total_occurrences(11, pat, max_n=10)):
+            with pytest.raises(CapExceeded) as exc:
+                refused()
+            assert str(exc.value) == message
+        assert brute_distribution(11, pat, max_n=12) == whole
 
 
 def test_xy_z_pass_keeps_the_cap():
@@ -415,73 +375,51 @@ def test_xy_z_pass_keeps_the_cap():
 
 
 # ---------------------------------------------------------------------------
-# Both passes against the per-transition definition of their steps
+# The pass against the per-transition definition of its steps
 # ---------------------------------------------------------------------------
 
-def _reference_layers(start, steps, letters, step):
-    """Yield start, then each of the next steps layers {(S, b): value},
-    every state going to (S + {c}, c) for each unplaced letter c, with the
-    value that step(S, b, c, value) gives it."""
-    lo = letters.start
-    layer = start
+def _reference_layers(n, pat, s):
+    """Yield the states {(S, b): value} of the right-to-left pass after
+    each letter of 2..n is placed, every state going to (S + {a}, a) for
+    each unplaced letter a.  Prepending a to a suffix on S with front b
+    shifts its value by s once per occurrence that a and b complete (see
+    ``_completed``), and doubles it when a lies below all of S."""
+    letters = range(2, n + 1)
+    layer = {(1 << (b - 2), b): 2 for b in letters}
     yield layer
-    for _ in range(steps):
+    for _ in range(n - 2):
         nxt: dict = {}
         for (placed, b), value in layer.items():
-            for c in letters:
-                bit = 1 << (c - lo)
+            for a in letters:
+                bit = 1 << (a - 2)
                 if placed & bit:
                     continue
-                key = (placed | bit, c)
-                nxt[key] = nxt.get(key, 0) + step(placed, b, c, value)
+                step = value << s * _completed(n, pat, placed, b, a)
+                if bit < placed & -placed:
+                    step <<= 1
+                key = (placed | bit, a)
+                nxt[key] = nxt.get(key, 0) + step
         layer = nxt
         yield layer
 
 
-def _reference_xy_z_layers(n, pat, s):
-    """Prepending a to a suffix on S with front b: one shift by s per z in
-    S - {b} that makes (a, b, z) an occurrence, and a doubling when a lies
-    below all of S."""
+def _completed(n, pat, placed, b, a):
+    """Occurrences added by prepending a to a suffix on the set placed
+    (letter c at bit c - 2) with front b: (a, b, z) with z placed, not b,
+    for xy-z; (x, a, b) with x unplaced, not a, 1 included, for x-yz."""
     p1, p2, p3 = pat.letters
     xy, xz, yz = p1 < p2, p1 < p3, p2 < p3
-    letters = range(2, n + 1)
-
-    def step(placed, b, a, value):
-        if (a < b) == xy:
-            value <<= s * sum(1 for z in letters
-                              if placed >> (z - 2) & 1 and z != b
-                              and (a < z) == xz and (b < z) == yz)
-        if not placed & ((1 << (a - 2)) - 1):
-            value <<= 1
-        return value
-
-    start = {(1 << (b - 2), b): 2 for b in letters}
-    return _reference_layers(start, n - 2, letters, step)
-
-
-def _reference_x_yz_layers(n, pat, s, k=0):
-    """Appending c to a prefix on P with last letter b: one shift by s per
-    x in P - {b} that makes (x, b, c) an occurrence, and a doubling when c
-    is the least unplaced letter."""
-    p1, p2, p3 = pat.letters
-    xy, xz, yz = p1 < p2, p1 < p3, p2 < p3
-    letters = range(1, n + 1)
-
-    def step(placed, b, c, value):
-        if (b < c) == yz:
-            value <<= s * sum(1 for x in letters
-                              if placed >> (x - 1) & 1 and x != b
-                              and (x < b) == xy and (x < c) == xz)
-        below = (1 << (c - 1)) - 1
-        if placed & below == below:
-            value <<= 1
-        return value
-
-    if k:
-        start = {(1 | 1 << (k - 1), k): 2 if k == 2 else 1}
-    else:
-        start = {(1, 1): 1}
-    return _reference_layers(start, n - (2 if k else 1), letters, step)
+    if pat.glue12:
+        if (a < b) != xy:
+            return 0
+        return sum(1 for z in range(2, n + 1)
+                   if placed >> (z - 2) & 1 and z != b
+                   and (a < z) == xz and (b < z) == yz)
+    if (a < b) != yz:
+        return 0
+    return sum(1 for x in range(1, n + 1)
+               if x != a and (x == 1 or not placed >> (x - 2) & 1)
+               and (x < a) == xy and (x < b) == xz)
 
 
 def _states(layer):
@@ -491,43 +429,19 @@ def _states(layer):
             for placed, values in layer.items() for b, value in values.items()}
 
 
-@pytest.mark.parametrize("text", XY_Z)
-def test_xy_z_pass_matches_per_transition_loop(text):
-    """The sweep forms every layer of the xy-z pass state by state as the
-    per-transition loop does, and the fronts as prepending 1 to the last
-    layer's states does."""
+@pytest.mark.parametrize("text", GLUED)
+def test_glued_pass_matches_per_transition_loop(text):
+    """The sweep forms every layer of the pass state by state as the
+    per-transition loop does, and the fronts as prepending 1 (no weight)
+    to the last layer's states does."""
     pat = VincularPattern3.from_string(text)
-    p1, p2, p3 = pat.letters
-    xy, xz, yz = p1 < p2, p1 < p3, p2 < p3
     for n in range(2, 10):
         width = _slot_bytes(n)
         s = 8 * width
-        pairs = itertools.zip_longest(_xy_z_layers(n, pat, s),
-                                      _reference_xy_z_layers(n, pat, s))
+        pairs = itertools.zip_longest(_layers(n, pat, s),
+                                      _reference_layers(n, pat, s))
         for layer, want in pairs:
             assert _states(layer) == want
-        fronts = {}
-        for (_, k), value in want.items():
-            if (1 < k) == xy:
-                value <<= s * sum(1 for z in range(2, n + 1)
-                                  if z != k and (1 < z) == xz
-                                  and (k < z) == yz)
-            fronts[k] = value
-        assert _xy_z_fronts(n, pat) == (fronts, width)
-
-
-@pytest.mark.parametrize("text", X_YZ)
-def test_x_yz_pass_matches_per_transition_loop(text):
-    """The sweep forms every layer of the x-yz pass state by state as the
-    per-transition loop does, whole and from every start 1, k."""
-    pat = VincularPattern3.from_string(text)
-    for n in range(1, 10):
-        width = _slot_bytes(n)
-        s = 8 * width
-        for k in [0] + list(range(2, n + 1)):
-            pairs = itertools.zip_longest(_x_yz_layers(n, pat, s, k),
-                                          _reference_x_yz_layers(n, pat, s, k))
-            for layer, want in pairs:
-                assert _states(layer) == want
-            assert _x_yz_pass(n, pat, k) \
-                == _unpack(sum(want.values()), width)
+        fronts = {k: value << s * _completed(n, pat, placed, k, 1)
+                  for (placed, k), value in want.items()}
+        assert _fronts(n, pat) == (fronts, width)
