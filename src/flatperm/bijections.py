@@ -60,7 +60,8 @@ import itertools
 
 from ._value import FrozenValue
 from .perm_core import (DEFAULT_MAX_N, CycleForm, VincularPattern3,
-                        _check_cap, _flat_word_tuples, flatten_cycle_form)
+                        _all_ints, _check_cap, _flat_word_tuples,
+                        flatten_cycle_form)
 
 _PAT_23_1 = VincularPattern3.from_string("23-1")
 _PAT_32_1 = VincularPattern3.from_string("32-1")
@@ -83,7 +84,8 @@ class MarkedPartition(FrozenValue):
             raise ValueError("need one mark flag per block")
         support = [x for b in blocks for x in b]
         n = len(support) + 1
-        if sorted(support) != list(range(2, n + 1)):
+        if not _all_ints(support) \
+                or sorted(support) != list(range(2, n + 1)):
             raise ValueError("blocks must partition {2,...,n}")
         minima = []
         for b in blocks:

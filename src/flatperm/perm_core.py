@@ -108,7 +108,9 @@ into the next, and each packed value is read back exactly by
 ``qpoly._unpack``.
 
 Validation.  The public constructors ``Permutation``, ``CycleForm`` and
-``VincularPattern3`` check their input, since it may come from outside.
+``VincularPattern3`` check their input, since it may come from outside;
+every entry must be an ``int`` (``bool`` excluded), since a float equal to
+an integer would pass the range checks and fail, or print wrong, later.
 ``Permutation._raw`` skips the check, and only three places use it, where
 the word is a permutation by construction: ``enumerate_permutations``
 (``itertools.permutations`` of 1..n), ``flatten_cycle_form`` (the letters
@@ -148,6 +150,14 @@ class CapExceeded(ValueError):
     """A brute-force enumeration was refused because n exceeds the cap."""
 
 
+_INT = frozenset((int,))
+
+
+def _all_ints(values) -> bool:
+    """Whether every entry is an int, bool excluded (see Validation)."""
+    return set(map(type, values)) <= _INT
+
+
 class Permutation(FrozenValue):
     """A permutation of [n] in one-line notation, 1-based values."""
 
@@ -155,7 +165,8 @@ class Permutation(FrozenValue):
 
     def __init__(self, word: tuple[int, ...]):
         word = tuple(word)
-        if sorted(word) != list(range(1, len(word) + 1)):
+        if not _all_ints(word) \
+                or sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"not a permutation of [n]: {word}")
         object.__setattr__(self, "word", word)
 
@@ -185,6 +196,8 @@ class CycleForm(FrozenValue):
     def __init__(self, cycles: tuple[tuple[int, ...], ...]):
         cycles = tuple(map(tuple, cycles))
         support = [x for c in cycles for x in c]
+        if not _all_ints(support):
+            raise ValueError(f"cycle entries must be integers: {cycles}")
         support.sort()
         if support != list(range(1, len(support) + 1)):
             raise ValueError("cycles do not partition [n]")
@@ -224,7 +237,7 @@ class VincularPattern3(FrozenValue):
     def __init__(self, letters: tuple[int, int, int], glue12: bool = False,
                  glue23: bool = False):
         letters = tuple(letters)
-        if sorted(letters) != [1, 2, 3]:
+        if not _all_ints(letters) or sorted(letters) != [1, 2, 3]:
             raise ValueError(f"letters must be a permutation of 1,2,3: {letters}")
         if glue12 and glue23:
             raise ValueError("fully glued length-3 blocks are not supported")

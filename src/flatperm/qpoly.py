@@ -17,6 +17,15 @@ passes over the coefficients, each checking that its remainder, the total
 sum, is 0, so (1 - q)^m is never formed.  The closed forms sum their
 numerators on one list of ints (``_alternating_sum``) before that division.
 
+Multiplication has one route: ``QPoly.__mul__`` scales by a constant
+directly and multiplies every other pair schoolbook, one pass over the
+longer operand per coefficient of the shorter: 0.28 ms at 50 x 50
+coefficients of 8 bits, 0.38 ms of 64 bits (CPython 3.11, 2-vCPU Xeon).
+No route in the package makes a product that long that way: the long
+products are those of the coefficient-table recurrences, whose whole sum
+sum_j c_{n,j} g_{n-j} ``_dot`` forms as one sum of packed integers, every
+factor evaluated at q = 2^s.
+
 Rationals are stdlib ``fractions.Fraction`` (re-exported as ``Rational``);
 its normalization already guarantees positive denominators in lowest terms.
 All values are immutable and every operation is reentrant.
@@ -32,17 +41,6 @@ from itertools import accumulate, chain, count, islice, repeat
 from operator import mul
 
 Rational = Fraction
-
-# Schoolbook multiplication while the shorter operand has at most this
-# many coefficients; packed big-integer multiplication (Kronecker
-# substitution) above it.  Schoolbook costs one pass over the longer operand
-# per coefficient of the shorter, packing about a fixed number of passes, so
-# the shorter length decides.  Measured on CPython 3.11 (2-vCPU Xeon): at
-# equal lengths Kronecker wins from 12 to 16 coefficients each, depending on
-# the coefficients' size, and takes 39 us at 50 x 50 against schoolbook's
-# 260 us; a 2-coefficient operand times 500 coefficients is schoolbook's,
-# 104 us against 180 us.
-_KRONECKER_MIN_LEN = 12
 
 
 class IdentityViolation(ArithmeticError):
@@ -176,9 +174,7 @@ class QPoly:
         if len(b) == 1:
             c = b[0]
             return QPoly._raw(_normalize([c * x for x in a]))
-        if min(len(a), len(b)) <= _KRONECKER_MIN_LEN:
-            return QPoly._raw(_normalize(_mul_schoolbook(a, b)))
-        return QPoly._raw(_normalize(_mul_kronecker(a, b)))
+        return QPoly._raw(_normalize(_mul_schoolbook(a, b)))
 
     __rmul__ = __mul__
 
@@ -260,7 +256,9 @@ class QPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(("QPoly", self.coeffs))
+        # a constant equals its int, so it hashes as that int (0 for zero)
+        c = self.coeffs
+        return hash(c) if len(c) > 1 else hash(c[0]) if c else 0
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -295,32 +293,6 @@ def _mul_schoolbook(a: tuple, b: tuple) -> list:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out
-
-
-def _mul_kronecker(a: tuple, b: tuple) -> list:
-    # Pack each polynomial into one big integer with fixed-width signed
-    # slots, multiply natively, and unpack.  Slot width must majorate every
-    # coefficient of the product, including sign.
-    amax = max(map(abs, a))
-    bmax = max(map(abs, b))
-    bits = amax.bit_length() + bmax.bit_length() + min(len(a), len(b)).bit_length() + 2
-    width = (bits + 7) // 8
-    slot = width * 8
-    offset = 1 << (slot - 1)
-    # 1 in the lowest byte of each slot; repeating it builds the comb
-    # integer sum(2^(slot*i)) without any big division
-    unit = b"\x01" + b"\x00" * (width - 1)
-
-    def pack(coeffs: tuple) -> int:
-        buf = b"".join((c + offset).to_bytes(width, "little") for c in coeffs)
-        comb = int.from_bytes(unit * len(coeffs), "little")
-        return int.from_bytes(buf, "little") - (comb << (slot - 1))
-
-    out_len = len(a) + len(b) - 1
-    product = pack(a) * pack(b)
-    comb = int.from_bytes(unit * out_len, "little")
-    return [c - offset
-            for c in _slots(product + (comb << (slot - 1)), width, out_len)]
 
 
 #: Fields per compiled slot splitter; one ``Struct`` per slot width.
@@ -366,6 +338,45 @@ def _unpack(value: int, width: int) -> QPoly:
             "packed polynomial is negative: a coefficient left its slot")
     count = -(-value.bit_length() // (8 * width))
     return QPoly._raw(tuple(_slots(value, width, count)))
+
+
+def _dot(pairs: Iterable[tuple[QPoly, QPoly]]) -> QPoly:
+    """sum a * b over the pairs (a, b), formed as one sum of packed ints.
+
+    Evaluation at q = 2^s is a ring homomorphism Z[q] -> Z, so the sum's
+    value at 2^s is the sum of the products of its factors' values.  Every
+    coefficient of the sum is at most B = sum ||a||_1 ||b||_inf in absolute
+    value, and so is every coefficient of every factor, since a nonzero
+    integer polynomial has both norms at least 1.  With s = 8 w the least
+    multiple of 8 such that B < 2^(s-1), each factor is packed in signed
+    s-bit slots: the coefficients c + 2^(s-1) as bytes, then the comb
+    2^(s-1) sum_i 2^(s i) taken off.  The packed products are summed, and
+    adding the comb back leaves every slot of the sum in [1, 2^s - 1], so no
+    slot borrows from or carries into the next and one read of the slots
+    (``_slots``) gives the sum exactly.
+    """
+    pairs = [(a.coeffs, b.coeffs) for a, b in pairs if a.coeffs and b.coeffs]
+    if not pairs:
+        return _ZERO
+    bound = sum(sum(map(abs, a)) * max(map(abs, b)) for a, b in pairs)
+    width = bound.bit_length() // 8 + 1
+    top = 8 * width - 1
+    offset = 1 << top
+    # 1 in the lowest byte of each slot; repeating it builds the comb
+    # sum_i 2^(s i) without any big division
+    unit = b"\x01" + b"\x00" * (width - 1)
+
+    def comb(length: int) -> int:
+        return int.from_bytes(unit * length, "little") << top
+
+    def pack(coeffs: tuple) -> int:
+        buf = b"".join((c + offset).to_bytes(width, "little") for c in coeffs)
+        return int.from_bytes(buf, "little") - comb(len(coeffs))
+
+    length = max(len(a) + len(b) for a, b in pairs) - 1
+    total = sum(pack(a) * pack(b) for a, b in pairs) + comb(length)
+    return QPoly._raw(_normalize(
+        [c - offset for c in _slots(total, width, length)]))
 
 
 def _div_one_minus_q(p: QPoly, m: int) -> QPoly:

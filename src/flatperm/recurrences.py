@@ -101,7 +101,8 @@ with each c_{n,j} an exact polynomial obtained by literal summation
 (products of q-integer runs carried with their (1-q)- or (q-1)-power
 prefactors already multiplied in), are kept as one plain function per
 pattern (``_coefficients_p31_2`` and so on), whose state is a few local
-``QPoly`` values.  They run only through ``coefficient_table``, which
+``QPoly`` values; each forms g_n, its whole sum of products, by one
+``qpoly._dot``, packed at a width its own bound picks.  They run only through ``coefficient_table``, which
 builds from scratch on every call and which the tests compare with
 ``distribution_table`` for n <= 40.  Building 32-1 that way also evaluates
 its two coefficient routes (the alternating q-binomial triple sum and the
@@ -121,7 +122,8 @@ from itertools import repeat
 from . import perm_core
 from ._value import FrozenValue
 from .qpoly import IdentityViolation, QPoly, _derivative_at_one, \
-    _div_one_minus_q, _normalize, _unpack, q_binomial, q_int
+    _div_one_minus_q, _dot, _normalize, _unpack, elementary_e, q_binomial, \
+    q_int
 
 _ONE = QPoly.one()
 _ZERO = QPoly.zero()
@@ -261,10 +263,9 @@ def _coefficients_p31_2(n_max: int) -> list[QPoly]:
     """g_n = n g_{n-1} + sum_{j=2}^{floor(n/2)} (q-1)^{j-1} b_{n,j} g_{n-j}."""
     g = [_ZERO, _ONE, _TWO]
     for n in range(3, n_max + 1):
-        total = n * g[n - 1]
-        for j in range(2, n // 2 + 1):
-            total += _Q_MINUS_ONE ** (j - 1) * b_coeff_31_2(n, j) * g[n - j]
-        g.append(total)
+        g.append(_dot([(QPoly((n,)), g[n - 1])] + [
+            (_Q_MINUS_ONE ** (j - 1) * b_coeff_31_2(n, j), g[n - j])
+            for j in range(2, n // 2 + 1)]))
     return g[1:n_max + 1]
 
 
@@ -285,7 +286,7 @@ def _coefficients_p32_1(n_max: int) -> list[QPoly]:
         ebar = [_ONE] + [e + p.shifted(t) - p
                          for e, p in zip(ebar[1:] + [_ZERO], ebar)]
         qb = [q_binomial(n - 3, a - 1).coeffs for a in range(1, n - 1)]
-        total = n * g[n - 1]
+        pairs = [(QPoly((n,)), g[n - 1])]
         for j in range(2, n - 1):
             sym[j] = sym.get(j, _ZERO) + ebar[j - 1]
             acc = triple.setdefault(j, [])
@@ -303,8 +304,8 @@ def _coefficients_p32_1(n_max: int) -> list[QPoly]:
             if _normalize(acc) != sym[j].coeffs:
                 raise IdentityViolation(
                     f"32-1 coefficient routes disagree at n={n}, j={j}")
-            total += sym[j] * g[n - j]
-        g.append(total)
+            pairs.append((sym[j], g[n - j]))
+        g.append(_dot(pairs))
     return g[1:n_max + 1]
 
 
@@ -325,10 +326,9 @@ def _coefficients_p12_3(n_max: int) -> list[QPoly]:
         diag = [q_int(n - 1)] + [prev[m] + prev[m - 1]
                                  - prev[m - 1].shifted(n - 2 - m)
                                  for m in range(1, n - 1)]
-        total = QPoly((1,) * (n - 2) + (2,)) * g[n - 1]
-        for j in range(2, n):
-            total += (2 * diag[j - 1] - prev[j - 1]) * g[n - j]
-        g.append(total)
+        # at j = 1, 2 [n-1] - [n-2] is the leading term 2q^{n-2} + [n-2]
+        g.append(_dot((2 * diag[j - 1] - prev[j - 1], g[n - j])
+                      for j in range(1, n)))
     return g[1:n_max + 1]
 
 
@@ -366,12 +366,10 @@ def qbinom_form_consistency_12_3(n_max: int) -> list[CoefficientFormComparison12
     table = distribution_table(PatternId.P12_3, n_max)
     out = []
     for n in range(3, n_max + 1):
-        j2_only = _ZERO
-        for j in range(2, n):
-            j2_only = j2_only + qbinom_coefficient_12_3(n, j) * table.g(n - j)
-        extended = j2_only + qbinom_coefficient_12_3(n, 1) * table.g(n - 1)
+        pairs = [(qbinom_coefficient_12_3(n, j), table.g(n - j))
+                 for j in range(1, n)]
         out.append(CoefficientFormComparison12_3(
-            n, j2_only == table.g(n), extended == table.g(n)))
+            n, _dot(pairs[1:]) == table.g(n), _dot(pairs) == table.g(n)))
     return out
 
 
@@ -391,12 +389,12 @@ def _coefficients_p23_1(n_max: int) -> list[QPoly]:
         w = [_ZERO, prev[1] + x - x.shifted(t)] + [
             prev[m] + prev[m - 1] - prev[m - 1].shifted(t)
             for m in range(2, len(prev))]
-        total = (1 + q_int(n - 1)) * g[n - 1]
+        pairs = [(1 + q_int(n - 1), g[n - 1])]
         for j in range(2, n):
             x = 1 + q_int(n - 2) if j == 2 else w[j - 2]
             c[j] = c.get(j, _ZERO) + x - x.shifted(n - 2)
-            total += c[j] * g[n - j]
-        g.append(total)
+            pairs.append((c[j], g[n - j]))
+        g.append(_dot(pairs))
     return g[1:n_max + 1]
 
 
@@ -419,11 +417,11 @@ def _coefficients_p21_3(n_max: int) -> list[QPoly]:
                                         - prev[m - 1]
                                         for m in range(1, n - 2)]
         sdiag = [s + t for s, t in zip(sdiag + [_ZERO], tdiag)]
-        total = n * g[n - 1]
+        pairs = [(QPoly((n,)), g[n - 1])]
         for j in range(2, n):
             base = sdiag[j - 2] + tdiag[j - 2]
-            total += (base.shifted(1) - base) * g[n - j]
-        g.append(total)
+            pairs.append((base.shifted(1) - base, g[n - j]))
+        g.append(_dot(pairs))
     return g[1:n_max + 1]
 
 
@@ -840,14 +838,10 @@ def g1k_via_elementary_32_1(n: int, k: int) -> QPoly:
     g_n(1k) = sum_j e_{j-1}([1],...,[k-3]) (q-1)^{j-1} g_{n-j}.
 
     An independent check, not a production route: ``refined_g1k`` serves
-    g_n(1k), and tests/test_recurrences.py compares the two for n <= 6."""
+    g_n(1k), and tests/test_recurrences.py compares the two for n <= 16."""
     if not 3 <= k <= n:
         raise ValueError("requires 3 <= k <= n")
-    from .qpoly import elementary_e
     table = distribution_table(PatternId.P32_1, n - 1)
     qints = [q_int(i) for i in range(1, k - 2)]
-    total = _ZERO
-    for j in range(1, k - 1):
-        term = elementary_e(j - 1, qints) if j > 1 else _ONE
-        total = total + term * (_Q_MINUS_ONE ** (j - 1)) * table.g(n - j)
-    return total
+    return _dot((elementary_e(j - 1, qints) * _Q_MINUS_ONE ** (j - 1),
+                 table.g(n - j)) for j in range(1, k - 1))

@@ -37,6 +37,9 @@ def test_marked_partition_validation():
         MarkedPartition(((3, 2),), (False, True))  # marks length mismatch
     with pytest.raises(ValueError):
         MarkedPartition(((3, 1),), (False,))       # 1 never belongs
+    for blocks in (((3.0, 2.0),), ((3, 2.0),), ((3, "x"),)):
+        with pytest.raises(ValueError):            # entries not ints
+            MarkedPartition(blocks, (False,))
     assert MarkedPartition((), ()).n == 1
 
 

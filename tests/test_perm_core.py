@@ -32,6 +32,11 @@ def test_permutation_validation():
         Permutation((1, 1, 2))
     with pytest.raises(ValueError):
         Permutation((0, 1))
+    # entries equal to integers but not ints, and entries that do not
+    # compare with ints
+    for word in ((2.0, 1.0), (True,), ("a", 1)):
+        with pytest.raises(ValueError):
+            Permutation(word)
 
 
 def test_standard_cycle_form():
@@ -54,6 +59,9 @@ def test_cycle_form_validation():
         CycleForm(((3, 4), (1, 2)))   # minima not ascending
     with pytest.raises(ValueError):
         CycleForm(((1, 2), (2, 3)))   # not a partition
+    for cycles in (((1.0, 2.0),), ((1,), (2.0,)), ((1, "b"),)):
+        with pytest.raises(ValueError, match="integers"):
+            CycleForm(cycles)
 
 
 def test_flatten():
@@ -79,6 +87,9 @@ def test_pattern_parsing():
         VincularPattern3((1, 2, 2))
     with pytest.raises(ValueError):
         VincularPattern3((1, 2, 3), glue12=True, glue23=True)
+    for letters in ((1.0, 2, 3), (3, 1, 2.0), ("1", 2, 3)):
+        with pytest.raises(ValueError, match="letters must be"):
+            VincularPattern3(letters, glue12=True)
 
 
 def test_count_occurrences_worked_example():

@@ -8,8 +8,7 @@ from flatperm.qpoly import (IdentityViolation, QPoly, complete_h,
                             e_on_qints_closed_form, elementary_e,
                             h_on_qint_window_closed_form, nonadjacent_e_prime,
                             q_binomial, q_factorial, q_int)
-from flatperm.qpoly import (_KRONECKER_MIN_LEN, _derivative_at_one,
-                            _div_one_minus_q, _mul_kronecker,
+from flatperm.qpoly import (_derivative_at_one, _div_one_minus_q, _dot,
                             _mul_schoolbook, _unpack)
 from flatperm.perm_core import VincularPattern3, brute_distribution
 from flatperm.recurrences import ALL_PATTERNS, distribution_table
@@ -27,6 +26,14 @@ def test_ring_basics():
     assert QPoly([0, 0]) == QPoly() == 0
     with pytest.raises(ValueError):
         Q ** -1
+
+
+def test_hash_agrees_with_equality():
+    # a constant polynomial equals its int, so it must hash as that int
+    assert 2 in {QPoly((2,))} and 0 in {QPoly()} and -5 in {QPoly([-5])}
+    assert QPoly((2,)) in {2} and QPoly([0, 0]) in {0}
+    assert len({QPoly((2,)), 2}) == 1 and len({QPoly(), 0}) == 1
+    assert len({QPoly([1, 2]), QPoly((1, 2)), 1, 2}) == 3
 
 
 def test_canonical_form_strips_trailing_zeros():
@@ -149,12 +156,47 @@ def test_h_on_qint_window_closed_form():
                     == complete_h(j - 1, window)
 
 
-def test_kronecker_matches_schoolbook():
+def _dot_reference(pairs):
+    """sum a * b by schoolbook products, added one at a time."""
+    out = QPoly()
+    for a, b in pairs:
+        out = out + QPoly(_mul_schoolbook(a.coeffs, b.coeffs))
+    return out
+
+
+def test_dot_matches_schoolbook():
     rng = random.Random(2024)
     for _ in range(150):
-        a = tuple(rng.randrange(-10**9, 10**9) for _ in range(rng.randrange(1, 70)))
-        b = tuple(rng.randrange(-10**30, 10**30) for _ in range(rng.randrange(1, 70)))
-        assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+        pairs = [(QPoly([rng.randrange(-10**9, 10**9)
+                         for _ in range(rng.randrange(0, 70))]),
+                  QPoly([rng.randrange(-10**30, 10**30)
+                         for _ in range(rng.randrange(0, 70))]))
+                 for _ in range(rng.randrange(0, 6))]
+        assert _dot(pairs) == _dot_reference(pairs)
+
+
+@pytest.mark.parametrize("width", range(1, 5))
+def test_dot_at_its_bound(width):
+    """Sums with a coefficient equal to the bound sum ||a||_1 ||b||_inf, of
+    either sign: at the top of a slot width, 2^(8 width - 1) - 1, where
+    that coefficient's slot is full (or holds 1) once the comb is added
+    back, and one past it, where the width grows by a byte."""
+    for bound in (2 ** (8 * width - 1) - 1, 2 ** (8 * width - 1)):
+        for sign in (1, -1):
+            # constants: the bound split over two pairs
+            pairs = [(QPoly([sign * (bound // 2)]), QPoly([1, 1])),
+                     (QPoly([1]), QPoly([sign * (bound - bound // 2)]))]
+            want = QPoly([sign * bound, sign * (bound // 2)])
+            assert _dot(pairs) == want == _dot_reference(pairs)
+            # a run of ones times a flat polynomial peaks at its middle
+            length = 3
+            x, r = divmod(bound, length)
+            pairs = [(QPoly([1] * length), QPoly([sign * x] * length))]
+            if r:
+                pairs.append((QPoly([r]), QPoly([0, 0, sign])))
+            got = _dot(pairs)
+            assert got == _dot_reference(pairs)
+            assert max(map(abs, got.coeffs)) == bound
 
 
 @st.composite
@@ -184,13 +226,13 @@ def test_unpack_rejects_negative_values(value, width):
 
 def _signed_coeffs(max_size):
     return st.integers(0, 2000).flatmap(lambda bits: st.lists(
-        st.integers(-2 ** bits, 2 ** bits), min_size=1, max_size=max_size))
+        st.integers(-2 ** bits, 2 ** bits), max_size=max_size))
 
 
-@given(_signed_coeffs(24), _signed_coeffs(24))
-def test_kronecker_matches_schoolbook_on_wide_coefficients(a, b):
-    assert _mul_kronecker(tuple(a), tuple(b)) \
-        == _mul_schoolbook(tuple(a), tuple(b))
+@given(st.lists(st.tuples(_signed_coeffs(24).map(QPoly),
+                          _signed_coeffs(24).map(QPoly)), max_size=3))
+def test_dot_matches_schoolbook_on_wide_coefficients(pairs):
+    assert _dot(pairs) == _dot_reference(pairs)
 
 
 _polys = st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=12).map(QPoly)
@@ -281,14 +323,17 @@ def _sized_coeffs(low, high):
 
 
 @settings(max_examples=50)
-@given(_sized_coeffs(6, 20), _sized_coeffs(6, 60))
-def test_products_agree_across_the_kronecker_threshold(a, b):
-    """Shorter operands of 6 to 20 coefficients straddle the threshold, so
-    QPoly.__mul__ takes both routes; both equal the schoolbook product."""
-    assert 6 <= _KRONECKER_MIN_LEN < 20
-    want = _mul_schoolbook(tuple(a), tuple(b))
-    assert _mul_kronecker(tuple(a), tuple(b)) == want
-    assert QPoly(a) * QPoly(b) == QPoly(want)
+@given(st.lists(st.tuples(_sized_coeffs(0, 20), _sized_coeffs(0, 60)),
+                min_size=1, max_size=4))
+def test_dot_equals_the_sum_of_products(pairs):
+    """Mixed lengths, zero polynomials and constants among them: _dot of
+    the pairs is the sum of their QPoly products."""
+    pairs = [(QPoly(a), QPoly(b)) for a, b in pairs]
+    want = QPoly()
+    for a, b in pairs:
+        want = want + a * b
+    assert _dot(pairs) == want
+    assert _dot(reversed(pairs)) == want
 
 
 def test_evaluate_and_shift():

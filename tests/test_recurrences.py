@@ -192,7 +192,7 @@ def test_31_2_coefficient_routes():
 
 
 def test_32_1_symmetric_route_for_refined_values():
-    for n in range(3, 7):
+    for n in range(3, 17):
         for k in range(3, n + 1):
             assert g1k_via_elementary_32_1(n, k) \
                 == refined_g1k(PatternId.P32_1, n, k)
