@@ -15,10 +15,11 @@ round trips in the test suite:
   classically avoiding 3-1-2, checked by a full sweep.
 
 Validation.  ``MarkedPartition`` checks its input, as ``Permutation`` and
-``CycleForm`` do.  ``MarkedPartition._raw`` skips the check and is used
-only by ``enumerate_marked_partitions``, whose blocks partition {2,...,n}
-by construction, each sorted descending and in order of first use, which
-is the order of their minima.  The maps' outputs are what the checks
+``CycleForm`` do, and its marks as ``perm_core`` checks flags.
+``MarkedPartition._raw`` skips the check and is used only by
+``enumerate_marked_partitions``, whose blocks partition {2,...,n} by
+construction, each sorted descending and in order of first use, which is
+the order of their minima.  The maps' outputs are what the checks
 test, so every ``CycleForm`` and ``MarkedPartition`` a map builds goes
 through the checking constructor, and each map keeps its domain check.
 The flattened words are built unchecked (``perm_core.flatten_cycle_form``
@@ -60,7 +61,7 @@ import itertools
 
 from ._value import FrozenValue
 from .perm_core import (DEFAULT_MAX_N, CycleForm, VincularPattern3,
-                        _all_ints, _check_cap, _flat_word_tuples,
+                        _all_flags, _all_ints, _check_cap, _flat_word_tuples,
                         flatten_cycle_form)
 
 _PAT_23_1 = VincularPattern3.from_string("23-1")
@@ -79,7 +80,10 @@ class MarkedPartition(FrozenValue):
     def __init__(self, blocks: tuple[tuple[int, ...], ...],
                  marks: tuple[bool, ...]):
         blocks = tuple(tuple(b) for b in blocks)
-        marks = tuple(bool(m) for m in marks)
+        marks = tuple(marks)
+        if not _all_flags(marks):
+            raise ValueError(f"marks must be bools: {marks}")
+        marks = tuple(map(bool, marks))
         if len(blocks) != len(marks):
             raise ValueError("need one mark flag per block")
         support = [x for b in blocks for x in b]

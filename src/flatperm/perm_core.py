@@ -111,6 +111,11 @@ Validation.  The public constructors ``Permutation``, ``CycleForm`` and
 ``VincularPattern3`` check their input, since it may come from outside;
 every entry must be an ``int`` (``bool`` excluded), since a float equal to
 an integer would pass the range checks and fail, or print wrong, later.
+A flag (``VincularPattern3``'s ``glue12`` and ``glue23``, a
+``bijections.MarkedPartition`` mark) must be a ``bool`` or the int 0 or 1,
+which equal False and True and hash alike, and is stored as a ``bool``;
+any other value, a string say, would print as the flag it stands for yet
+make a value unequal to the one it prints as.
 ``Permutation._raw`` skips the check, and only three places use it, where
 the word is a permutation by construction: ``enumerate_permutations``
 (``itertools.permutations`` of 1..n), ``flatten_cycle_form`` (the letters
@@ -156,6 +161,11 @@ _INT = frozenset((int,))
 def _all_ints(values) -> bool:
     """Whether every entry is an int, bool excluded (see Validation)."""
     return set(map(type, values)) <= _INT
+
+
+def _all_flags(values) -> bool:
+    """Whether every entry is a bool, or the int 0 or 1 (see Validation)."""
+    return all(type(v) in (bool, int) and v in (0, 1) for v in values)
 
 
 class Permutation(FrozenValue):
@@ -239,11 +249,14 @@ class VincularPattern3(FrozenValue):
         letters = tuple(letters)
         if not _all_ints(letters) or sorted(letters) != [1, 2, 3]:
             raise ValueError(f"letters must be a permutation of 1,2,3: {letters}")
+        if not _all_flags((glue12, glue23)):
+            raise ValueError(f"glue flags must be bools: glue12={glue12!r}, "
+                             f"glue23={glue23!r}")
         if glue12 and glue23:
             raise ValueError("fully glued length-3 blocks are not supported")
         object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "glue12", glue12)
-        object.__setattr__(self, "glue23", glue23)
+        object.__setattr__(self, "glue12", bool(glue12))
+        object.__setattr__(self, "glue23", bool(glue23))
 
     @classmethod
     def from_string(cls, text: str) -> "VincularPattern3":

@@ -81,10 +81,13 @@ table either: ``distribution_table(P, n)`` right after
 
 A step pops its pattern's builder, so it owns the last row and releases it
 entry by entry, once past each entry's last use; it holds about one row,
-not two.  It asserts each difference recurrence as soon as the row entries
-it needs are in place, appends g_n to the table (for
-``distribution_table``) only after every one has passed, and then commits
-the new builder by one assignment.  So a build that stops with any
+not two.  Every pattern's step has one shape: entry 2 is 2 g_{n-1}
+(g_n(12), lowered for 12-3), and the pattern's generator streams entries
+k = 3..n in ascending order.  The step asserts the difference recurrence
+at k on the entry just made and raises at the first that fails, so the
+error names the least failing k.  It appends g_n to the table (for
+``distribution_table``) only after every assertion has passed, and then
+commits the new builder by one assignment.  So a build that stops with any
 exception, an interrupt included, leaves every table whole, and the
 pattern's builder at the last committed level or gone: a stop mid-step
 restarts the pattern from level 1 on the next call.  The returned tables
@@ -538,15 +541,16 @@ def _start(capacity: int) -> _Level:
 
 
 # -- per-pattern row entries: q^t p is p << s*t ------------------------------
-# Each generator yields the pairs (k, entry k of level n's row), 2 <= k <= n,
-# from the previous row ``prev`` (a list it owns) and packed g_{n-1}, g_{n-2}.
+# Each generator yields the pairs (k, entry k of level n's row), k = 3..n in
+# ascending order, from the previous row ``prev`` (a list it owns) and packed
+# g_{n-1}, g_{n-2}.  ``_step`` sets entry 2 itself to 2 g_{n-1}: that is
+# g_n(12), or 12-3's low_n(2).
 # Once the entry whose check reads prev[j] last has been yielded, it sets
 # prev[j] to None and keeps no other reference to it, so a step holds about
 # one row.
 
 def _entries_p31_2(s, n, prev, g1, g2):
     # g_n(1k) = (q+1) g_n(1,k-1) - q g_n(1,k-2) + (q-1) g_{n-1}(1,k-2)
-    yield 2, 2 * g1
     r2, r1 = g1, g1 + ((2 * g2) << s) - 2 * g2
     if n >= 3:
         yield 3, r2
@@ -560,7 +564,6 @@ def _entries_p31_2(s, n, prev, g1, g2):
 
 def _entries_p32_1(s, n, prev, g1, g2):
     # g_n(1k) = g_n(1,k-1) + (q^(k-3) - 1) g_{n-1}(1,k-1)
-    yield 2, 2 * g1
     r = g1
     if n >= 3:
         yield 3, r
@@ -572,7 +575,6 @@ def _entries_p32_1(s, n, prev, g1, g2):
 
 def _entries_p23_1(s, n, prev, g1, g2):
     # g_n(1k) = q^(k-2) g_{n-1} + (1 - q^(k-2)) sum_{j<k} g_{n-1}(1j)
-    yield 2, 2 * g1
     prefix = 0
     for k in range(3, n + 1):
         prefix += prev[k - 1]
@@ -582,7 +584,6 @@ def _entries_p23_1(s, n, prev, g1, g2):
 
 def _entries_p21_3(s, n, prev, g1, g2):
     # g_n(1k) = g_{n-1} - (1 - q^(n-k)) sum_{j<k} g_{n-1}(1j)
-    yield 2, 2 * g1
     prefix = 0
     for k in range(3, n + 1):
         prefix += prev[k - 1]
@@ -593,19 +594,14 @@ def _entries_p21_3(s, n, prev, g1, g2):
 def _entries_p12_3(s, n, prev, g1, g2):
     # Rows are carried q-lowered, which turns the refinement recurrence
     # into nonnegative-shift prefix and suffix sums, for k >= 3:
-    # low_n(k) = sum_{j<k} low_{n-1}(j) + sum_{j>=k} q^(n-1-j) low_{n-1}(j),
-    # streamed from k = n down.
-    yield 2, 2 * g1
-    if n < 3:
-        return
-    prefix, suffix = sum(prev[2:]), 0
-    prev[2] = None
-    yield n, prefix
-    for k in range(n - 1, 2, -1):
-        prefix -= prev[k]
-        suffix += prev[k] << s * (n - 1 - k)
+    # low_n(k) = sum_{j<k} low_{n-1}(j) + sum_{j>=k} q^(n-1-j) low_{n-1}(j).
+    # The suffix starts as g_{n-1}, the whole weighted sum.
+    prefix, suffix = 0, g1
+    for k in range(3, n + 1):
+        prefix += prev[k - 1]
+        suffix -= prev[k - 1] << s * (n - k)
         yield k, prefix + suffix
-        prev[k] = None
+        prev[k - 1] = None
 
 
 _ENTRIES = {
@@ -618,23 +614,18 @@ _ENTRIES = {
 
 
 # -- difference-recurrence assertions, at q = 2^s ---------------------------
-# Each is called as soon as entry k of level n's row is in ``row``, before
-# the generator releases what it read of ``prev``, and returns a k whose
-# identity fails, or None.
+# Each is called as soon as entry k >= 3 of level n's row is in ``row``,
+# before the generator releases what it read of ``prev``, and returns
+# whether the identity at k holds.
 
 def _check_p12_3(s, n, k, row, prev, g1, g2):
     # q g_n(1k) = g_n(1,k-1) + q (1 - q^(n-k)) g_{n-1}(1,k-1) and
     # g_n(13) = q^(n-3) (g_{n-1} - 2 (q^(n-3) - 1) g_{n-2}), both
-    # divided through by the power of q that the lowered rows carry.  The
-    # row comes from k = n down, so entry k completes the identity at
-    # k + 1, and entry 3 also the one at 3.
-    if k == 3 and row[3] != g1 + 2 * g2 - ((2 * g2) << s * (n - 3)):
-        return 3
-    if 3 <= k < n:
-        p = prev[k]
-        if row[k + 1] != row[k] + p - (p << s * (n - 1 - k)):
-            return k + 1
-    return None
+    # divided through by the power of q that the lowered rows carry.
+    if k == 3:
+        return row[3] == g1 + 2 * g2 - ((2 * g2) << s * (n - 3))
+    p = prev[k - 1]
+    return row[k] == row[k - 1] + p - (p << s * (n - k))
 
 
 def _check_p23_1(s, n, k, row, prev, g1, g2):
@@ -645,15 +636,11 @@ def _check_p23_1(s, n, k, row, prev, g1, g2):
     # + (q^(k-2) - 1) g_{n-1}(1,k-1); and g_n(13) = q g_{n-1}
     # + 2 (1 - q) g_{n-2}.
     if k == 3:
-        if row[3] != (g1 << s) + 2 * g2 - ((2 * g2) << s):
-            return 3
-    elif k > 3:
-        r1, p = row[k - 1], prev[k - 1]
-        x = row[k] - r1 + (p << s * (k - 2)) - p
-        d = g1 - r1
-        if (x + (d << s) - d) << s * (k - 3) != x:
-            return k
-    return None
+        return row[3] == (g1 << s) + 2 * g2 - ((2 * g2) << s)
+    r1, p = row[k - 1], prev[k - 1]
+    x = row[k] - r1 + (p << s * (k - 2)) - p
+    d = g1 - r1
+    return (x + (d << s) - d) << s * (k - 3) == x
 
 
 def _check_p21_3(s, n, k, row, prev, g1, g2):
@@ -664,15 +651,11 @@ def _check_p21_3(s, n, k, row, prev, g1, g2):
     # - (q^(n-k+1) - 1) g_{n-1}(1,k-1); and g_n(13) = g_{n-1}
     # + 2 (q^(n-3) - 1) g_{n-2}.
     if k == 3:
-        if row[3] != g1 + ((2 * g2) << s * (n - 3)) - 2 * g2:
-            return 3
-    elif k > 3:
-        r, p = row[k], prev[k - 1]
-        y = r - row[k - 1] - (p << s * (n - k + 1)) + p
-        e = r - g1
-        if (y + (e << s) - e) << s * (n - k) != y:
-            return k
-    return None
+        return row[3] == g1 + ((2 * g2) << s * (n - 3)) - 2 * g2
+    r, p = row[k], prev[k - 1]
+    y = r - row[k - 1] - (p << s * (n - k + 1)) + p
+    e = r - g1
+    return (y + (e << s) - e) << s * (n - k) == y
 
 
 _CHECKS = {
@@ -699,26 +682,29 @@ def _step(pattern: PatternId, tabled: bool) -> None:
     """Step ``pattern``'s builder one level up, in one pass over the row.
 
     The record is popped first, so the step owns the last row and drops
-    each of its entries once past its last use.  Every entry is asserted
-    as it comes; g_n is appended to the table, when ``tabled`` and the
-    level is past the table, only after every assertion has passed; then
-    one assignment commits the new record.
+    each of its entries once past its last use.  Entries come k = 3..n in
+    ascending order after entry 2, and each is asserted as it comes: the
+    first identity that fails raises IdentityViolation naming its k, the
+    least failing one.  g_n is appended to the table, when ``tabled`` and
+    the level is past the table, only after every assertion has passed;
+    then one assignment commits the new record.
     """
     capacity, width, n, prev, (g2, g1) = _BUILDERS.pop(pattern)
     prev, n, s = list(prev), n + 1, 8 * width
     row = [0] * (n + 1)
+    row[2] = g = 2 * g1
     check = _CHECKS.get(pattern)
+    # 12-3's rows are lowered: g_n = sum_k q^(n-k) low_n(k)
     lowered = pattern is PatternId.P12_3
-    g, failed = 0, []
+    if lowered:
+        g <<= s * (n - 2)
     for k, entry in _ENTRIES[pattern](s, n, prev, g1, g2):
         row[k] = entry
         g += entry << s * (n - k) if lowered else entry
-        if check and (bad := check(s, n, k, row, prev, g1, g2)) is not None:
-            failed.append(bad)
-    if failed:
-        raise IdentityViolation(
-            f"{pattern} refined difference recurrence failed "
-            f"at n={n}, k={min(failed)}")
+        if check and not check(s, n, k, row, prev, g1, g2):
+            raise IdentityViolation(
+                f"{pattern} refined difference recurrence failed "
+                f"at n={n}, k={k}")
     if tabled and n > len(polys := _table(pattern)):
         _TABLES[pattern] = polys + (_unpack(g, width),)
     _BUILDERS[pattern] = _Level(capacity, width, n, tuple(row), (g1, g))

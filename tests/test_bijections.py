@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -41,6 +43,22 @@ def test_marked_partition_validation():
         with pytest.raises(ValueError):            # entries not ints
             MarkedPartition(blocks, (False,))
     assert MarkedPartition((), ()).n == 1
+
+
+def test_marked_partition_marks_must_be_bools():
+    # a string mark would silently mark its block
+    for mark in ("no", "", None, 2, 1.0, 0.0):
+        with pytest.raises(ValueError, match="marks must be bools"):
+            MarkedPartition(((2,),), (mark,))
+    # the ints 1 and 0 are stored as True and False
+    mp = MarkedPartition(((3, 2), (4,)), (1, 0))
+    assert mp.marks == (True, False)
+    assert all(type(m) is bool for m in mp.marks)
+    # pickle and copy rebuild the value through the checking constructor
+    for value in (mp, WORKED_PARTITION):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                     copy.deepcopy(value)):
+            assert twin == value and twin.marks == value.marks
 
 
 def test_partition_to_avoider_worked_example():

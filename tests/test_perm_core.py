@@ -92,6 +92,18 @@ def test_pattern_parsing():
             VincularPattern3(letters, glue12=True)
 
 
+def test_vincular_glue_flags_must_be_bools():
+    # a truthy non-bool flag would print as 12-3 yet equal no 12-3
+    for flag in ("yes", "", None, 2, 1.0, [True]):
+        for glue in ({"glue12": flag}, {"glue23": flag}):
+            with pytest.raises(ValueError, match="glue flags must be bools"):
+                VincularPattern3((1, 2, 3), **glue)
+    # the ints 1 and 0 equal True and False, and are stored as them
+    one = VincularPattern3((1, 2, 3), glue12=1, glue23=0)
+    assert one == P12_3 and hash(one) == hash(P12_3)
+    assert one.glue12 is True and one.glue23 is False
+
+
 def test_count_occurrences_worked_example():
     host = Permutation((1, 7, 2, 3, 5, 4, 6, 8))
     assert count_occurrences(host, P31_2) == 4

@@ -310,8 +310,7 @@ def test_slot_width_bounds_every_asserted_side():
                                      PatternId.P23_1], ids=str)
 def test_asserted_identities_reject_a_corrupted_row(pattern, bump,
                                                     monkeypatch):
-    # the assertions run before g_n is unpacked, so only they can raise;
-    # 12-3's entries come from k = n down, and the lowest k is still named
+    # the assertions run before g_n is unpacked, so only they can raise
     _empty_memo(monkeypatch)
     distribution_table(pattern, 2)
     s = 8 * recurrences._BUILDERS[pattern].width
@@ -333,6 +332,24 @@ def test_asserted_identities_reject_a_corrupted_row(pattern, bump,
             assert len(recurrences._TABLES[pattern]) == n - 1
         monkeypatch.setitem(recurrences._ENTRIES, pattern, entries_of)
         distribution_table(pattern, n)
+
+
+@pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+def test_row_entries_ascend_after_the_12_entry(pattern, monkeypatch):
+    # every generator yields k = 3..n once each, in ascending order, and
+    # the step itself sets g_n(12) = 2 g_{n-1} (q-lowered for 12-3)
+    _empty_memo(monkeypatch)
+    lowered = pattern is PatternId.P12_3
+    for n in range(2, 13):
+        below = recurrences._grown(pattern, n - 1)
+        s, (g2, g1) = 8 * below.width, below.g
+        entries = recurrences._ENTRIES[pattern](s, n, list(below.row), g1, g2)
+        assert [k for k, _ in entries] == list(range(3, n + 1))
+        del below   # a held record would keep its row through the step
+        assert recurrences._grown(pattern, n).row[2] == 2 * g1
+        g = _unpack(g1, recurrences._BUILDERS[pattern].width)
+        assert refined_g1k(pattern, n, 2) \
+            == (2 * g).shifted(n - 2 if lowered else 0)
 
 
 def test_pack_unpack_round_trip():
@@ -528,8 +545,8 @@ def test_refined_failed_check_raises_again(pattern, monkeypatch):
 
     def failing(s, n, k, *rest):
         if (n, k) == (7, 3):
-            return 3
-        return original(s, n, k, *rest) if original else None
+            return False
+        return original(s, n, k, *rest) if original else True
 
     _empty_memo(monkeypatch)
     monkeypatch.setitem(recurrences._CHECKS, pattern, failing)
