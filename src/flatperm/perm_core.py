@@ -285,22 +285,15 @@ class VincularPattern3(FrozenValue):
 
 
 def to_standard_cycle_form(p: Permutation) -> CycleForm:
-    """Orbits of p, each written min-first, ordered by increasing minima."""
+    """Orbits of p, each written min-first, ordered by increasing minima:
+    the flattened word cut after every letter that p does not map to the
+    letter following it."""
     word = p.word
-    n = len(word)
-    seen = [False] * (n + 1)
-    cycles = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        cycle = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            cycle.append(x)
-            x = word[x - 1]
-        cycles.append(tuple(cycle))
-    return CycleForm(tuple(cycles))
+    flat = _flatten_word(word)
+    # the 0 past the end, an image of no letter, ends the last cycle
+    ext = flat + (0,)
+    ends = [i for i in range(1, len(ext)) if word[ext[i - 1] - 1] != ext[i]]
+    return CycleForm(tuple(flat[a:b] for a, b in zip([0] + ends, ends)))
 
 
 def flatten(p: Permutation) -> Permutation:
@@ -313,6 +306,9 @@ def flatten_cycle_form(c: CycleForm) -> Permutation:
 
 
 def _flatten_word(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The orbits of word, each walked from its least letter, least letters
+    ascending: the flattened word, which ``to_standard_cycle_form`` cuts
+    into cycles."""
     n = len(word)
     seen = [False] * (n + 1)
     out = []

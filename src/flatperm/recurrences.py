@@ -98,35 +98,40 @@ in parallel.
 
 Independent check.  The paper's coefficient-table recurrences
 
-    g_n = (leading term) * g_{n-1} + sum_{j>=2} c_{n,j} * g_{n-j},
+    g_n = sum_{j>=1} c_{n,j} * g_{n-j},
 
 with each c_{n,j} an exact polynomial obtained by literal summation
 (products of q-integer runs carried with their (1-q)- or (q-1)-power
-prefactors already multiplied in), are kept as one plain function per
-pattern (``_coefficients_p31_2`` and so on), whose state is a few local
-``QPoly`` values; each forms g_n, its whole sum of products, by one
-``qpoly._dot``, packed at a width its own bound picks.  They run only through ``coefficient_table``, which
-builds from scratch on every call and which the tests compare with
-``distribution_table`` for n <= 40.  Building 32-1 that way also evaluates
-its two coefficient routes (the alternating q-binomial triple sum and the
-elementary-symmetric-function form) on every entry and raises
-IdentityViolation where they disagree, and every 31-2 coefficient
-(``b_coeff_31_2``) is checked to be an integer; ``verify`` runs the 32-1
-build to n = max(n_max, 20).
+prefactors already multiplied in), are kept as one coefficient stream per
+pattern (``_coefficients_p31_2`` and so on): a generator whose state is a
+few local ``QPoly`` values, and which yields, for n = 3, 4, ... in turn,
+the list [c_{n,1}, c_{n,2}, ...] by ring operations alone.  The streams
+never see g.  ``coefficient_table`` alone reads them: from g_1 = 1 and
+g_2 = 2 it forms each g_n, its whole sum of products, by one
+``qpoly._dot``, packed at a width that sum's own bound picks, and reads
+only the n_max - 2 rows it needs, so a table to n never computes the
+coefficients of n + 1.  It builds from scratch on every call, and the
+tests compare it with ``distribution_table`` for n <= 40.  The 32-1
+stream also evaluates its two coefficient routes (the alternating
+q-binomial triple sum and the elementary-symmetric-function form) on
+every entry and raises IdentityViolation where they disagree, and every
+31-2 coefficient (``b_coeff_31_2``) is checked to be an integer;
+``verify`` runs the 32-1 build to n = max(n_max, 20).
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 from enum import Enum
-from itertools import repeat
+from itertools import count, islice
 
 from . import perm_core
 from ._value import FrozenValue
-from .qpoly import IdentityViolation, QPoly, _derivative_at_one, \
-    _div_one_minus_q, _dot, _normalize, _unpack, elementary_e, q_binomial, \
-    q_int
+from .qpoly import IdentityViolation, QPoly, _alternating_sum, \
+    _derivative_at_one, _div_one_minus_q, _dot, _unpack, elementary_e, \
+    q_binomial, q_int
 
 _ONE = QPoly.one()
 _ZERO = QPoly.zero()
@@ -259,62 +264,49 @@ def a_coeff_table_31_2(k_max: int) -> dict[tuple[int, int], QPoly]:
     return table
 
 
-# Each _coefficients_* function returns g_1 .. g_{n_max} of its pattern,
-# starting from g_1 = 1, g_2 = 2; g[n] is g_n, g[0] a placeholder.
+# Each _coefficients_* generator yields, for n = 3, 4, ... in turn, the
+# coefficients [c_{n,1}, c_{n,2}, ...] of its pattern's recurrence
+# g_n = sum_j c_{n,j} g_{n-j}, from ring operations on QPoly alone;
+# coefficient_table forms every sum.
 
-def _coefficients_p31_2(n_max: int) -> list[QPoly]:
-    """g_n = n g_{n-1} + sum_{j=2}^{floor(n/2)} (q-1)^{j-1} b_{n,j} g_{n-j}."""
-    g = [_ZERO, _ONE, _TWO]
-    for n in range(3, n_max + 1):
-        g.append(_dot([(QPoly((n,)), g[n - 1])] + [
-            (_Q_MINUS_ONE ** (j - 1) * b_coeff_31_2(n, j), g[n - j])
-            for j in range(2, n // 2 + 1)]))
-    return g[1:n_max + 1]
+def _coefficients_p31_2() -> Iterator[list[QPoly]]:
+    """c_{n,1} = n and c_{n,j} = (q-1)^{j-1} b_{n,j} for 2 <= j <= n/2."""
+    for n in count(3):
+        yield [QPoly((n,))] + [_Q_MINUS_ONE ** (j - 1) * b_coeff_31_2(n, j)
+                               for j in range(2, n // 2 + 1)]
 
 
-def _coefficients_p32_1(n_max: int) -> list[QPoly]:
-    """g_n = n g_{n-1} + sum_j c_{n,j} g_{n-j} where c_{n,j} is accumulated
-    two ways, as (q-1)^{j-1} sum_k e_{j-1}([1],...,[k-3]) and as the
-    alternating q-binomial triple sum, with exact agreement enforced.  The
-    triple sum adds its terms C(n-2-a, j-a) (-1)^(j-a) q^(a(a-1)/2)
-    [n-3 choose a-1]_q on one list of ints per j, as
-    ``qpoly._alternating_sum`` does, and is normalized only to be
-    compared."""
-    g = [_ZERO, _ONE, _TWO]
+def _coefficients_p32_1() -> Iterator[list[QPoly]]:
+    """c_{n,1} = n, and c_{n,j} for 2 <= j <= n-2 accumulated two ways, as
+    (q-1)^{j-1} sum_k e_{j-1}([1],...,[k-3]) and as the alternating
+    q-binomial triple sum, with exact agreement enforced.  Each n adds to
+    the triple sum's c_{n,j} the terms C(n-2-a, j-a) (-1)^(j-a)
+    q^(a(a-1)/2) [n-3 choose a-1]_q by one ``qpoly._alternating_sum``,
+    whose i-th term, i = j - a, carries the sign (-1)^i."""
     ebar = [_ONE]   # ebar[m] = e_m([1..t]) (q-1)^m at t = n-3
-    sym: dict[int, QPoly] = {}         # c_{n,j} by symmetric functions
-    triple: dict[int, list[int]] = {}  # c_{n,j} by the triple sum
-    for n in range(3, n_max + 1):
+    sym: dict[int, QPoly] = {}      # c_{n,j} by symmetric functions
+    triple: dict[int, QPoly] = {}   # c_{n,j} by the triple sum
+    for n in count(3):
         t = n - 3
         ebar = [_ONE] + [e + p.shifted(t) - p
                          for e, p in zip(ebar[1:] + [_ZERO], ebar)]
-        qb = [q_binomial(n - 3, a - 1).coeffs for a in range(1, n - 1)]
-        pairs = [(QPoly((n,)), g[n - 1])]
+        qb = [q_binomial(n - 3, a - 1) for a in range(1, n - 1)]
+        cs = [QPoly((n,))]
         for j in range(2, n - 1):
             sym[j] = sym.get(j, _ZERO) + ebar[j - 1]
-            acc = triple.setdefault(j, [])
-            for a in range(1, j + 1):
-                c = math.comb(n - 2 - a, j - a)
-                if (j - a) % 2:
-                    c = -c
-                shift = a * (a - 1) // 2
-                coeffs = qb[a - 1]
-                end = shift + len(coeffs)
-                if len(acc) < end:
-                    acc.extend(repeat(0, end - len(acc)))
-                for e, x in enumerate(coeffs, shift):
-                    acc[e] += c * x
-            if _normalize(acc) != sym[j].coeffs:
+            triple[j] = triple.get(j, _ZERO) + _alternating_sum(
+                (math.comb(n - 2 - a, j - a), a * (a - 1) // 2, qb[a - 1])
+                for a in range(j, 0, -1))
+            if triple[j] != sym[j]:
                 raise IdentityViolation(
                     f"32-1 coefficient routes disagree at n={n}, j={j}")
-            pairs.append((sym[j], g[n - j]))
-        g.append(_dot(pairs))
-    return g[1:n_max + 1]
+            cs.append(sym[j])
+        yield cs
 
 
-def _coefficients_p12_3(n_max: int) -> list[QPoly]:
-    """g_n = (2q^{n-2} + [n-2]) g_{n-1} + sum_j c_{n,j} g_{n-j} where c_{n,j}
-    comes from weighted complete-homogeneous sums over windows of consecutive
+def _coefficients_p12_3() -> Iterator[list[QPoly]]:
+    """c_{n,1} = 2q^{n-2} + [n-2], and c_{n,j} for 2 <= j <= n-1 from
+    weighted complete-homogeneous sums over windows of consecutive
     q-integers (with (1-q)^{j-1} premultiplied).
 
     Writing U_m(h) for sum_{lo=0..h} q^lo h_m([lo],...,[h]) * (1-q)^m, the
@@ -322,17 +314,14 @@ def _coefficients_p12_3(n_max: int) -> list[QPoly]:
     contribute 0.  U satisfies U_m(h) = U_m(h-1) + (1-q^h) U_{m-1}(h), so one
     anti-diagonal {m + h = n-2} carries all state from step to step.
     """
-    g = [_ZERO, _ONE, _TWO]
     diag = [_ONE]   # diag[m] = U_m(n-2-m), from the n = 2 seed
-    for n in range(3, n_max + 1):
+    for n in count(3):
         prev = diag + [_ZERO]
         diag = [q_int(n - 1)] + [prev[m] + prev[m - 1]
                                  - prev[m - 1].shifted(n - 2 - m)
                                  for m in range(1, n - 1)]
         # at j = 1, 2 [n-1] - [n-2] is the leading term 2q^{n-2} + [n-2]
-        g.append(_dot((2 * diag[j - 1] - prev[j - 1], g[n - j])
-                      for j in range(1, n)))
-    return g[1:n_max + 1]
+        yield [2 * diag[j - 1] - prev[j - 1] for j in range(1, n)]
 
 
 def qbinom_coefficient_12_3(n: int, j: int) -> QPoly:
@@ -376,34 +365,29 @@ def qbinom_form_consistency_12_3(n_max: int) -> list[CoefficientFormComparison12
     return out
 
 
-def _coefficients_p23_1(n_max: int) -> list[QPoly]:
-    """g_n = (1 + [n-1]) g_{n-1} + sum_j c_{n,j} g_{n-j}, with coefficients
-    accumulated from sums of products of distinct q-integers (the smallest
-    factor weighted by 1 + [i_1]), scaled by (1-q)^{j-1} as they are built."""
-    g = [_ZERO, _ONE, _TWO]
+def _coefficients_p23_1() -> Iterator[list[QPoly]]:
+    """c_{n,1} = 1 + [n-1], and c_{n,j} for 2 <= j <= n-1 accumulated from
+    sums of products of distinct q-integers (the smallest factor weighted
+    by 1 + [i_1]), scaled by (1-q)^{j-1} as they are built."""
     # w[m] = sum over i_1 < ... < i_m in [1..t] of
     # (1 + [i_1]) [i_1] ... [i_m] (1-q)^m at t = n-3; w[0] unused
     w = [_ZERO]
-    c = {}
-    for n in range(3, n_max + 1):
+    c = []   # c_{n,j} for j = 2, 3, ...
+    for n in count(3):
         t = n - 3
         prev = w + [_ZERO]
         x = 1 + q_int(t)
         w = [_ZERO, prev[1] + x - x.shifted(t)] + [
             prev[m] + prev[m - 1] - prev[m - 1].shifted(t)
             for m in range(2, len(prev))]
-        pairs = [(1 + q_int(n - 1), g[n - 1])]
-        for j in range(2, n):
-            x = 1 + q_int(n - 2) if j == 2 else w[j - 2]
-            c[j] = c.get(j, _ZERO) + x - x.shifted(n - 2)
-            pairs.append((c[j], g[n - j]))
-        g.append(_dot(pairs))
-    return g[1:n_max + 1]
+        c = [a + y - y.shifted(n - 2)
+             for a, y in zip(c + [_ZERO], [1 + q_int(n - 2)] + w[1:])]
+        yield [1 + q_int(n - 1)] + c
 
 
-def _coefficients_p21_3(n_max: int) -> list[QPoly]:
-    """g_n = n g_{n-1} + sum_j c_{n,j} g_{n-j}, with coefficients built from
-    weakly increasing runs of q-integers weighted by the distance of the top
+def _coefficients_p21_3() -> Iterator[list[QPoly]]:
+    """c_{n,1} = n, and c_{n,j} for 2 <= j <= n-1 built from weakly
+    increasing runs of q-integers weighted by the distance of the top
     element from the window end, premultiplied by (q-1)^{j-2}.
 
     With T_m(u) = sum_{lo<=u} [lo] h_m([lo..u]) (q-1)^m and S_m its partial
@@ -411,21 +395,16 @@ def _coefficients_p21_3(n_max: int) -> list[QPoly]:
     c_{n,j} = (S_{j-2}(n-j-1) + T_{j-2}(n-j-1)) * (q-1); both tables satisfy
     anti-diagonal recurrences over m + u = n-3.
     """
-    g = [_ZERO, _ONE, _TWO]
     tdiag, sdiag = [], []   # T_m(n-3-m), S_m(n-3-m)
-    for n in range(3, n_max + 1):
+    for n in count(3):
         u = n - 3
         prev = tdiag + [_ZERO]
         tdiag = [prev[0] + q_int(u)] + [prev[m] + prev[m - 1].shifted(u - m)
                                         - prev[m - 1]
                                         for m in range(1, n - 2)]
         sdiag = [s + t for s, t in zip(sdiag + [_ZERO], tdiag)]
-        pairs = [(QPoly((n,)), g[n - 1])]
-        for j in range(2, n):
-            base = sdiag[j - 2] + tdiag[j - 2]
-            pairs.append((base.shifted(1) - base, g[n - j]))
-        g.append(_dot(pairs))
-    return g[1:n_max + 1]
+        bases = [s + t for s, t in zip(sdiag, tdiag)]
+        yield [QPoly((n,))] + [b.shifted(1) - b for b in bases]
 
 
 def b2_poly_23_1(n: int) -> QPoly:
@@ -484,12 +463,15 @@ def coefficient_table(pattern: PatternId, n_max: int) -> DistributionTable:
 
     Not memoized: every call builds from scratch.  This is the independent
     check on ``distribution_table``, not a production route; for 32-1 the
-    build itself compares its two coefficient routes on every entry.
+    pattern's coefficient stream compares its two coefficient routes on
+    every entry.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    return DistributionTable(pattern,
-                             tuple(_COEFFICIENT_ROUTES[pattern](n_max)))
+    g = [_ONE, _TWO]
+    for cs in islice(_COEFFICIENT_ROUTES[pattern](), max(n_max - 2, 0)):
+        g.append(_dot(zip(cs, reversed(g))))
+    return DistributionTable(pattern, tuple(g[:n_max]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from flatperm.perm_core import (CapExceeded, CycleForm, Permutation,
                                 brute_total_occurrences,
                                 count_in_flattened_sense, count_occurrences,
                                 enumerate_permutations, flatten,
-                                to_standard_cycle_form)
+                                flatten_cycle_form, to_standard_cycle_form)
 from flatperm.qpoly import QPoly, _unpack
 
 P31_2 = VincularPattern3.from_string("31-2")
@@ -73,6 +73,15 @@ def test_flatten():
         assert flatten(ident) == ident
     for p in enumerate_permutations(6):
         assert flatten(p).word[0] == 1
+
+
+def test_flatten_concatenates_the_standard_cycle_form():
+    # the paper's definition of Flatten, on every permutation of n <= 7
+    for n in range(1, 8):
+        for p in enumerate_permutations(n):
+            assert flatten(p).word \
+                == flatten_cycle_form(to_standard_cycle_form(p)).word
+    assert to_standard_cycle_form(Permutation(())).cycles == ()
 
 
 def test_pattern_parsing():

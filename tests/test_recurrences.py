@@ -266,6 +266,16 @@ def test_coefficient_tables_match_production(pattern):
         == distribution_table(pattern, CROSS_PATTERN_N_MAX).polys
 
 
+@pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+def test_coefficient_tables_at_the_smallest_n(pattern):
+    # n = 1 and 2 read no coefficients, n = 3 one row of them
+    for n in (1, 2, 3):
+        assert coefficient_table(pattern, n).polys \
+            == distribution_table(pattern, n).polys
+    with pytest.raises(ValueError, match="^n_max must be at least 1$"):
+        coefficient_table(pattern, 0)
+
+
 def test_32_1_check_rejects_a_wrong_q_binomial(monkeypatch):
     # q_binomial(3, 1) first enters the triple-sum route at n = 6, j = 2
     real = recurrences.q_binomial
