@@ -18,26 +18,30 @@ counter for n <= 7.
 
 Which pattern takes which route:
 
-* glued, xy-z (all five of the paper's) or x-yz: a right-to-left pass
-  over (suffix set, front letter);
+* xy-z (all five of the paper's, and 13-2): the rank pass, right to left
+  over (number of letters placed, rank of the front letter among them),
+  about n^3 / 3 steps;
+* x-yz: the set pass, right to left over (suffix set, front letter),
+  about 2^(n-1) n steps;
 * x-y-z (classical): the word walk, which visits the words one by one
   (``_flat_words``, ``_bucket``) and counts each in O(n^3) by
   ``_count_word``'s three position loops (a glued pattern fixes one
   loop's position, so its count is O(n^2)).  ``bijections``' 31-2 check
   walks the same words, unweighted (``_flat_word_tuples``).
 
-The pass is the subset recursion of Bellman and Held-Karp (1962): about
-2^(n-1) n steps replace (n-1)! n^2 comparisons, and nothing from the
-recurrences is used, so it stays an independent check on them.
-tests/test_perm_core.py compares it with the word walk on all 12 glued
+The set pass is the subset recursion of Bellman and Held-Karp (1962):
+about 2^(n-1) n steps replace (n-1)! n^2 comparisons.  The rank pass is
+that recursion collapsed by order type.  Neither uses anything from the
+recurrences, so both stay an independent check on them.
+tests/test_perm_core.py compares both with the word walk on all 12 glued
 patterns for n <= 8, whole and for every k, and each layer, state by
 state, with the per-transition loop that steps every state (S, b) to every
 (S + {a}, a) for n <= 9.
 
-The pass places the letters 2..n right to left; a state (S, b) is the set
-S of letters placed so far and the front letter b.  Prepending a letter a
-not in S puts the pair a, b in the glued positions, as x, y of an xy-z
-pattern or y, z of an x-yz one, and adds the occurrences whose third
+Both passes place the letters 2..n right to left; a state (S, b) is the
+set S of letters placed so far and the front letter b.  Prepending a
+letter a not in S puts the pair a, b in the glued positions, as x, y of an
+xy-z pattern or y, z of an x-yz one, and adds the occurrences whose third
 letter is any fitting letter on its side: z in S - {b} for xy-z; x among
 the letters not placed yet, 1 included, a excluded, for x-yz.  It also
 makes a a right-to-left minimum exactly when a < min(S).  All of this
@@ -53,40 +57,63 @@ its pass has finished, and only after the cap check has let the call
 through, so a refused or interrupted call leaves no entry and the cap
 holds whatever the memo holds.
 
-The cost of x-yz on this pass: an occurrence is counted as soon as its
-adjacent pair y, z is placed, before its x is, so an x-yz state also
-carries the occurrences its unplaced letters will complete.  Its
-exponents, and so its packed values, run larger than a left-to-right
-pass over (prefix set, last letter) would carry: for 3-12 at n = 14 the
-packed bytes summed over all layers are 2.1 times that pass's.  So a
-whole x-yz distribution takes longer than on such a pass (for 3-12,
-medians in BENCH_glued_pass.json: 19 % at n = 12, 40 % at n = 14 and 16,
-and 41 MB of peak RSS against 31 MB at n = 16), but every g_n(1k) comes
-with it, where that pass needs one run per k.
+The order-type lemma, for xy-z.  A suffix's weight, 2^(its right-to-left
+minima), and its xy-z occurrences, triples within the suffix, depend only
+on the relative order of its letters.  Writing the letters of S as
+1..|S| in the same order (standardizing) changes neither, so every state
+on an L-set whose front is its r-th smallest letter holds the same value
+F_L[r], the weighted distribution of the words on 1..L that start with r.
+The rank pass keeps these L values (``_rank_layers``).  A new letter of
+rank a among the L + 1 letters goes in front of each old front of rank r,
+which then has rank b = r + [r >= a].  When a, b are in the order of x, y,
+the term F_L[r] is shifted by s once per rank, not a or b, that the
+pattern puts where z goes: below both (min(a, b) - 1 ranks), between them
+(|a - b| - 1) or above both (L + 1 - max(a, b)).  The sum doubles when
+a = 1, a new right-to-left minimum.  Each (a, r) pair is counted on its
+own from the pattern letters, with no prefix sums: about L^2 steps per
+layer, n^3 / 3 in all.  ``_fronts`` reads g_n(1k) as F_{n-1}[k - 1], k
+being the (k - 1)-th smallest of 2..n, and adds prepending 1's
+occurrences.
 
-Each layer is formed one placed set S at a time, from S's states {b:
-value} over its front letters b.  The new state (S + {a}, a) sums, over b
-in S, value(S, b) shifted by s once per occurrence that putting a before
-b adds, and doubles the sum when a is a new minimum.  One sweep over the
-letters, in the order that puts an old letter before the new letters it
-is in the pattern's order with (set by x, y for xy-z, by y, z for x-yz),
-gives every new letter's sum at once.  When the sweep reaches an unplaced
-a, the old letters passed so far are exactly those in order with a; the
-rest add their values unshifted, as the total of S's states less the
-plain prefix sum.  A passed b counts the letters that can play the third
-pattern letter (the placed letters for xy-z, the unplaced ones for x-yz)
-on that letter's side, which the pattern fixes as one of three places:
+x-yz cannot use the lemma: its occurrences are counted as soon as the
+adjacent pair y, z is placed, before x is, so a state counts letters not
+placed yet, and which of those fit depends on the set S itself, not on
+ranks within it.  For 3-12 at n = 4, the suffixes 23 and 24 have the same
+order type, but the unplaced 4 completes the occurrence 4, 2, 3 with the
+first and nothing completes one with the second.  So x-yz keeps one value
+per state (S, b), on the set pass (``_layers``).
 
-* behind b, before it in the sweep: the third letters passed before b,
-  so b adds value << s * passed to the accumulator (on an ascending x-yz
+The cost of x-yz on the set pass: an x-yz state also carries the
+occurrences its unplaced letters will complete, so its exponents, and so
+its packed values, run larger than a left-to-right pass over (prefix set,
+last letter) would carry: for 3-12 at n = 14 the packed bytes summed over
+all layers are 2.1 times that pass's.  So a whole x-yz distribution takes
+longer than on such a pass (for 3-12, medians in BENCH_glued_pass.json:
+19 % at n = 12, 40 % at n = 14 and 16, and 41 MB of peak RSS against
+31 MB at n = 16), but every g_n(1k) comes with it, where that pass needs
+one run per k.
+
+Each layer of the set pass is formed one placed set S at a time, from S's
+states {b: value} over its front letters b.  The new state (S + {a}, a)
+sums, over b in S, value(S, b) shifted by s once per occurrence that
+putting a before b adds, and doubles the sum when a is a new minimum.  One
+sweep over the letters, in the order that puts an old letter before the
+new letters it is in the pattern's order with (set by y, z), gives every
+new letter's sum at once.  When the sweep reaches an unplaced a, the old
+letters passed so far are exactly those in order with a; the rest add
+their values unshifted, as the total of S's states less the plain prefix
+sum.  A passed b counts the unplaced letters that can play x on x's side,
+which the pattern fixes as one of three places:
+
+* behind b, before it in the sweep: the unplaced letters passed before b,
+  so b adds value << s * passed to the accumulator (on an ascending
   sweep, 1 comes first and counts as passed from the start);
-* between b and a: at each third letter the accumulator shifts by s,
-  before a placed letter's value is added (xy-z), after an unplaced
-  letter has taken its sum (x-yz);
-* beyond a, after it in the sweep: the third letters not yet passed, the
-  same for every passed b, so a takes the accumulator, a plain sum,
-  shifted by s times their number: |S| - passed for xy-z, and
-  n - |S| - 1 - passed for x-yz (1 included, a excluded).
+* between b and a: at each unplaced letter the accumulator shifts by s,
+  after that letter has taken its sum;
+* beyond a, after it in the sweep: the unplaced letters not yet passed,
+  the same for every passed b, so a takes the accumulator, a plain sum,
+  shifted by s times their number, n - |S| - 1 - passed (1 included, a
+  excluded).
 
 So a set costs one step per letter, |S| placed and the rest new, not one
 per (old, new) pair.
@@ -98,14 +125,27 @@ pattern: the suffixes on an L-set, weighted by 2^(their right-to-left
 minima), total 2 * 3 * ... * (L + 1) = (L + 1)! (the minima's generating
 function over S_L is x (x + 1) ... (x + L - 1), at x = 2), with
 L <= n - 1; the fronts together total n!, front k alone (n - 1)!, or
-2 (n - 1)! for k = 2.  A sweep's running sums, and each new letter's
-value, are sums of shifted values of states on one set, each state at
-most once; a shift moves coefficients between slots without adding to
-them, so every coefficient is at most the total weight of the states on
-that set, at most n!.  So every coefficient of every state, and of every
-sum of states the pass forms, lies in [0, n!], below 2^s; no slot carries
-into the next, and each packed value is read back exactly by
-``qpoly._unpack``.
+2 (n - 1)! for k = 2.  A set-pass sweep's running sums, and each new
+letter's value, are sums of shifted values of states on one set, each
+state at most once; a shift moves coefficients between slots without
+adding to them, so every coefficient is at most the total weight of the
+states on that set, at most n!.  The rank pass holds no other values:
+F_L[r] is the value of the existing states on an L-set with front rank r,
+and each partial sum for the new rank a is a sum of shifted F_L[r], each
+r once, that is of the states on one L-set (the letters behind the front
+of any (L + 1)-set whose front has rank a), each once.  So every
+coefficient of every state, and of every sum of states either pass forms,
+lies in [0, n!], below 2^s; no slot carries into the next, and each
+packed value is read back exactly by ``qpoly._unpack``.
+
+Costs, CPU of the passes in a fresh process on a shared 2-vCPU Intel Xeon
+VM, CPython 3.11.7, medians of 5.  The six xy-z rank passes together take
+0.57 ms at n = 10, 0.92 ms at 12, 1.6 ms at 14, 2.6 ms at 16, 6.7 ms at
+20 and 0.26 s at 40, with the process's peak RSS at 18.3 MB throughout;
+the set pass they replace took 7.5 ms, 40 ms, 0.18 s and 1.03 s at
+n = 10 to 16, and 37 MB at 16 (BENCH_rank_pass.json).  On the set pass, a
+whole 3-12 distribution takes 2.7 ms at n = 10, 10 ms at 12, 50 ms at 14
+and 0.33 s at 16 (BENCH_glued_pass.json).
 
 Validation.  The public constructors ``Permutation``, ``CycleForm`` and
 ``VincularPattern3`` check their input, since it may come from outside;
@@ -144,10 +184,11 @@ from collections import Counter
 from ._value import FrozenValue
 from .qpoly import QPoly, _derivative_at_one, _unpack
 
-#: Default refusal bound for the oracle (for the word walk of the classical
-#: x-y-z patterns, 10! hosts is the practical ceiling of an exhaustive run
-#: on one core; the right-to-left pass that serves every glued pattern is
-#: far cheaper but keeps the same bound).
+#: Default refusal bound for the oracle, the same for every route: for the
+#: word walk of the classical x-y-z patterns, 10! hosts is the practical
+#: ceiling of an exhaustive run on one core.  The set pass (x-yz) and the
+#: rank pass (xy-z) are far cheaper but keep this bound; per-route budgets
+#: are still to be decided (ROADMAP item 6).
 DEFAULT_MAX_N = 10
 
 
@@ -415,39 +456,70 @@ def _slot_bytes(n: int) -> int:
     return (math.factorial(n).bit_length() + 7) // 8
 
 
-#: Where the pass's third pattern letter lies in the sweep order: behind the
-#: old letter, between the old and the new letter, or beyond the new one.
+def _rank_layers(n: int, pat: VincularPattern3, s: int):
+    """Yield the layers of the right-to-left pass over the xy-z pattern pat
+    after each letter of 2..n is placed: after L letters, the list F_L of L
+    values, F_L[r - 1] the weighted distribution, evaluated at q = 2^s, of
+    the suffixes on any L-set that start with its r-th smallest letter
+    (n >= 2; see the module docstring)."""
+    x, y, z = pat.letters
+    up = x < y
+    # the ranks that can play z: below both glued ranks, above both, or
+    # between them
+    below, above = z < min(x, y), z > max(x, y)
+    # the last letter is always a right-to-left minimum
+    layer = [2]
+    yield layer
+    for size in range(1, n - 1):
+        nxt = []
+        # the new letter takes rank a among the size + 1 letters, the old
+        # front of rank r then has rank b = r + (r >= a); a and b play x
+        # and y when b lies on a's side that the pattern sets
+        for a in range(1, size + 2):
+            value = 0
+            for r, v in enumerate(layer, 1):
+                b = r + (r >= a)
+                if (a < b) == up:
+                    lo, hi = min(a, b), max(a, b)
+                    v <<= s * (lo - 1 if below else size + 1 - hi if above
+                               else hi - lo - 1)
+                value += v
+            # a new least letter is a new right-to-left minimum
+            nxt.append(value << 1 if a == 1 else value)
+        layer = nxt
+        yield layer
+
+
+#: Where the set pass's third pattern letter x lies in the sweep order:
+#: behind the old letter, between the old and the new letter, or beyond the
+#: new one.
 _BEHIND, _BETWEEN, _BEYOND = range(3)
 
 
 def _layers(n: int, pat: VincularPattern3, s: int):
-    """Yield the states of the right-to-left pass over the glued pattern
-    pat after each letter of 2..n is placed: {S: {b: value}}, with S the
-    mask of placed letters (letter c at bit c - 2), b the front one, and
-    value the weighted distribution of the suffixes on S that start with
-    b, evaluated at q = 2^s (n >= 2).  Each set's successors come from one
+    """Yield the states of the right-to-left pass over the x-yz pattern pat
+    after each letter of 2..n is placed: {S: {b: value}}, with S the mask
+    of placed letters (letter c at bit c - 2), b the front one, and value
+    the weighted distribution of the suffixes on S that start with b,
+    evaluated at q = 2^s (n >= 2).  Each set's successors come from one
     sweep over the letters (see the module docstring)."""
     x, y, z = pat.letters
-    # the new letter a and the front letter b play x, y with z placed
-    # (xy-z), or y, z with x unplaced, 1 included (x-yz)
-    new, old, third = (x, y, z) if pat.glue12 else (y, z, x)
-    down = old > new
+    # the new letter a and the front letter b play y, z with x unplaced,
+    # 1 included
+    down = z > y
     letters = range(2, n + 1)
     order = [(c, 1 << (c - 2))
              for c in (reversed(letters) if down else letters)]
-    if (third > old) == down:
+    if (x > z) == down:
         case = _BEHIND
-    elif (third < new) == down:
+    elif (x < y) == down:
         case = _BEYOND
     else:
         case = _BETWEEN
-    # a third letter passed counts (behind, beyond) or shifts the
-    # accumulator (between): a placed letter for xy-z, an unplaced one for
-    # x-yz, where an ascending sweep has passed 1 before it starts
-    placed_third = pat.glue12
-    shift_placed = case == _BETWEEN and placed_third
-    shift_unplaced = case == _BETWEEN and not placed_third
-    start_passed = 0 if placed_third or down else 1
+    # an unplaced letter passed counts (behind, beyond) or shifts the
+    # accumulator (between); an ascending sweep has passed 1 before it
+    # starts
+    start_passed = 0 if down else 1
     # the last letter is always a right-to-left minimum
     layer = {1 << (b - 2): {b: 2} for b in letters}
     yield layer
@@ -455,25 +527,16 @@ def _layers(n: int, pat: VincularPattern3, s: int):
         nxt: dict = {}
         for placed, values in layer.items():
             total = sum(values.values())
-            size = placed.bit_count()
-            # third letters other than a: the placed ones, or the n - size
-            # unplaced ones less a
-            thirds = size if placed_third else n - size - 1
+            # third letters other than a: the n - |S| unplaced ones less a
+            thirds = n - placed.bit_count() - 1
             low = placed & -placed   # a letter below this bit is a new minimum
             passed = start_passed
             prefix = acc = 0
             for c, bit in order:
                 if placed & bit:
                     v = values.get(c, 0)
-                    if case == _BEHIND:
-                        acc += v << s * passed
-                    elif shift_placed:
-                        acc = (acc << s) + v
-                    else:
-                        acc += v
+                    acc += v << s * passed if case == _BEHIND else v
                     prefix += v
-                    if placed_third:
-                        passed += 1
                 else:
                     # old letters not passed yet add no occurrence
                     value = acc << s * (thirds - passed) if case == _BEYOND \
@@ -482,10 +545,9 @@ def _layers(n: int, pat: VincularPattern3, s: int):
                     if bit < low:
                         value <<= 1
                     nxt.setdefault(placed | bit, {})[c] = value
-                    if not placed_third:
-                        passed += 1
-                        if shift_unplaced:
-                            acc <<= s
+                    passed += 1
+                    if case == _BETWEEN:
+                        acc <<= s
         layer = nxt
         yield layer
 
@@ -495,15 +557,21 @@ def _fronts(n: int, pat: VincularPattern3) -> tuple[dict, int]:
     k, and the slot width in bytes (n >= 2)."""
     width = _slot_bytes(n)
     s = 8 * width
-    for top in _layers(n, pat, s):
+    if pat.glue23:
+        for top in _layers(n, pat, s):
+            pass
+        # prepending 1 adds no weight (1 opens the first cycle of every
+        # preimage) and no x-yz occurrence (no letter precedes it)
+        (fronts,) = top.values()
+        return fronts, width
+    for top in _rank_layers(n, pat, s):
         pass
-    (fronts,) = top.values()
-    # prepending 1 adds no weight (1 opens the first cycle of every
-    # preimage) and no x-yz occurrence (no letter precedes it).  For xy-z,
-    # x = 1 lies below every other letter, so x < y = k and x < z are
-    # needed, and z is then any letter on its side of k.
+    # letter k is the (k - 1)-th smallest of 2..n.  Prepending 1 adds no
+    # weight; x = 1 lies below every other letter, so x < y = k and x < z
+    # are needed, and z is then any letter on its side of k.
+    fronts = dict(enumerate(top, 2))
     x, y, z = pat.letters
-    if pat.glue12 and x < y and x < z:
+    if x < y and x < z:
         fronts = {k: value << s * (n - k if y < z else k - 2)
                   for k, value in fronts.items()}
     return fronts, width

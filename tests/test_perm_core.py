@@ -7,7 +7,8 @@ import pytest
 from flatperm import perm_core
 from flatperm.perm_core import (CapExceeded, CycleForm, Permutation,
                                 VincularPattern3, _bucket, _flat_words,
-                                _fronts, _layers, _slot_bytes,
+                                _fronts, _layers, _rank_layers,
+                                _slot_bytes,
                                 brute_avoider_count, brute_distribution,
                                 brute_refined_distribution,
                                 brute_total_occurrences,
@@ -265,8 +266,8 @@ GLUED = XY_Z + X_YZ
 
 @pytest.mark.parametrize("text", GLUED)
 def test_glued_pass_matches_word_walk(text):
-    """The (suffix set, front letter) pass against the weighted word walk,
-    whole and for every prefix letter k."""
+    """The rank pass (xy-z) and the (suffix set, front letter) pass (x-yz)
+    against the weighted word walk, whole and for every prefix letter k."""
     pat = VincularPattern3.from_string(text)
     for n in range(1, 9):
         assert brute_distribution(n, pat) == _bucket(_flat_words(n), pat)
@@ -279,12 +280,27 @@ def test_glued_pass_matches_word_walk(text):
 def test_glued_state_weights_fit_their_slots(text):
     """After L letters are placed, the states on each set S total (L+1)!
     weighted suffixes, and (L+1)! <= n! < 2^s for the least byte-multiple
-    slot s, so each state reads back the same as at a slot 4 bytes wider."""
+    slot s, so each state reads back the same as at a slot 4 bytes wider.
+    An xy-z rank layer F_L holds one value per rank r of the front letter,
+    the value of every state on an L-set with front rank r, and one set's
+    states take each rank once: so each F_L[r] reads back the same at the
+    wider slot, and the F_L[r] total (L+1)!."""
     pat = VincularPattern3.from_string(text)
     for n in range(2, 11):
         width = _slot_bytes(n)
         assert math.factorial(n) < 1 << 8 * width
         assert math.factorial(n) >= 1 << 8 * (width - 1)
+        if pat.glue12:
+            layers = zip(_rank_layers(n, pat, 8 * width),
+                         _rank_layers(n, pat, 8 * (width + 4)))
+            for placed_count, (layer, wide) in enumerate(layers, 1):
+                assert len(layer) == len(wide) == placed_count
+                polys = [_unpack(value, width) for value in layer]
+                assert polys == [_unpack(value, width + 4) for value in wide]
+                assert sum(poly.evaluate(1) for poly in polys) \
+                    == math.factorial(placed_count + 1)
+            assert placed_count == n - 1
+            continue
         layers = zip(_layers(n, pat, 8 * width),
                      _layers(n, pat, 8 * (width + 4)))
         for placed_count, (layer, wide) in enumerate(layers, 1):
@@ -337,28 +353,34 @@ def test_refined_xy_z_state_weights_fit_their_slots(text):
 
 def test_xy_z_pass_memo_holds_finished_passes_only(monkeypatch):
     """A pass interrupted after its first layer stores nothing, for an xy-z
-    and an x-yz pattern alike; the next call runs the pass again and
-    stores it once it has finished."""
+    pattern (the rank pass) and an x-yz one (the set pass) alike; the next
+    call runs the pass again and stores it once it has finished."""
     monkeypatch.setattr(perm_core, "_FRONTS", {})
-    original = perm_core._layers
+    originals = {name: getattr(perm_core, name)
+                 for name in ("_rank_layers", "_layers")}
     layers_seen = []
 
-    def interrupted(*args):
-        for layer in original(*args):
-            layers_seen.append(len(layer))
-            yield layer
-            raise KeyboardInterrupt
+    def interrupting(original):
+        def interrupted(*args):
+            for layer in original(*args):
+                layers_seen.append(len(layer))
+                yield layer
+                raise KeyboardInterrupt
+        return interrupted
 
-    monkeypatch.setattr(perm_core, "_layers", interrupted)
+    for name, original in originals.items():
+        monkeypatch.setattr(perm_core, name, interrupting(original))
     for pat in (P23_1, P3_12):
         for call in (lambda: brute_distribution(7, pat),
                      lambda: brute_refined_distribution(7, pat, 3)):
             with pytest.raises(KeyboardInterrupt):
                 call()
             assert perm_core._FRONTS == {}
-    assert layers_seen == [6, 6, 6, 6]
+    # one rank for 23-1's first layer, six placed sets for 3-12's
+    assert layers_seen == [1, 1, 6, 6]
 
-    monkeypatch.setattr(perm_core, "_layers", original)
+    for name, original in originals.items():
+        monkeypatch.setattr(perm_core, name, original)
     for pat in (P23_1, P3_12):
         assert brute_refined_distribution(7, pat, 3) \
             == _bucket(_flat_words(7, 3), pat)
@@ -454,26 +476,45 @@ def _completed(n, pat, placed, b, a):
                and (x < a) == xy and (x < b) == xz)
 
 
-def _states(layer):
-    """A grouped layer {S: {b: value}} as {(S, b): value}, no set empty."""
-    assert all(layer.values())
-    return {(placed, b): value
-            for placed, values in layer.items() for b, value in values.items()}
+def _set_states(n, pat, s):
+    """The x-yz pass's grouped layers {S: {b: value}}, each as
+    {(S, b): value}, no set empty."""
+    for layer in _layers(n, pat, s):
+        assert all(layer.values())
+        yield {(placed, b): value for placed, values in layer.items()
+               for b, value in values.items()}
+
+
+def _rank_states(n, pat, s):
+    """The xy-z pass's rank layers spread over the states: each state
+    (S, b) on an L-set S takes F_L[r - 1], r the rank of b in S."""
+    for placed_count, ranks in enumerate(_rank_layers(n, pat, s), 1):
+        assert len(ranks) == placed_count
+        states = {}
+        for placed in range(1, 1 << (n - 1)):
+            if placed.bit_count() == placed_count:
+                members = [c for c in range(2, n + 1) if placed >> (c - 2) & 1]
+                for rank, b in enumerate(members):
+                    states[placed, b] = ranks[rank]
+        yield states
 
 
 @pytest.mark.parametrize("text", GLUED)
 def test_glued_pass_matches_per_transition_loop(text):
-    """The sweep forms every layer of the pass state by state as the
-    per-transition loop does, and the fronts as prepending 1 (no weight)
-    to the last layer's states does."""
+    """Each pass forms every layer state by state as the per-transition
+    loop does, and the fronts as prepending 1 (no weight) to the last
+    layer's states does.  For xy-z this reads every state (S, b) as
+    F_|S|[rank of b in S], so it checks the order-type lemma the rank pass
+    rests on: states with equal |S| and front rank hold equal values."""
     pat = VincularPattern3.from_string(text)
+    route = _rank_states if pat.glue12 else _set_states
     for n in range(2, 10):
         width = _slot_bytes(n)
         s = 8 * width
-        pairs = itertools.zip_longest(_layers(n, pat, s),
+        pairs = itertools.zip_longest(route(n, pat, s),
                                       _reference_layers(n, pat, s))
         for layer, want in pairs:
-            assert _states(layer) == want
+            assert layer == want
         fronts = {k: value << s * _completed(n, pat, placed, k, 1)
                   for (placed, k), value in want.items()}
         assert _fronts(n, pat) == (fronts, width)
