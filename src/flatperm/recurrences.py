@@ -5,13 +5,45 @@ Production route.  ``distribution_table`` and ``refined_g1k`` run the same
 recurrence: the rows g_n(1k), 2 <= k <= n, of the prefix refinement (the
 distribution restricted to permutations whose flattened form starts 1,k),
 grown level by level, with g_n = sum_k g_n(1k).  A row is built from the
-row before it and g_{n-1}, g_{n-2} by shifts, adds and subtracts alone: by
-the pattern's difference recurrence where that is division free (31-2,
-32-1), otherwise by the underlying refinement recurrence (12-3 carries its
-rows q-lowered, low_n(k) = g_n(1k) / q^(n-k), which keeps every shift
-nonnegative).  Every difference recurrence that divides (12-3 by q, 23-1 by
-[k-3], 21-3 by [n-k+1]) is asserted on every row in cleared-denominator
-form, and a failure raises IdentityViolation.
+row before it alone, by shifts, adds and subtracts: it is one layer of the
+right-to-left map of ``perm_core``'s order-type lemma (stated and argued in
+that module's docstring), which its rank pass ``perm_core._rank_layers``
+steps pair by pair.  Strip the leading 1 from the flattened forms that
+start 1,k: what is left is letter k in front of the words on the other
+n - 2 letters of 2..n, and entry j of the row before holds the weighted
+distribution of the words whose front has rank j - 1 among those letters.
+Entry j is added in, shifted only when k and that front are in the order
+of x, y, by q^e with e the number of the other letters that can play z:
+
+    z lies        x < y: each j >= k       x > y: each j < k
+    below both    e = k - 2       23-1     e = j - 2       32-1
+    above both    e = n - 1 - j   12-3     e = n - k       21-3
+    between       e = j - k       13-2     e = k - j - 1   31-2
+
+At k = 2 every cell sums to g_{n-1} and the sum doubles, since 2 is a new
+right-to-left minimum: entry 2 is 2 g_{n-1} for every pattern, so no
+entry needs g_{n-2}.  When x = 1, putting 1 back in front adds the
+occurrences 1, k, z: 12-3 carries its rows before that shift, q-lowered
+as low_n(k) = g_n(1k) / q^(n-k), which keeps every shift nonnegative, and
+g_n = sum_k q^(n-k) low_n(k).  Each generator (``_entries_p31_2`` and so
+on) writes its cell in its cheapest running form: an exponent set by k
+alone as one prefix sum (23-1, 21-3), one set by j alone as a telescoped
+update, entry k being entry k - 1 plus (q^e - 1) or (1 - q^e) times entry
+k - 1 of the row before (32-1, 12-3), and one set by k - j as a Horner
+accumulation (31-2).  The 13-2 cell is not served: no recurrence here
+computes its g_n, and ``table``'s 13-2 column comes from ``closed_forms``
+alone.  The paper's own refined recurrences (31-2's second-order one,
+12-3's prefix and suffix sums) are other forms of the same cells, which
+the tests check on the rows.  Every difference recurrence that divides
+(12-3 by q, 23-1 by [k-3], 21-3 by [n-k+1]) is asserted on every row in
+cleared-denominator form, and a failure raises IdentityViolation; where
+one reads 2 g_{n-2}, it reads entry 2 of the row before.
+
+Production and the oracle's rank pass share the lemma, so the checks on
+production that do not rest on it are the word walk (``perm_core._bucket``
+over the flattened words; the tests compare it with every row to n = 8),
+``coefficient_table`` (below) and the closed forms that ``distribution``
+checks on every call.
 
 Packing.  Every polynomial of that recurrence is carried as one Python int,
 its value at q = 2^s.  Evaluation at an integer is a ring homomorphism
@@ -45,8 +77,8 @@ Retention.  The memo is two dicts.  ``_TABLES`` holds each pattern's
 table, g_1 .. g_M unpacked, M the highest n that ``distribution_table`` was
 asked for; only that function grows it.  ``_BUILDERS`` holds at most one
 builder (``_Level``), that of the pattern stepped last: its capacity and
-slot width, its level n with the last packed row, and packed g_{n-1} and
-g_n.  Before a build steps one pattern, every other builder is dropped.
+slot width, its level n with the last packed row, and packed g_n.  Before
+a build steps one pattern, every other builder is dropped.
 ``refined_g1k(P, n, k)`` and ``distribution_polynomial(P, n)`` (g_n alone,
 which the CLI prints) step without unpacking and read the table only when
 it already holds n.  ``distribution_table(P, n)`` reads the table when
@@ -502,7 +534,7 @@ class _Level(namedtuple("_Level", "capacity width n row g")):
     level n's row, a tuple indexed by k (entries 0 and 1 unused), each
     entry a polynomial's value at q = 2^(8 width); 12-3 rows hold the
     q-lowered low_n(k) = g_n(1k) / q^(n-k).  No older row is kept.  ``g``
-    holds packed g_{n-1}, g_n.
+    is packed g_n.
     """
 
     __slots__ = ()
@@ -514,49 +546,47 @@ class _Level(namedtuple("_Level", "capacity width n row g")):
         return (f"_Level(capacity={self.capacity}, width={self.width}, "
                 f"n={self.n}, row of {len(self.row)} entries: {sum(bits)} "
                 f"bits, at most {max(bits)} each, g of "
-                f"{self.g[0].bit_length()} and {self.g[1].bit_length()} bits)")
+                f"{self.g.bit_length()} bits)")
 
 
 def _start(capacity: int) -> _Level:
     """A builder of the given capacity at level 1."""
-    return _Level(capacity, _slot_bytes(capacity), 1, (0, 0), (0, 1))
+    return _Level(capacity, _slot_bytes(capacity), 1, (0, 0), 1)
 
 
-# -- per-pattern row entries: q^t p is p << s*t ------------------------------
+# -- the layer map's cells, one per pattern: q^t p is p << s*t ---------------
 # Each generator yields the pairs (k, entry k of level n's row), k = 3..n in
 # ascending order, from the previous row ``prev`` (a list it owns) and packed
-# g_{n-1}, g_{n-2}.  ``_step`` sets entry 2 itself to 2 g_{n-1}: that is
-# g_n(12), or 12-3's low_n(2).
+# g_{n-1}; its comment names its cell of the module docstring's table, with
+# p_j for entry j of ``prev``.  ``_step`` sets entry 2 itself to 2 g_{n-1}:
+# that is g_n(12), or 12-3's low_n(2).
 # Once the entry whose check reads prev[j] last has been yielded, it sets
 # prev[j] to None and keeps no other reference to it, so a step holds about
 # one row.
 
-def _entries_p31_2(s, n, prev, g1, g2):
-    # g_n(1k) = (q+1) g_n(1,k-1) - q g_n(1,k-2) + (q-1) g_{n-1}(1,k-2)
-    r2, r1 = g1, g1 + ((2 * g2) << s) - 2 * g2
-    if n >= 3:
-        yield 3, r2
-    if n >= 4:
-        yield 4, r1
-    for k in range(5, n + 1):
-        r2, r1 = r1, ((r1 - r2 + prev[k - 2]) << s) + r1 - prev[k - 2]
-        yield k, r1
-        prev[k - 2] = None
+def _entries_p31_2(s, n, prev, g1):
+    # x > y, z between: sum_{j<k} q^(k-1-j) p_j + sum_{j>=k} p_j, the
+    # first sum a Horner accumulation h, the second g_{n-1} less a prefix
+    prefix = h = 0
+    for k in range(3, n + 1):
+        prefix += prev[k - 1]
+        h = (h << s) + prev[k - 1]
+        yield k, g1 - prefix + h
+        prev[k - 1] = None
 
 
-def _entries_p32_1(s, n, prev, g1, g2):
-    # g_n(1k) = g_n(1,k-1) + (q^(k-3) - 1) g_{n-1}(1,k-1)
+def _entries_p32_1(s, n, prev, g1):
+    # x > y, z below both: sum_{j<k} q^(j-2) p_j + sum_{j>=k} p_j,
+    # telescoped from g_{n-1}: entry k adds (q^(k-3) - 1) p_{k-1}
     r = g1
-    if n >= 3:
-        yield 3, r
-    for k in range(4, n + 1):
+    for k in range(3, n + 1):
         r += (prev[k - 1] << s * (k - 3)) - prev[k - 1]
         yield k, r
         prev[k - 1] = None
 
 
-def _entries_p23_1(s, n, prev, g1, g2):
-    # g_n(1k) = q^(k-2) g_{n-1} + (1 - q^(k-2)) sum_{j<k} g_{n-1}(1j)
+def _entries_p23_1(s, n, prev, g1):
+    # x < y, z below both: sum_{j<k} p_j + q^(k-2) sum_{j>=k} p_j
     prefix = 0
     for k in range(3, n + 1):
         prefix += prev[k - 1]
@@ -564,8 +594,8 @@ def _entries_p23_1(s, n, prev, g1, g2):
         prev[k - 1] = None
 
 
-def _entries_p21_3(s, n, prev, g1, g2):
-    # g_n(1k) = g_{n-1} - (1 - q^(n-k)) sum_{j<k} g_{n-1}(1j)
+def _entries_p21_3(s, n, prev, g1):
+    # x > y, z above both: q^(n-k) sum_{j<k} p_j + sum_{j>=k} p_j
     prefix = 0
     for k in range(3, n + 1):
         prefix += prev[k - 1]
@@ -573,16 +603,14 @@ def _entries_p21_3(s, n, prev, g1, g2):
         prev[k - 1] = None
 
 
-def _entries_p12_3(s, n, prev, g1, g2):
-    # Rows are carried q-lowered, which turns the refinement recurrence
-    # into nonnegative-shift prefix and suffix sums, for k >= 3:
-    # low_n(k) = sum_{j<k} low_{n-1}(j) + sum_{j>=k} q^(n-1-j) low_{n-1}(j).
-    # The suffix starts as g_{n-1}, the whole weighted sum.
-    prefix, suffix = 0, g1
+def _entries_p12_3(s, n, prev, g1):
+    # x < y, z above both, on the lowered rows:
+    # low_n(k) = sum_{j<k} p_j + sum_{j>=k} q^(n-1-j) p_j, telescoped from
+    # g_{n-1}, the whole second sum: entry k adds (1 - q^(n-k)) p_{k-1}
+    r = g1
     for k in range(3, n + 1):
-        prefix += prev[k - 1]
-        suffix -= prev[k - 1] << s * (n - k)
-        yield k, prefix + suffix
+        r += prev[k - 1] - (prev[k - 1] << s * (n - k))
+        yield k, r
         prev[k - 1] = None
 
 
@@ -598,19 +626,20 @@ _ENTRIES = {
 # -- difference-recurrence assertions, at q = 2^s ---------------------------
 # Each is called as soon as entry k >= 3 of level n's row is in ``row``,
 # before the generator releases what it read of ``prev``, and returns
-# whether the identity at k holds.
+# whether the identity at k holds.  At k = 3 each reads 2 g_{n-2} as
+# prev[2], entry 2 of the row before.
 
-def _check_p12_3(s, n, k, row, prev, g1, g2):
+def _check_p12_3(s, n, k, row, prev, g1):
     # q g_n(1k) = g_n(1,k-1) + q (1 - q^(n-k)) g_{n-1}(1,k-1) and
     # g_n(13) = q^(n-3) (g_{n-1} - 2 (q^(n-3) - 1) g_{n-2}), both
     # divided through by the power of q that the lowered rows carry.
     if k == 3:
-        return row[3] == g1 + 2 * g2 - ((2 * g2) << s * (n - 3))
+        return row[3] == g1 + prev[2] - (prev[2] << s * (n - 3))
     p = prev[k - 1]
     return row[k] == row[k - 1] + p - (p << s * (n - k))
 
 
-def _check_p23_1(s, n, k, row, prev, g1, g2):
+def _check_p23_1(s, n, k, row, prev, g1):
     # [k-3] g_n(1k) = -q^(k-3) g_{n-1} + [k-2] g_n(1,k-1)
     #                 + (1-q) [k-2] [k-3] g_{n-1}(1,k-1),
     # times (q - 1) and regrouped as Q (X + (q-1)(g_{n-1} - g_n(1,k-1)))
@@ -618,14 +647,14 @@ def _check_p23_1(s, n, k, row, prev, g1, g2):
     # + (q^(k-2) - 1) g_{n-1}(1,k-1); and g_n(13) = q g_{n-1}
     # + 2 (1 - q) g_{n-2}.
     if k == 3:
-        return row[3] == (g1 << s) + 2 * g2 - ((2 * g2) << s)
+        return row[3] == (g1 << s) + prev[2] - (prev[2] << s)
     r1, p = row[k - 1], prev[k - 1]
     x = row[k] - r1 + (p << s * (k - 2)) - p
     d = g1 - r1
     return (x + (d << s) - d) << s * (k - 3) == x
 
 
-def _check_p21_3(s, n, k, row, prev, g1, g2):
+def _check_p21_3(s, n, k, row, prev, g1):
     # [n-k+1] g_n(1k) = q^(n-k) g_{n-1} + [n-k] g_n(1,k-1)
     #                   + (q-1) [n-k] [n-k+1] g_{n-1}(1,k-1),
     # times (q - 1) and regrouped as Q (Y + (q-1)(g_n(1k) - g_{n-1}))
@@ -633,7 +662,7 @@ def _check_p21_3(s, n, k, row, prev, g1, g2):
     # - (q^(n-k+1) - 1) g_{n-1}(1,k-1); and g_n(13) = g_{n-1}
     # + 2 (q^(n-3) - 1) g_{n-2}.
     if k == 3:
-        return row[3] == g1 + ((2 * g2) << s * (n - 3)) - 2 * g2
+        return row[3] == g1 + (prev[2] << s * (n - 3)) - prev[2]
     r, p = row[k], prev[k - 1]
     y = r - row[k - 1] - (p << s * (n - k + 1)) + p
     e = r - g1
@@ -671,7 +700,7 @@ def _step(pattern: PatternId, tabled: bool) -> None:
     the level is past the table, only after every assertion has passed;
     then one assignment commits the new record.
     """
-    capacity, width, n, prev, (g2, g1) = _BUILDERS.pop(pattern)
+    capacity, width, n, prev, g1 = _BUILDERS.pop(pattern)
     prev, n, s = list(prev), n + 1, 8 * width
     row = [0] * (n + 1)
     row[2] = g = 2 * g1
@@ -680,16 +709,16 @@ def _step(pattern: PatternId, tabled: bool) -> None:
     lowered = pattern is PatternId.P12_3
     if lowered:
         g <<= s * (n - 2)
-    for k, entry in _ENTRIES[pattern](s, n, prev, g1, g2):
+    for k, entry in _ENTRIES[pattern](s, n, prev, g1):
         row[k] = entry
         g += entry << s * (n - k) if lowered else entry
-        if check and not check(s, n, k, row, prev, g1, g2):
+        if check and not check(s, n, k, row, prev, g1):
             raise IdentityViolation(
                 f"{pattern} refined difference recurrence failed "
                 f"at n={n}, k={k}")
     if tabled and n > len(polys := _table(pattern)):
         _TABLES[pattern] = polys + (_unpack(g, width),)
-    _BUILDERS[pattern] = _Level(capacity, width, n, tuple(row), (g1, g))
+    _BUILDERS[pattern] = _Level(capacity, width, n, tuple(row), g)
 
 
 def _prepared(pattern: PatternId, n: int, tabled: bool) -> int:
@@ -758,7 +787,7 @@ def distribution_polynomial(pattern: PatternId, n: int) -> QPoly:
     if n <= len(polys):
         return polys[n - 1]
     builder = _grown(pattern, n)
-    g = _unpack(builder.g[1], builder.width)
+    g = _unpack(builder.g, builder.width)
     if sum(g.coeffs) != math.factorial(n):
         raise ValueError(f"g_{n}(1) != {n}! for pattern {pattern}")
     return g

@@ -404,6 +404,27 @@ def test_distribution_n_50_matches_the_benchmark_reference(capsys, pattern):
         == _benchmark_reference()["stdout_sha256"][" ".join(argv)]
 
 
+#: SHA-256 of `distribution --pattern P --n 60 --format json` stdout,
+#: recorded while 31-2 still ran its second-order refined recurrence and
+#: 12-3 its prefix and suffix sums: ten levels past the n = 50 digests.
+DISTRIBUTION_N60_SHA256 = {
+    "12-3": "507bb9356a2e4bea2213429e445126feec17b59381494fa831b0b6e943654349",
+    "21-3": "ccdfc84a186249f280422e7921da559170cc8f4be7ec8493e12388f39f99c1e6",
+    "23-1": "a392eaf6f273d72463625e0e366e40bc3da9d6f0cbd1e8d177bcf0d4a9a2fe04",
+    "32-1": "259b55c48a482cf2ad090cecc22399505ee4ba7c6b70d45afeb2bcf297e8e139",
+    "31-2": "9a9b0537438b28f88ebd439411d235a8a12725f6d35c3fac7dd8df60408731d4",
+}
+
+
+@pytest.mark.parametrize("pattern", [p.value for p in ALL_PATTERNS])
+def test_distribution_n_60_output_is_pinned(capsys, pattern):
+    status, out, err = run(capsys, "distribution", "--pattern", pattern,
+                           "--n", "60", "--format", "json")
+    assert (status, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == DISTRIBUTION_N60_SHA256[pattern]
+
+
 def test_table_n_200_matches_the_benchmark_reference(capsys):
     argv = ("table", "--n-max", "200")
     status, out, err = run(capsys, *argv)

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import os
 import subprocess
@@ -120,6 +122,19 @@ def test_refined_oracle_equivalence_small(pattern):
 
 
 @pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+def test_rows_equal_the_word_walk(pattern):
+    # the rank pass rests on the order-type lemma as production does; the
+    # word walk counts each flattened word on its own
+    vinc = pattern.vincular()
+    for n in range(2, 9):
+        assert perm_core._bucket(perm_core._flat_words(n), vinc) \
+            == distribution_table(pattern, n).g(n)
+        for k in range(2, n + 1):
+            assert perm_core._bucket(perm_core._flat_words(n, k), vinc) \
+                == refined_g1k(pattern, n, k)
+
+
+@pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
 def test_oracle_past_the_default_cap(pattern):
     """The xy-z oracle pass against the recurrences for n = 11..20, whole
     and for every k, with the cap raised explicitly."""
@@ -196,6 +211,88 @@ def test_32_1_symmetric_route_for_refined_values():
         for k in range(3, n + 1):
             assert g1k_via_elementary_32_1(n, k) \
                 == refined_g1k(PatternId.P32_1, n, k)
+
+
+def _rows(pattern, n_max):
+    """Every row {k: g_n(1k)} for n = 2..n_max, n ascending."""
+    for n in range(2, n_max + 1):
+        yield n, {k: refined_g1k(pattern, n, k) for k in range(2, n + 1)}
+
+
+def test_31_2_second_order_refined_recurrence():
+    # the paper's refined recurrence, which production replaces by its
+    # Horner cell: for k >= 5, g_n(1k) = (q+1) g_n(1,k-1) - q g_n(1,k-2)
+    # + (q-1) g_{n-1}(1,k-2), from g_n(13) = g_{n-1} and
+    # g_n(14) = g_{n-1} + 2 (q-1) g_{n-2}
+    table = distribution_table(PatternId.P31_2, 40)
+    prev = {}
+    for n, row in _rows(PatternId.P31_2, 40):
+        if n >= 3:
+            assert row[3] == table.g(n - 1)
+        if n >= 4:
+            assert row[4] == table.g(n - 1) + 2 * QM1 * table.g(n - 2)
+        for k in range(5, n + 1):
+            r1, r2 = row[k - 1], row[k - 2]
+            assert row[k] == (r1.shifted(1) + r1 - r2.shifted(1)
+                              + prev[k - 2].shifted(1) - prev[k - 2])
+        prev = row
+
+
+def test_12_3_prefix_suffix_refinement():
+    # the paper's refinement, which production telescopes: on the rows
+    # lowered as low_n(k) = g_n(1k) / q^(n-k), for k >= 3,
+    # low_n(k) = sum_{j<k} low_{n-1}(j) + sum_{j>=k} q^(n-1-j) low_{n-1}(j),
+    # and the whole second sum at k = 2 is g_{n-1}
+    table = distribution_table(PatternId.P12_3, 40)
+    prev = {}
+    for n, row in _rows(PatternId.P12_3, 40):
+        low = {}
+        for k, g in row.items():
+            assert not any(g.coeffs[:n - k])
+            low[k] = QPoly(g.coeffs[n - k:])
+        prefix = QPoly()
+        suffix = sum((p.shifted(n - 1 - j) for j, p in prev.items()),
+                     QPoly())
+        if n >= 3:
+            assert suffix == table.g(n - 1)
+        for k in range(3, n + 1):
+            prefix = prefix + prev[k - 1]
+            suffix = suffix - prev[k - 1].shifted(n - k)
+            assert low[k] == prefix + suffix
+        prev = low
+
+
+def _shift_mutants(entries):
+    """Each copy of the generator ``entries`` with one shift exponent one
+    slot larger: ``x << e`` read as ``x << e + s``."""
+    tree = ast.parse(inspect.getsource(entries))
+    sites = [node for node in ast.walk(tree)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)]
+    for site in sites:
+        exponent = site.right
+        site.right = ast.BinOp(exponent, ast.Add(), ast.Name("s", ast.Load()))
+        namespace = dict(vars(recurrences))
+        exec(compile(ast.fix_missing_locations(tree), "<mutant>", "exec"),
+             namespace)
+        site.right = exponent
+        yield namespace[entries.__name__]
+
+
+@pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+def test_every_one_slot_shift_mutant_is_caught(pattern, monkeypatch):
+    # 31-2 and 32-1 have no asserted identity, and a shift keeps
+    # g_n(1) = n!, so only the table comparison sees their mutants
+    reference = coefficient_table(pattern, 12).polys
+    mutants = list(_shift_mutants(recurrences._ENTRIES[pattern]))
+    assert mutants
+    for mutant in mutants:
+        _empty_memo(monkeypatch)
+        monkeypatch.setitem(recurrences._ENTRIES, pattern, mutant)
+        try:
+            table = distribution_table(pattern, 12)
+        except IdentityViolation:
+            continue
+        assert table.polys != reference
 
 
 def test_b2_polynomial_sums():
@@ -352,8 +449,8 @@ def test_row_entries_ascend_after_the_12_entry(pattern, monkeypatch):
     lowered = pattern is PatternId.P12_3
     for n in range(2, 13):
         below = recurrences._grown(pattern, n - 1)
-        s, (g2, g1) = 8 * below.width, below.g
-        entries = recurrences._ENTRIES[pattern](s, n, list(below.row), g1, g2)
+        s, g1 = 8 * below.width, below.g
+        entries = recurrences._ENTRIES[pattern](s, n, list(below.row), g1)
         assert [k for k, _ in entries] == list(range(3, n + 1))
         del below   # a held record would keep its row through the step
         assert recurrences._grown(pattern, n).row[2] == 2 * g1
@@ -652,7 +749,7 @@ def test_memo_keeps_one_row(monkeypatch):
     assert (builder.capacity, builder.width) \
         == (_MIN_CAPACITY, _slot_bytes(_MIN_CAPACITY))
     assert builder.n == 40 and len(builder.row) == 41
-    assert all(type(x) is int for x in builder.row + builder.g)
+    assert all(type(x) is int for x in builder.row + (builder.g,))
     assert set(recurrences._TABLES) == set(ALL_PATTERNS)
     for table in recurrences._TABLES.values():
         assert len(table) == 50
@@ -803,4 +900,4 @@ def test_level_repr_shows_sizes_not_values(monkeypatch):
     assert repr(builder) == (
         f"_Level(capacity=60, width={_slot_bytes(60)}, n=60, row of 61 "
         f"entries: {sum(bits)} bits, at most {max(bits)} each, g of "
-        f"{builder.g[0].bit_length()} and {builder.g[1].bit_length()} bits)")
+        f"{builder.g.bit_length()} bits)")
