@@ -11,9 +11,22 @@ value passes the same checks as a new one.
 
 Defining a value class compiles nothing: the only per-class work is one
 ``operator.attrgetter`` for its fields.
+
+``_all_ints`` is the one test of integer input for the public constructors
+that take it (``perm_core``'s values and ``qpoly.QPoly``): every entry
+must be an ``int``, ``bool`` excluded, since a float equal to an integer,
+or a string, would pass or fail later checks by accident and print as
+something other than the number it stands for.
 """
 
 from operator import attrgetter
+
+_INT = frozenset((int,))
+
+
+def _all_ints(values) -> bool:
+    """Whether every entry is an int, bool excluded."""
+    return set(map(type, values)) <= _INT
 
 
 class Value:

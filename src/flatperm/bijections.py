@@ -59,9 +59,9 @@ from __future__ import annotations
 
 import itertools
 
-from ._value import FrozenValue
+from ._value import FrozenValue, _all_ints
 from .perm_core import (DEFAULT_MAX_N, CycleForm, VincularPattern3,
-                        _all_flags, _all_ints, _check_cap, _flat_word_tuples,
+                        _all_flags, _check_cap, _flat_word_tuples,
                         flatten_cycle_form)
 
 _PAT_23_1 = VincularPattern3.from_string("23-1")

@@ -81,20 +81,27 @@ def cmd_distribution(args: argparse.Namespace) -> str:
     if args.n < 1:
         raise UsageError("distribution needs a positive --n")
     pattern = PatternId.from_string(args.pattern)
+    recurrence = args.method in ("recurrence", "both")
+    brute = args.method in ("brute", "both")
+    # every cap is checked before any work, so that a refused request
+    # builds nothing
+    if recurrence and args.n > RECURRENCE_MAX_N:
+        raise UsageError(
+            f"n={args.n} exceeds the recurrence cap {RECURRENCE_MAX_N}")
+    if brute:
+        max_n = _brute_cap()
+        try:
+            perm_core._check_cap(args.n, max_n)
+        except CapExceeded as exc:
+            raise UsageError(str(exc))
     results: dict[str, QPoly] = {}
-    if args.method in ("recurrence", "both"):
-        if args.n > RECURRENCE_MAX_N:
-            raise UsageError(
-                f"n={args.n} exceeds the recurrence cap {RECURRENCE_MAX_N}")
+    if recurrence:
         results["recurrence"] = recurrences.distribution_polynomial(
             pattern, args.n)
         _check_closed_forms(pattern, args.n, results["recurrence"])
-    if args.method in ("brute", "both"):
-        try:
-            results["brute"] = perm_core.brute_distribution(
-                args.n, pattern.vincular(), max_n=_brute_cap())
-        except CapExceeded as exc:
-            raise UsageError(str(exc))
+    if brute:
+        results["brute"] = perm_core.brute_distribution(
+            args.n, pattern.vincular(), max_n=max_n)
     match = None
     if args.method == "both":
         match = results["recurrence"] == results["brute"]

@@ -151,6 +151,8 @@ Validation.  The public constructors ``Permutation``, ``CycleForm`` and
 ``VincularPattern3`` check their input, since it may come from outside;
 every entry must be an ``int`` (``bool`` excluded), since a float equal to
 an integer would pass the range checks and fail, or print wrong, later.
+That test is ``_value._all_ints``, which ``qpoly.QPoly`` applies to its
+coefficients too.
 A flag (``VincularPattern3``'s ``glue12`` and ``glue23``, a
 ``bijections.MarkedPartition`` mark) must be a ``bool`` or the int 0 or 1,
 which equal False and True and hash alike, and is stored as a ``bool``;
@@ -181,7 +183,7 @@ import itertools
 import math
 from collections import Counter
 
-from ._value import FrozenValue
+from ._value import FrozenValue, _all_ints
 from .qpoly import QPoly, _derivative_at_one, _unpack
 
 #: Default refusal bound for the oracle, the same for every route: for the
@@ -194,14 +196,6 @@ DEFAULT_MAX_N = 10
 
 class CapExceeded(ValueError):
     """A brute-force enumeration was refused because n exceeds the cap."""
-
-
-_INT = frozenset((int,))
-
-
-def _all_ints(values) -> bool:
-    """Whether every entry is an int, bool excluded (see Validation)."""
-    return set(map(type, values)) <= _INT
 
 
 def _all_flags(values) -> bool:

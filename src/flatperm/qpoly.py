@@ -40,6 +40,8 @@ from fractions import Fraction
 from itertools import accumulate, chain, count, islice, repeat
 from operator import mul
 
+from ._value import _all_ints
+
 Rational = Fraction
 
 
@@ -58,13 +60,19 @@ class QPoly:
     """A polynomial in q with arbitrary-precision integer coefficients.
 
     Canonical form: the highest-index coefficient is nonzero unless the
-    polynomial is zero (empty coefficient tuple).
+    polynomial is zero (empty coefficient tuple).  The constructor takes
+    int coefficients only, bool excluded (``_value._all_ints``), and raises
+    ValueError on any other; ``QPoly._raw`` skips that check, for tuples
+    the package has already normalized.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        object.__setattr__(self, "coeffs", _normalize(list(coeffs)))
+        coeffs = list(coeffs)
+        if not _all_ints(coeffs):
+            raise ValueError("QPoly coefficients must be ints, bool excluded")
+        object.__setattr__(self, "coeffs", _normalize(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")

@@ -111,22 +111,27 @@ every row step and assertion again.  A refined or g_n read leaves no
 table either: ``distribution_table(P, n)`` right after
 ``distribution_polynomial(P, n)`` builds every level again (see there).
 
-A step pops its pattern's builder, so it owns the last row and releases it
-entry by entry, once past each entry's last use; it holds about one row,
-not two.  Every pattern's step has one shape: entry 2 is 2 g_{n-1}
-(g_n(12), lowered for 12-3), and the pattern's generator streams entries
-k = 3..n in ascending order.  The step asserts the difference recurrence
-at k on the entry just made and raises at the first that fails, so the
-error names the least failing k.  It appends g_n to the table (for
-``distribution_table``) only after every assertion has passed, and then
-commits the new builder by one assignment.  So a build that stops with any
-exception, an interrupt included, leaves every table whole, and the
-pattern's builder at the last committed level or gone: a stop mid-step
-restarts the pattern from level 1 on the next call.  The returned tables
-and polynomials are immutable values, but the memo is module-level, one
-per process, with no lock: the library is single-threaded, so call it from
-one thread at a time.  Separate processes share nothing and may run freely
-in parallel.
+A step (``_step``) is the memo work around one row pass (``_row_pass``).
+It pops its pattern's builder, so it owns the last row, and the pass
+releases that row entry by entry, once past each entry's last use; a step
+holds about one row, not two.  The pass alone knows the row rules, the
+same for every pattern: entry 2 is 2 g_{n-1} (g_n(12), lowered for 12-3),
+the pattern's generator streams entries k = 3..n in ascending order, and
+the difference recurrence at k is asserted on the entry just made, the
+first that fails raising, so the error names the least failing k.  The
+pass reads its values only through ``+``, ``-``, ``<<``, int scaling and
+``==``, so it runs unchanged over other rings: the tests run it at q = 0
+and on p mod (q - 1)^3 for every row to n = 200, against the closed
+forms.  The step appends g_n to the table (for ``distribution_table``)
+only after every assertion has passed, and then commits the new builder
+by one assignment.  So a build that stops with any exception, an
+interrupt included, leaves every table whole, and the pattern's builder
+at the last committed level or gone: a stop mid-step restarts the
+pattern from level 1 on the next call.  The returned tables and
+polynomials are immutable values, but the memo is module-level, one per
+process, with no lock: the library is single-threaded, so call it from one
+thread at a time.  Separate processes share nothing and may run freely in
+parallel.
 
 Independent check.  The paper's coefficient-table recurrences
 
@@ -556,13 +561,12 @@ def _start(capacity: int) -> _Level:
 
 # -- the layer map's cells, one per pattern: q^t p is p << s*t ---------------
 # Each generator yields the pairs (k, entry k of level n's row), k = 3..n in
-# ascending order, from the previous row ``prev`` (a list it owns) and packed
-# g_{n-1}; its comment names its cell of the module docstring's table, with
-# p_j for entry j of ``prev``.  ``_step`` sets entry 2 itself to 2 g_{n-1}:
-# that is g_n(12), or 12-3's low_n(2).
-# Once the entry whose check reads prev[j] last has been yielded, it sets
-# prev[j] to None and keeps no other reference to it, so a step holds about
-# one row.
+# ascending order, from the previous row ``prev`` and g_{n-1}, and changes
+# neither; its comment names its cell of the module docstring's table, with
+# p_j for entry j of ``prev``.  It reads p_{k-1} last for entry k and keeps
+# no reference to it, so that ``_row_pass``, which sets entry 2 itself to
+# 2 g_{n-1} (g_n(12), or 12-3's low_n(2)), can release it once entry k has
+# been checked.
 
 def _entries_p31_2(s, n, prev, g1):
     # x > y, z between: sum_{j<k} q^(k-1-j) p_j + sum_{j>=k} p_j, the
@@ -572,7 +576,6 @@ def _entries_p31_2(s, n, prev, g1):
         prefix += prev[k - 1]
         h = (h << s) + prev[k - 1]
         yield k, g1 - prefix + h
-        prev[k - 1] = None
 
 
 def _entries_p32_1(s, n, prev, g1):
@@ -582,7 +585,6 @@ def _entries_p32_1(s, n, prev, g1):
     for k in range(3, n + 1):
         r += (prev[k - 1] << s * (k - 3)) - prev[k - 1]
         yield k, r
-        prev[k - 1] = None
 
 
 def _entries_p23_1(s, n, prev, g1):
@@ -591,7 +593,6 @@ def _entries_p23_1(s, n, prev, g1):
     for k in range(3, n + 1):
         prefix += prev[k - 1]
         yield k, ((g1 - prefix) << s * (k - 2)) + prefix
-        prev[k - 1] = None
 
 
 def _entries_p21_3(s, n, prev, g1):
@@ -600,7 +601,6 @@ def _entries_p21_3(s, n, prev, g1):
     for k in range(3, n + 1):
         prefix += prev[k - 1]
         yield k, g1 - prefix + (prefix << s * (n - k))
-        prev[k - 1] = None
 
 
 def _entries_p12_3(s, n, prev, g1):
@@ -611,7 +611,6 @@ def _entries_p12_3(s, n, prev, g1):
     for k in range(3, n + 1):
         r += prev[k - 1] - (prev[k - 1] << s * (n - k))
         yield k, r
-        prev[k - 1] = None
 
 
 _ENTRIES = {
@@ -623,11 +622,11 @@ _ENTRIES = {
 }
 
 
-# -- difference-recurrence assertions, at q = 2^s ---------------------------
+# -- difference-recurrence assertions: q^t p is p << s*t, as above ----------
 # Each is called as soon as entry k >= 3 of level n's row is in ``row``,
-# before the generator releases what it read of ``prev``, and returns
-# whether the identity at k holds.  At k = 3 each reads 2 g_{n-2} as
-# prev[2], entry 2 of the row before.
+# before ``_row_pass`` releases prev[k - 1], and returns whether the
+# identity at k holds.  At k = 3 each reads 2 g_{n-2} as prev[2], entry 2
+# of the row before.
 
 def _check_p12_3(s, n, k, row, prev, g1):
     # q g_n(1k) = g_n(1,k-1) + q (1 - q^(n-k)) g_{n-1}(1,k-1) and
@@ -689,19 +688,21 @@ def _table(pattern: PatternId) -> tuple:
     return _TABLES.get(pattern, (_ONE,))
 
 
-def _step(pattern: PatternId, tabled: bool) -> None:
-    """Step ``pattern``'s builder one level up, in one pass over the row.
+def _row_pass(pattern: PatternId, s: int, n: int, prev: list, g1):
+    """Level n's row and g_n, from level n - 1's row ``prev`` and g_{n-1},
+    in one pass; the only code that knows the row rules.
 
-    The record is popped first, so the step owns the last row and drops
-    each of its entries once past its last use.  Entries come k = 3..n in
-    ascending order after entry 2, and each is asserted as it comes: the
-    first identity that fails raises IdentityViolation naming its k, the
-    least failing one.  g_n is appended to the table, when ``tabled`` and
-    the level is past the table, only after every assertion has passed;
-    then one assignment commits the new record.
+    Entry 2 is 2 g_{n-1}, and the pattern's generator streams entries
+    k = 3..n in ascending order after it.  Each is asserted as it comes:
+    the first identity that fails raises IdentityViolation naming its k,
+    the least failing one.  Once entry k has been checked, the pass sets
+    prev[k - 1] to None, past its last read, so a caller that owns
+    ``prev`` holds about one row.  The values are read only through
+    ``+``, ``-``, ``<<`` (q^t p is p << s*t), int scaling and ``==``, so
+    the pass runs over any commutative ring: ``_step`` runs it on packed
+    ints at q = 2^s, the tests at s = 1 on the constant term and on
+    p mod (q - 1)^3.
     """
-    capacity, width, n, prev, g1 = _BUILDERS.pop(pattern)
-    prev, n, s = list(prev), n + 1, 8 * width
     row = [0] * (n + 1)
     row[2] = g = 2 * g1
     check = _CHECKS.get(pattern)
@@ -716,6 +717,22 @@ def _step(pattern: PatternId, tabled: bool) -> None:
             raise IdentityViolation(
                 f"{pattern} refined difference recurrence failed "
                 f"at n={n}, k={k}")
+        prev[k - 1] = None
+    return row, g
+
+
+def _step(pattern: PatternId, tabled: bool) -> None:
+    """Step ``pattern``'s builder one level up by one ``_row_pass``.
+
+    The record is popped first, so the pass owns the last row and drops
+    each of its entries once past its last use.  g_n is appended to the
+    table, when ``tabled`` and the level is past the table, only after
+    the pass has returned, every assertion passed; then one assignment
+    commits the new record.
+    """
+    capacity, width, n, prev, g1 = _BUILDERS.pop(pattern)
+    prev, n = list(prev), n + 1
+    row, g = _row_pass(pattern, 8 * width, n, prev, g1)
     if tabled and n > len(polys := _table(pattern)):
         _TABLES[pattern] = polys + (_unpack(g, width),)
     _BUILDERS[pattern] = _Level(capacity, width, n, tuple(row), g)

@@ -84,6 +84,21 @@ def test_distribution_env_cap_override(capsys, monkeypatch):
     assert out.splitlines()[0] == "pattern,n,source,exponent,coefficient"
 
 
+def test_distribution_both_refuses_past_the_brute_cap_before_any_step(
+        capsys, monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a row step ran")
+
+    monkeypatch.setattr(recurrences, "_TABLES", {})
+    monkeypatch.setattr(recurrences, "_BUILDERS", {})
+    monkeypatch.setattr(recurrences, "_step", no_step)
+    status, out, err = run(capsys, "distribution", "--pattern", "23-1",
+                           "--n", "80", "--method", "both")
+    assert (status, out) == (2, "")
+    assert err == ("error: refusing exhaustive enumeration at n=80: cap is "
+                   "10 (raise the cap explicitly to go further)\n")
+
+
 def test_table_csv(capsys):
     status, out, _ = run(capsys, "table", "--n-max", "4", "--format", "csv")
     assert status == 0

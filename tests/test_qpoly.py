@@ -40,6 +40,12 @@ def test_canonical_form_strips_trailing_zeros():
     assert QPoly([1, 2, 0, 0]).coeffs == (1, 2)
     assert QPoly([0]).degree == -1
     assert QPoly([5]).degree == 0
+    # the coefficients must be ints, bool excluded, as perm_core's values'
+    # entries: each of these would print as something else or store junk
+    for bad in ([True, 2], [1.5], ["a"], [1, 2.0], [1, 0, False]):
+        with pytest.raises(ValueError, match="^QPoly coefficients must be "
+                                             "ints, bool excluded$"):
+            QPoly(bad)
 
 
 def test_exact_div():

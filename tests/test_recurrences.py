@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 from conftest import interrupt_every_line
 
-from flatperm import cli, perm_core, recurrences
+from flatperm import cli, closed_forms, perm_core, recurrences
 from flatperm.qpoly import IdentityViolation, QPoly, _unpack, q_int
 from flatperm.recurrences import (ALL_PATTERNS, DistributionTable, PatternId,
                                   a_coeff_table_31_2, b2_poly_21_3,
@@ -293,6 +293,130 @@ def test_every_one_slot_shift_mutant_is_caught(pattern, monkeypatch):
         except IdentityViolation:
             continue
         assert table.polys != reference
+
+
+# ---------------------------------------------------------------------------
+# The row pass over two projections of Z[q]
+# ---------------------------------------------------------------------------
+
+class _Projection:
+    """The image of a polynomial under a ring map of Z[q], for
+    ``_row_pass`` at s = 1, where ``x << t`` is q^t x."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __radd__(self, zero):
+        # the generators start their sums from the int 0
+        assert zero == 0
+        return self
+
+
+class _AtZero(_Projection):
+    """p(0), the constant term: q^t p keeps it only at t = 0."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        self.a = a
+
+    def __add__(self, other):
+        return _AtZero(self.a + other.a)
+
+    def __sub__(self, other):
+        return _AtZero(self.a - other.a)
+
+    def __rmul__(self, c):
+        return _AtZero(c * self.a)
+
+    def __lshift__(self, t):
+        return self if t == 0 else _AtZero(0)
+
+    def __eq__(self, other):
+        return self.a == other.a
+
+
+class _Jet(_Projection):
+    """p mod (q - 1)^3, as a, b, c = p(1), p'(1), p''(1)/2."""
+
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a, b, c):
+        self.a, self.b, self.c = a, b, c
+
+    def __add__(self, other):
+        return _Jet(self.a + other.a, self.b + other.b, self.c + other.c)
+
+    def __sub__(self, other):
+        return _Jet(self.a - other.a, self.b - other.b, self.c - other.c)
+
+    def __rmul__(self, c):
+        return _Jet(c * self.a, c * self.b, c * self.c)
+
+    def __lshift__(self, t):
+        a, b = self.a, self.b
+        return _Jet(a, b + t * a, self.c + t * b + t * (t - 1) // 2 * a)
+
+    def __eq__(self, other):
+        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
+
+
+def _first_projection_miss(pattern, n_max):
+    """The least n <= n_max at which ``_row_pass``, run from level 1 at
+    q = 0 and on the jets, gives a [q^0] g_n, g_n(1) or g_n'(1) that
+    differs from its closed form (n!, for g_n(1)); None if there is none.
+    Every asserted identity of the pattern runs on both rings."""
+    zero_row, zero = [0, 0], _AtZero(1)
+    jet_row, jet = [0, 0], _Jet(1, 0, 0)
+    for n in range(2, n_max + 1):
+        zero_row, zero = recurrences._row_pass(pattern, 1, n, zero_row, zero)
+        jet_row, jet = recurrences._row_pass(pattern, 1, n, jet_row, jet)
+        total = closed_forms.total_occurrences(pattern, n) if n >= 3 \
+            else jet.b
+        if (zero.a, jet.a, jet.b) \
+                != (closed_forms.avoiders(pattern, n), math.factorial(n), total):
+            return n
+    return None
+
+
+@pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+def test_row_pass_projections_match_the_closed_forms(pattern):
+    # q = 0 and q = 1 + e mod e^3 are ring maps of Z[q], so the production
+    # row pass, unchanged, checks every row to n = 200 at both
+    assert _first_projection_miss(pattern, 200) is None
+
+
+@pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+def test_every_one_slot_shift_mutant_fails_the_projections(pattern,
+                                                           monkeypatch):
+    mutants = list(_shift_mutants(recurrences._ENTRIES[pattern]))
+    assert mutants
+    for mutant in mutants:
+        monkeypatch.setitem(recurrences._ENTRIES, pattern, mutant)
+        try:
+            assert _first_projection_miss(pattern, 12) is not None
+        except IdentityViolation:
+            pass
+
+
+@pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+def test_generators_are_pure_and_the_pass_releases_the_row(pattern,
+                                                           monkeypatch):
+    _empty_memo(monkeypatch)
+    below = recurrences._grown(pattern, 11)
+    s, prev, g1 = 8 * below.width, list(below.row), below.g
+    del below
+    kept, entries = list(prev), recurrences._ENTRIES[pattern]
+    first = list(entries(s, 12, prev, g1))
+    assert prev == kept
+    assert list(entries(s, 12, prev, g1)) == first
+    assert prev == kept
+    row, g = recurrences._row_pass(pattern, s, 12, prev, g1)
+    # entries 2 .. 11, every one that level 12 reads, are released
+    assert prev[2:] == [None] * 10
+    assert [(k, row[k]) for k in range(3, 13)] == first
+    level = recurrences._grown(pattern, 12)
+    assert (tuple(row), g) == (level.row, level.g)
 
 
 def test_b2_polynomial_sums():
