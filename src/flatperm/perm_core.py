@@ -22,7 +22,8 @@ Which pattern takes which route:
   over (number of letters placed, rank of the front letter among them),
   about n^3 / 3 steps;
 * x-yz: the set pass, right to left over (suffix set, front letter),
-  about 2^(n-1) n steps;
+  one term per (suffix set, old front, new letter), (n - 1)(n - 2) 2^(n-3)
+  terms in all;
 * x-y-z (classical): the word walk, which visits the words one by one
   (``_flat_words``, ``_bucket``) and counts each in O(n^3) by
   ``_count_word``'s three position loops (a glued pattern fixes one
@@ -30,7 +31,7 @@ Which pattern takes which route:
   walks the same words, unweighted (``_flat_word_tuples``).
 
 The set pass is the subset recursion of Bellman and Held-Karp (1962):
-about 2^(n-1) n steps replace (n-1)! n^2 comparisons.  The rank pass is
+about 2^(n-3) n^2 terms replace (n-1)! n^2 comparisons.  The rank pass is
 that recursion collapsed by order type.  Neither uses anything from the
 recurrences, so both stay an independent check on them.
 tests/test_perm_core.py compares both with the word walk on all 12 glued
@@ -83,40 +84,16 @@ order type, but the unplaced 4 completes the occurrence 4, 2, 3 with the
 first and nothing completes one with the second.  So x-yz keeps one value
 per state (S, b), on the set pass (``_layers``).
 
-The cost of x-yz on the set pass: an x-yz state also carries the
-occurrences its unplaced letters will complete, so its exponents, and so
-its packed values, run larger than a left-to-right pass over (prefix set,
-last letter) would carry: for 3-12 at n = 14 the packed bytes summed over
-all layers are 2.1 times that pass's.  So a whole x-yz distribution takes
-longer than on such a pass (for 3-12, medians in BENCH_glued_pass.json:
-19 % at n = 12, 40 % at n = 14 and 16, and 41 MB of peak RSS against
-31 MB at n = 16), but every g_n(1k) comes with it, where that pass needs
-one run per k.
-
-Each layer of the set pass is formed one placed set S at a time, from S's
-states {b: value} over its front letters b.  The new state (S + {a}, a)
-sums, over b in S, value(S, b) shifted by s once per occurrence that
-putting a before b adds, and doubles the sum when a is a new minimum.  One
-sweep over the letters, in the order that puts an old letter before the
-new letters it is in the pattern's order with (set by y, z), gives every
-new letter's sum at once.  When the sweep reaches an unplaced a, the old
-letters passed so far are exactly those in order with a; the rest add
-their values unshifted, as the total of S's states less the plain prefix
-sum.  A passed b counts the unplaced letters that can play x on x's side,
-which the pattern fixes as one of three places:
-
-* behind b, before it in the sweep: the unplaced letters passed before b,
-  so b adds value << s * passed to the accumulator (on an ascending
-  sweep, 1 comes first and counts as passed from the start);
-* between b and a: at each unplaced letter the accumulator shifts by s,
-  after that letter has taken its sum;
-* beyond a, after it in the sweep: the unplaced letters not yet passed,
-  the same for every passed b, so a takes the accumulator, a plain sum,
-  shifted by s times their number, n - |S| - 1 - passed (1 included, a
-  excluded).
-
-So a set costs one step per letter, |S| placed and the rest new, not one
-per (old, new) pair.
+Each layer of the set pass is formed as the rank pass forms its own, one
+term per pair.  The new state (S + {a}, a) sums value(S, b) over the
+fronts b in S.  When a and b are in the order of y and z, the term is
+shifted by s once per letter that can still play x: a letter not placed
+yet, 1 included and a excluded, lying where the pattern puts x, below
+both of a and b, between them or above both.  That count is one
+``bit_count`` of the mask of unplaced letters ANDed with the mask of that
+range, which lies strictly beside a and so never holds it.  Other terms
+are added unshifted, and the sum doubles when a < min(S), a new
+right-to-left minimum.
 
 Each state's value is its distribution at q = 2^s, the slot width s the
 least multiple of 8 with n! < 2^s; a new occurrence is a shift by s, and a
@@ -125,15 +102,15 @@ pattern: the suffixes on an L-set, weighted by 2^(their right-to-left
 minima), total 2 * 3 * ... * (L + 1) = (L + 1)! (the minima's generating
 function over S_L is x (x + 1) ... (x + L - 1), at x = 2), with
 L <= n - 1; the fronts together total n!, front k alone (n - 1)!, or
-2 (n - 1)! for k = 2.  A set-pass sweep's running sums, and each new
-letter's value, are sums of shifted values of states on one set, each
-state at most once; a shift moves coefficients between slots without
-adding to them, so every coefficient is at most the total weight of the
-states on that set, at most n!.  The rank pass holds no other values:
-F_L[r] is the value of the existing states on an L-set with front rank r,
-and each partial sum for the new rank a is a sum of shifted F_L[r], each
-r once, that is of the states on one L-set (the letters behind the front
-of any (L + 1)-set whose front has rank a), each once.  So every
+2 (n - 1)! for k = 2.  Each new set-pass value is a sum of shifted
+values of the states on one set, each once; a shift moves coefficients
+between slots without adding to them, so every coefficient is at most
+the total weight of the states on that set, at most n!.  The rank pass's
+values are sums of the same kind: F_L[r] is the value of the existing
+states on an L-set with front rank r, and each partial sum for the new
+rank a is a sum of shifted F_L[r], each r once, that is of the states on
+one L-set (the letters behind the front of any (L + 1)-set whose front
+has rank a), each once.  So every
 coefficient of every state, and of every sum of states either pass forms,
 lies in [0, n!], below 2^s; no slot carries into the next, and each
 packed value is read back exactly by ``qpoly._unpack``.
@@ -144,8 +121,13 @@ VM, CPython 3.11.7, medians of 5.  The six xy-z rank passes together take
 20 and 0.26 s at 40, with the process's peak RSS at 18.3 MB throughout;
 the set pass they replace took 7.5 ms, 40 ms, 0.18 s and 1.03 s at
 n = 10 to 16, and 37 MB at 16 (BENCH_rank_pass.json).  On the set pass, a
-whole 3-12 distribution takes 2.7 ms at n = 10, 10 ms at 12, 50 ms at 14
-and 0.33 s at 16 (BENCH_glued_pass.json).
+whole 3-12 distribution takes 2.7 ms at n = 10, 15 ms at 12, 88 ms at 14
+and 0.55 s at 16, and 3-21 about as long, with peak RSS 41 MB (3-12) and
+46 MB (3-21) at 16 (BENCH_xyz_pairs.json).  That is about twice the
+letter sweep this pass had before, which summed each placed set's states
+in one pass over the letters.  In the package only ``verify``'s
+identities suite runs x-yz patterns, at n <= 8 by default and never past
+the cap.
 
 Validation.  The public constructors ``Permutation``, ``CycleForm`` and
 ``VincularPattern3`` check their input, since it may come from outside;
@@ -188,9 +170,11 @@ from .qpoly import QPoly, _derivative_at_one, _unpack
 
 #: Default refusal bound for the oracle, the same for every route: for the
 #: word walk of the classical x-y-z patterns, 10! hosts is the practical
-#: ceiling of an exhaustive run on one core.  The set pass (x-yz) and the
-#: rank pass (xy-z) are far cheaper but keep this bound; per-route budgets
-#: are still to be decided (ROADMAP item 6).
+#: ceiling of an exhaustive run on one core.  The set pass (x-yz, 0.55 s
+#: at n = 16 for 3-12, BENCH_xyz_pairs.json) and the rank pass (xy-z,
+#: 0.26 s for all six at n = 40, BENCH_rank_pass.json) are far cheaper
+#: but keep this bound; per-route budgets are still to be decided
+#: (ROADMAP item 6).
 DEFAULT_MAX_N = 10
 
 
@@ -484,64 +468,54 @@ def _rank_layers(n: int, pat: VincularPattern3, s: int):
         yield layer
 
 
-#: Where the set pass's third pattern letter x lies in the sweep order:
-#: behind the old letter, between the old and the new letter, or beyond the
-#: new one.
-_BEHIND, _BETWEEN, _BEYOND = range(3)
-
-
 def _layers(n: int, pat: VincularPattern3, s: int):
     """Yield the states of the right-to-left pass over the x-yz pattern pat
     after each letter of 2..n is placed: {S: {b: value}}, with S the mask
     of placed letters (letter c at bit c - 2), b the front one, and value
     the weighted distribution of the suffixes on S that start with b,
-    evaluated at q = 2^s (n >= 2).  Each set's successors come from one
-    sweep over the letters (see the module docstring)."""
+    evaluated at q = 2^s (n >= 2; see the module docstring)."""
     x, y, z = pat.letters
-    # the new letter a and the front letter b play y, z with x unplaced,
-    # 1 included
-    down = z > y
+    up = y < z
+    # the letters that can play x: below both glued letters, above both,
+    # or between them
+    below, above = x < min(y, z), x > max(y, z)
     letters = range(2, n + 1)
-    order = [(c, 1 << (c - 2))
-             for c in (reversed(letters) if down else letters)]
-    if (x > z) == down:
-        case = _BEHIND
-    elif (x < y) == down:
-        case = _BEYOND
-    else:
-        case = _BETWEEN
-    # an unplaced letter passed counts (behind, beyond) or shifts the
-    # accumulator (between); an ascending sweep has passed 1 before it
-    # starts
-    start_passed = 0 if down else 1
+
+    def span(a, b):
+        """The letters on x's side of the new letter a and the old front b,
+        letter c at bit c - 1, when a and b play y and z; else none.  A
+        side lies strictly below, between or above a and b, so it never
+        holds a."""
+        if (a < b) != up:
+            return 0
+        lo, hi = min(a, b), max(a, b)
+        return ((1 << (lo - 1)) - 1 if below else -(1 << hi) if above
+                else (1 << (hi - 1)) - (1 << lo))
+
+    spans = {a: {b: span(a, b) for b in letters} for a in letters}
+    # every letter, 1 included, at bit c - 1
+    every = (1 << n) - 1
     # the last letter is always a right-to-left minimum
     layer = {1 << (b - 2): {b: 2} for b in letters}
     yield layer
     for _ in range(n - 2):
         nxt: dict = {}
         for placed, values in layer.items():
-            total = sum(values.values())
-            # third letters other than a: the n - |S| unplaced ones less a
-            thirds = n - placed.bit_count() - 1
+            # the letters not placed yet, 1 included, at bit c - 1
+            free = every & ~(placed << 1)
             low = placed & -placed   # a letter below this bit is a new minimum
-            passed = start_passed
-            prefix = acc = 0
-            for c, bit in order:
+            for a in letters:
+                bit = 1 << (a - 2)
                 if placed & bit:
-                    v = values.get(c, 0)
-                    acc += v << s * passed if case == _BEHIND else v
-                    prefix += v
-                else:
-                    # old letters not passed yet add no occurrence
-                    value = acc << s * (thirds - passed) if case == _BEYOND \
-                        else acc
-                    value += total - prefix
-                    if bit < low:
-                        value <<= 1
-                    nxt.setdefault(placed | bit, {})[c] = value
-                    passed += 1
-                    if case == _BETWEEN:
-                        acc <<= s
+                    continue
+                # one shift by s per free letter that completes an
+                # occurrence with a and b
+                row = spans[a]
+                value = 0
+                for b, v in values.items():
+                    value += v << s * (free & row[b]).bit_count()
+                nxt.setdefault(placed | bit, {})[a] = \
+                    value << 1 if bit < low else value
         layer = nxt
         yield layer
 

@@ -62,8 +62,11 @@ class QPoly:
     Canonical form: the highest-index coefficient is nonzero unless the
     polynomial is zero (empty coefficient tuple).  The constructor takes
     int coefficients only, bool excluded (``_value._all_ints``), and raises
-    ValueError on any other; ``QPoly._raw`` skips that check, for tuples
-    the package has already normalized.
+    ValueError on any other, as ``monomial`` does for its exponent and
+    coefficient; ``QPoly._raw`` skips that check, for tuples the package
+    has already normalized.  Arithmetic and ``==`` take a ``QPoly`` or an
+    int operand, not a bool, so a bool neither makes a constant nor equals
+    one.
     """
 
     __slots__ = ("coeffs",)
@@ -104,6 +107,9 @@ class QPoly:
 
     @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> "QPoly":
+        if not _all_ints((exponent, coefficient)):
+            raise ValueError("monomial exponent and coefficient must be "
+                             "ints, bool excluded")
         if exponent < 0:
             raise ValueError("monomial exponent must be nonnegative")
         if coefficient == 0:
@@ -134,7 +140,7 @@ class QPoly:
     def _coerce(other) -> "QPoly":
         if isinstance(other, QPoly):
             return other
-        if isinstance(other, int):
+        if type(other) is int:
             return QPoly._raw((other,)) if other else _ZERO
         return NotImplemented
 

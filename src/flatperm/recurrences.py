@@ -202,6 +202,13 @@ class PatternId(Enum):
 ALL_PATTERNS = tuple(PatternId)
 
 
+def _check_pattern(pattern) -> None:
+    """Refuse anything but a ``PatternId``, before any memo changes."""
+    if not isinstance(pattern, PatternId):
+        raise ValueError(f"unknown pattern {pattern!r}; expected a PatternId, "
+                         "one of " + ", ".join(map(str, ALL_PATTERNS)))
+
+
 class DistributionTable(FrozenValue):
     """Distribution polynomials g_1 .. g_n for one pattern.
 
@@ -503,6 +510,7 @@ def coefficient_table(pattern: PatternId, n_max: int) -> DistributionTable:
     pattern's coefficient stream compares its two coefficient routes on
     every entry.
     """
+    _check_pattern(pattern)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     g = [_ONE, _TWO]
@@ -778,6 +786,7 @@ def distribution_table(pattern: PatternId, n_max: int) -> DistributionTable:
     builder.  Read one pattern at a time, n ascending (see the module
     docstring).
     """
+    _check_pattern(pattern)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if n_max > len(_table(pattern)):
@@ -798,6 +807,7 @@ def distribution_polynomial(pattern: PatternId, n: int) -> QPoly:
     read within the table takes 1.3 ms.  A caller that needs both should
     build the table first; g_n is then read from it.
     """
+    _check_pattern(pattern)
     if n < 1:
         raise ValueError("n must be at least 1")
     polys = _table(pattern)
@@ -838,6 +848,7 @@ def refined_g1k(pattern: PatternId, n: int, k: int) -> QPoly:
     of another pattern, builds the rows again from n = 2.  Read one pattern
     at a time, n ascending (see the module docstring).
     """
+    _check_pattern(pattern)
     if n < 2:
         raise ValueError("refined distributions need n >= 2")
     if not 2 <= k <= n:

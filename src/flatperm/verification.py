@@ -587,13 +587,15 @@ _SUITE_RUNNERS = {
 
 def run_suite(suite: str, n_max: int | None = None) -> Report:
     """Run one named suite, or every suite with "all", at ``n_max`` or, when
-    it is None, at each suite's default bound.  An ``n_max`` past the
-    suite's ``MAX_N_MAX`` (the smallest, for "all") raises ValueError
-    before any check runs."""
+    it is None, at each suite's default bound.  An ``n_max`` that is not
+    an int (bool excluded), or past the suite's ``MAX_N_MAX`` (the
+    smallest, for "all"), raises ValueError before any check runs."""
     if suite != "all" and suite not in _SUITE_RUNNERS:
         raise ValueError(
             f"unknown suite {suite!r}; expected one of {SUITES + ('all',)}")
     names = SUITES if suite == "all" else (suite,)
+    if n_max is not None and type(n_max) is not int:
+        raise ValueError(f"n_max must be an int, got {n_max!r}")
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     if n_max is not None and n_max > (top := min(map(MAX_N_MAX.get, names))):

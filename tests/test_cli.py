@@ -551,6 +551,18 @@ def test_verify_limit_is_checked_before_any_check(monkeypatch):
         verification.run_suite("bijections", 11)
 
 
+def test_verify_non_int_bound_is_refused_before_any_check(monkeypatch):
+    def no_check(report, n_max):
+        raise AssertionError("a suite ran")
+
+    for name in verification.SUITES:
+        monkeypatch.setitem(verification._SUITE_RUNNERS, name, no_check)
+    for bad in (True, 2.0, "3"):
+        with pytest.raises(ValueError, match=f"^n_max must be an int, got "
+                                             f"{bad!r}$"):
+            verification.run_suite("oracle", bad)
+
+
 def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "verify", "--suite", "everything")

@@ -48,6 +48,27 @@ def test_canonical_form_strips_trailing_zeros():
             QPoly(bad)
 
 
+def test_monomial_takes_ints_only():
+    assert QPoly.monomial(2, -3) == QPoly([0, 0, -3])
+    for exponent, coefficient in ((2, 1.5), (1, True), (True, 1), (1.0, 1),
+                                  (2, False), ("2", 1)):
+        with pytest.raises(ValueError, match="^monomial exponent and "
+                                             "coefficient must be ints, "
+                                             "bool excluded$"):
+            QPoly.monomial(exponent, coefficient)
+
+
+def test_bool_operand_makes_no_constant():
+    # an int operand is a constant polynomial; a bool is not an int here
+    assert QPoly.zero() + 3 == QPoly([3]) and 2 - ONE == ONE
+    for bad in (True, False):
+        for op in (lambda p: p + bad, lambda p: bad + p, lambda p: p - bad,
+                   lambda p: bad - p, lambda p: p * bad, lambda p: bad * p):
+            with pytest.raises(TypeError):
+                op(QPoly.zero())
+    assert ONE != True and QPoly.zero() != False
+
+
 def test_exact_div():
     assert (Q**2 - 1).exact_div(Q - 1) == Q + 1
     assert q_int(4).exact_div(q_int(2)) == QPoly([1, 0, 1])

@@ -42,6 +42,30 @@ def test_pattern_id():
         PatternId.from_string("13-2")
 
 
+@pytest.mark.parametrize("route", [
+    lambda p: distribution_table(p, 31),
+    lambda p: distribution_polynomial(p, 31),
+    lambda p: refined_g1k(p, 31, 2),
+    lambda p: coefficient_table(p, 31),
+], ids=["table", "polynomial", "refined", "coefficients"])
+def test_non_pattern_refused_before_the_memo_changes(route, monkeypatch):
+    # a string, the oracle's pattern value or None is not a PatternId: it
+    # is refused with the five patterns named, and the tables and the live
+    # builder (23-1 at level 30) stay as they were
+    _empty_memo(monkeypatch)
+    distribution_table(PatternId.P21_3, 8)
+    refined_g1k(PatternId.P23_1, 30, 2)
+    before = _memo()
+    builder = recurrences._BUILDERS[PatternId.P23_1]
+    for bad in ("23-1", PatternId.P23_1.vincular(), None):
+        with pytest.raises(ValueError, match="^unknown pattern .*; expected "
+                           "a PatternId, one of 12-3, 21-3, 23-1, 32-1, "
+                           "31-2$"):
+            route(bad)
+        assert _memo() == before
+        assert recurrences._BUILDERS[PatternId.P23_1] is builder
+
+
 def test_small_values():
     assert g_31_2(3).g(2) == 2 and g_31_2(3).g(3) == 6
     assert g_31_2(4).g(4) == QPoly([20, 4])
