@@ -12,21 +12,58 @@ value passes the same checks as a new one.
 Defining a value class compiles nothing: the only per-class work is one
 ``operator.attrgetter`` for its fields.
 
-``_all_ints`` is the one test of integer input for the public constructors
-that take it (``perm_core``'s values and ``qpoly.QPoly``): every entry
-must be an ``int``, ``bool`` excluded, since a float equal to an integer,
-or a string, would pass or fail later checks by accident and print as
-something other than the number it stands for.
+Exact input.  ``_all_ints`` is the one test of integer input, and
+``_all_exact`` that of exact numbers: every entry must be an ``int``,
+``bool`` excluded, or, for ``_all_exact``, a ``fractions.Fraction``.  A
+float equal to an integer, a string or a ``Decimal`` would pass or fail
+later checks by accident, and print as something other than the number it
+stands for; a bool would print as a flag.  The rule applies at these
+places, the only ones where the package tests the type of a number it is
+given, flags apart (``perm_core``'s Validation paragraph):
+
+* ``_all_ints``: the coefficients of ``qpoly.QPoly`` and the exponent and
+  coefficient of ``QPoly.monomial``; the entries of ``perm_core``'s values
+  (``Permutation``, ``CycleForm``, ``VincularPattern3``) and of
+  ``bijections.MarkedPartition``.  A constructor refuses a bad entry with
+  ValueError.
+* ``qpoly.QPoly._coerce``: an operand of ``QPoly``'s ``+``, ``-``, ``*``,
+  ``==`` and ``exact_div`` is a ``QPoly`` or an ``int``, bool excluded.
+  The operators return NotImplemented for any other, so Python raises
+  TypeError (``==`` gives False), and ``exact_div`` raises TypeError.  The
+  symmetric-function helpers (``elementary_e``, ``complete_h``,
+  ``nonadjacent_e_prime``) take their entries through those operators.
+* ``_all_exact``: the point of ``QPoly.evaluate`` (TypeError); the
+  coefficients of ``series.PowerSeries`` (ValueError) and an operand of
+  its ``+``, ``-`` and ``*`` (NotImplemented, so TypeError).
+* ``_check_int``: a size argument, refused with ValueError naming it
+  before any memo changes: ``recurrences.distribution_table``,
+  ``distribution_polynomial``, ``refined_g1k`` (n and k) and
+  ``coefficient_table``; ``closed_forms.avoiders``,
+  ``average_occurrences`` and ``total_occurrences``;
+  ``verification.run_suite``'s ``n_max``.
 """
 
+from fractions import Fraction
 from operator import attrgetter
 
 _INT = frozenset((int,))
+_EXACT = frozenset((int, Fraction))
 
 
 def _all_ints(values) -> bool:
     """Whether every entry is an int, bool excluded."""
     return set(map(type, values)) <= _INT
+
+
+def _all_exact(values) -> bool:
+    """Whether every entry is an int, bool excluded, or a Fraction."""
+    return set(map(type, values)) <= _EXACT
+
+
+def _check_int(name: str, value) -> None:
+    """Refuse a size argument that is not an int, bool excluded."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 class Value:

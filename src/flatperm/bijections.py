@@ -27,11 +27,12 @@ reads a checked ``CycleForm``).  tests/test_bijections.py compares every
 unchecked value with the checked constructor's for n <= 7.
 
 Each map is its flatten and domain check around a word-level core that
-takes the cycle form and its flattened word and returns plain fields:
-``_runs_partition`` (blocks and marks), and ``_reverse_runs`` (cycles),
-which the reversal and its inverse share: it cuts (``_cut``) the word
-that ``_chain_reversal`` returns at the cycle lengths.  Each domain check
-is one right-to-left scan, ``_contains_23_1`` or ``_contains_32_1``.
+takes the cycle form and its flattened word: ``_runs_partition`` returns
+plain fields (blocks and marks), and ``_reversal``, which the reversal and
+its inverse share, returns the word that ``_chain_reversal`` gives and the
+image, that word cut at the cycle lengths through the checking
+``CycleForm``.  Each domain check is one right-to-left scan,
+``_contains_23_1`` or ``_contains_32_1``.
 
 The ``verify`` bijection suite flattens and scans each source once and
 calls the word operations itself: it raises the maps' domain error from
@@ -40,11 +41,10 @@ constructor, and builds no round-trip value at all (fields equal to a
 valid value's are valid).  The partition check compares
 ``_runs_partition``'s fields with the source's; that is as strong as
 comparing values because the core returns tuples, exactly as the
-constructor stores them.  The reversal check calls ``_chain_reversal``
-once per direction.  The image's cycles are the reversed word cut at the
-source's cycle lengths by ``_cut``, and the round trip compares the
-reversal of that word with the source's word: both sides are cut at the
-same lengths, so the words are equal exactly when the cycles are.
+constructor stores them.  The reversal check takes the image and its word
+from ``_reversal``, and the round trip calls ``_chain_reversal`` on that
+word and compares the result with the source's word: both sides are cut
+at the same lengths, so the words are equal exactly when the cycles are.
 tests/test_bijections.py checks the cores against the maps for every
 source with n <= 7.
 
@@ -196,22 +196,19 @@ def _runs_partition(c: CycleForm, word: tuple[int, ...]
     return runs, tuple(run[-1] in cycle_openers for run in runs)
 
 
-def _reverse_runs(c: CycleForm, word: tuple[int, ...]
-                  ) -> tuple[tuple[int, ...], ...]:
-    """The cycles of the chain reversal of word (c's flattened word), cut
-    at c's cycle lengths: the word operation of map_23_1_to_32_1 and of
-    its inverse alike."""
-    return _cut(_chain_reversal(word), c)
-
-
-def _cut(word, c: CycleForm) -> tuple[tuple[int, ...], ...]:
-    """word cut into tuples at c's cycle lengths."""
-    out = []
+def _reversal(c: CycleForm, word: tuple[int, ...]
+              ) -> tuple[tuple[int, ...], CycleForm]:
+    """The chain reversal of word (c's flattened word) and the image: that
+    reversed word cut at c's cycle lengths, through the checking
+    constructor.  The word operation of map_23_1_to_32_1 and of its
+    inverse alike."""
+    out_word = tuple(_chain_reversal(word))
+    cycles = []
     pos = 0
     for cyc in c.cycles:
-        out.append(tuple(word[pos:pos + len(cyc)]))
+        cycles.append(out_word[pos:pos + len(cyc)])
         pos += len(cyc)
-    return tuple(out)
+    return out_word, CycleForm(tuple(cycles))
 
 
 def _chain_reversal(word: tuple[int, ...]) -> list[int]:
@@ -250,7 +247,7 @@ def map_23_1_to_32_1(c: CycleForm) -> CycleForm:
     word = flatten_cycle_form(c).word
     if _contains_23_1(word):
         raise _domain_error(_PAT_23_1)
-    return CycleForm(_reverse_runs(c, word))
+    return _reversal(c, word)[1]
 
 
 def inverse_32_1_to_23_1(c: CycleForm) -> CycleForm:
@@ -259,7 +256,7 @@ def inverse_32_1_to_23_1(c: CycleForm) -> CycleForm:
     word = flatten_cycle_form(c).word
     if _contains_32_1(word):
         raise _domain_error(_PAT_32_1)
-    return CycleForm(_reverse_runs(c, word))
+    return _reversal(c, word)[1]
 
 
 def _contains_23_1(word: tuple[int, ...]) -> bool:

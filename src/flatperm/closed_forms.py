@@ -53,6 +53,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import add
 
+from ._value import _check_int
 from .recurrences import ALL_PATTERNS, PatternId
 
 #: Sixth column of the avoiders/averages table (no distribution recurrence).
@@ -209,6 +210,7 @@ def avoiders(pattern, n: int) -> int:
     evaluated here, the doubled-blocks number T_{n-1}(2) is.
     """
     key = _table_key(pattern)
+    _check_int("n", n)
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
@@ -240,6 +242,7 @@ def _average_parts(key: str, n: int) -> tuple[int, int, int]:
 def average_occurrences(pattern, n: int) -> Fraction:
     """Average occurrences of pattern in a flattened length-n permutation."""
     key = _table_key(pattern)
+    _check_int("n", n)
     if n < 1:
         raise ValueError("n must be positive")
     a, d, s = _average_parts(key, n)
@@ -264,6 +267,7 @@ def total_occurrences(pattern_or_aux, n: int) -> int:
     """
     key = pattern_or_aux.value if isinstance(pattern_or_aux, PatternId) \
         else str(pattern_or_aux)
+    _check_int("n", n)
     if n < 3:
         raise ValueError("occurrence totals need n >= 3")
     fact = math.factorial(n - 1)

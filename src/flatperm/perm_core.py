@@ -133,8 +133,8 @@ Validation.  The public constructors ``Permutation``, ``CycleForm`` and
 ``VincularPattern3`` check their input, since it may come from outside;
 every entry must be an ``int`` (``bool`` excluded), since a float equal to
 an integer would pass the range checks and fail, or print wrong, later.
-That test is ``_value._all_ints``, which ``qpoly.QPoly`` applies to its
-coefficients too.
+That test is ``_value._all_ints``; ``_value``'s docstring states the
+package's one rule for exact input and lists every place it applies.
 A flag (``VincularPattern3``'s ``glue12`` and ``glue23``, a
 ``bijections.MarkedPartition`` mark) must be a ``bool`` or the int 0 or 1,
 which equal False and True and hash alike, and is stored as a ``bool``;

@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, count, islice, repeat
 from operator import mul
 
-from ._value import _all_ints
+from ._value import _all_exact, _all_ints
 
 Rational = Fraction
 
@@ -64,9 +64,9 @@ class QPoly:
     int coefficients only, bool excluded (``_value._all_ints``), and raises
     ValueError on any other, as ``monomial`` does for its exponent and
     coefficient; ``QPoly._raw`` skips that check, for tuples the package
-    has already normalized.  Arithmetic and ``==`` take a ``QPoly`` or an
-    int operand, not a bool, so a bool neither makes a constant nor equals
-    one.
+    has already normalized.  Arithmetic, ``==`` and ``exact_div`` take a
+    ``QPoly`` or an int operand, not a bool, so a bool neither makes a
+    constant nor equals one; ``QPoly._coerce`` alone decides (see ``_value``).
     """
 
     __slots__ = ("coeffs",)
@@ -213,20 +213,24 @@ class QPoly:
             return _ZERO
         return QPoly._raw((0,) * exponent + self.coeffs)
 
-    def exact_div(self, divisor: "QPoly") -> "QPoly":
+    def exact_div(self, divisor: "QPoly | int") -> "QPoly":
         """Exact quotient self / divisor over the integers.
 
         Raises IdentityViolation when the division leaves a remainder or
         exits the integer coefficient ring: in this package that always
-        signals a violated identity, never a rounding concern.
+        signals a violated identity, never a rounding concern.  A divisor
+        that is not a QPoly or an int, bool excluded, raises TypeError.
         """
-        divisor = self._coerce(divisor)
-        if divisor.is_zero():
+        other = self._coerce(divisor)
+        if other is NotImplemented:
+            raise TypeError("exact_div divisor must be a QPoly or an int, "
+                            f"bool excluded, got {type(divisor).__name__}")
+        if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return _ZERO
         rem = list(self.coeffs)
-        d = divisor.coeffs
+        d = other.coeffs
         dd = len(d) - 1
         lead = d[-1]
         if len(rem) - 1 < dd:
@@ -255,7 +259,11 @@ class QPoly:
             [i * c for i, c in enumerate(self.coeffs)][1:]))
 
     def evaluate(self, x: int | Fraction):
-        """Horner evaluation; exact for int and Fraction arguments."""
+        """Horner evaluation at an int, bool excluded, or a Fraction;
+        any other point raises TypeError."""
+        if not _all_exact((x,)):
+            raise TypeError("evaluate point must be an int, bool excluded, "
+                            f"or a Fraction, got {type(x).__name__}")
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -473,7 +481,9 @@ def q_binomial(n: int, k: int) -> QPoly:
 # every list including the empty one; on the empty list s_j = 1 exactly when
 # j = 1 (an unusual but deliberate convention kept for definition fidelity).
 # Callers that need the ordinary "empty list gives 0" behaviour must not
-# pass empty lists.
+# pass empty lists.  The entries reach the arithmetic only through QPoly's
+# ``*``, each one multiplying s_0 = 1 when j >= 1, so an entry that is not
+# a QPoly or an int, bool excluded, raises TypeError there (``_value``).
 
 PolyLike = QPoly | int
 
@@ -488,17 +498,13 @@ def _edge_case(j: int, xs: Sequence[PolyLike]):
     return None
 
 
-def _as_polys(xs: Sequence[PolyLike]) -> list[QPoly]:
-    return [x if isinstance(x, QPoly) else QPoly._coerce(x) for x in xs]
-
-
 def elementary_e(j: int, xs: Sequence[PolyLike]) -> QPoly:
     """Sum of products of j distinct elements of xs."""
     edge = _edge_case(j, xs)
     if edge is not None:
         return edge
     table = [_ONE] + [_ZERO] * j
-    for x in _as_polys(xs):
+    for x in xs:
         for m in range(j, 0, -1):
             if not table[m - 1].is_zero():
                 table[m] = table[m] + x * table[m - 1]
@@ -511,7 +517,7 @@ def complete_h(j: int, xs: Sequence[PolyLike]) -> QPoly:
     if edge is not None:
         return edge
     table = [_ONE] + [_ZERO] * j
-    for x in _as_polys(xs):
+    for x in xs:
         for m in range(1, j + 1):
             table[m] = table[m] + x * table[m - 1]
     return table[j]
@@ -529,7 +535,7 @@ def nonadjacent_e_prime(j: int, xs: Sequence[PolyLike]) -> QPoly:
         return edge
     before_prev = [_ONE] + [_ZERO] * j
     prev = [_ONE] + [_ZERO] * j
-    for x in _as_polys(xs):
+    for x in xs:
         cur = [_ONE]
         for m in range(1, j + 1):
             cur.append(prev[m] + x * before_prev[m - 1])

@@ -165,7 +165,7 @@ from enum import Enum
 from itertools import count, islice
 
 from . import perm_core
-from ._value import FrozenValue
+from ._value import FrozenValue, _check_int
 from .qpoly import IdentityViolation, QPoly, _alternating_sum, \
     _derivative_at_one, _div_one_minus_q, _dot, _unpack, elementary_e, \
     q_binomial, q_int
@@ -511,6 +511,7 @@ def coefficient_table(pattern: PatternId, n_max: int) -> DistributionTable:
     every entry.
     """
     _check_pattern(pattern)
+    _check_int("n_max", n_max)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     g = [_ONE, _TWO]
@@ -787,6 +788,7 @@ def distribution_table(pattern: PatternId, n_max: int) -> DistributionTable:
     docstring).
     """
     _check_pattern(pattern)
+    _check_int("n_max", n_max)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if n_max > len(_table(pattern)):
@@ -808,6 +810,7 @@ def distribution_polynomial(pattern: PatternId, n: int) -> QPoly:
     build the table first; g_n is then read from it.
     """
     _check_pattern(pattern)
+    _check_int("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
     polys = _table(pattern)
@@ -849,6 +852,8 @@ def refined_g1k(pattern: PatternId, n: int, k: int) -> QPoly:
     at a time, n ascending (see the module docstring).
     """
     _check_pattern(pattern)
+    _check_int("n", n)
+    _check_int("k", k)
     if n < 2:
         raise ValueError("refined distributions need n >= 2")
     if not 2 <= k <= n:

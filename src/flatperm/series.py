@@ -12,11 +12,15 @@ for the prebuilt expansions is 24; callers may not exceed order 64.  Pure
 immutable values throughout.
 
 Coefficients are exact rationals held as ``int`` when integral and as
-``fractions.Fraction`` otherwise; construction normalises, so a coefficient
-equal to an integer is always an ``int``.  Sums and products of integers are
-integers, and every division (``exact_div``, ``integrate``, the square root)
-divides exactly: it returns an ``int`` when the quotient is integral and a
-``Fraction`` only when it is not.  The 31-2 expansions stay in Z[[x]]
+``fractions.Fraction`` otherwise.  The constructor takes ints, bool
+excluded, and Fractions only, and raises ValueError on any other
+coefficient; ``+``, ``-`` and ``*`` take a series or such a number as
+their other operand (the rule and its places are in ``_value``).
+Construction normalises, so a coefficient equal to an integer is always an
+``int``.  Sums and products of integers are integers, and every division
+(``exact_div``, ``integrate``, the square root) divides exactly: it
+returns an ``int`` when the quotient is integral and a ``Fraction`` only
+when it is not.  The 31-2 expansions stay in Z[[x]]
 throughout, because sqrt(1-4x) has integer coefficients and every divisor
 has constant term 1.  Exponential generating functions are carried as their
 n!-scaled coefficients, which are integers for every series built here: exp
@@ -32,7 +36,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
 
-from ._value import FrozenValue
+from ._value import FrozenValue, _all_exact
 from .qpoly import IdentityViolation
 
 DEFAULT_ORDER = 24
@@ -41,13 +45,9 @@ MAX_ORDER = 64
 Coeff = int | Fraction
 
 
-def _normal(c) -> Coeff:
+def _normal(c: Coeff) -> Coeff:
     """An exact coefficient as an int when integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 def _div(a: Coeff, b: Coeff) -> Coeff:
@@ -63,9 +63,13 @@ class PowerSeries(FrozenValue):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[Coeff, ...]):
-        coeffs = tuple(map(_normal, coeffs))
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series needs a positive truncation order")
+        if not _all_exact(coeffs):
+            raise ValueError("series coefficients must be ints, bool "
+                             "excluded, or Fractions")
+        coeffs = tuple(map(_normal, coeffs))
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -110,9 +114,11 @@ class PowerSeries(FrozenValue):
 
     @staticmethod
     def _coerce(value, order: int) -> "PowerSeries":
+        """An operand as a series: a series itself, an exact number as the
+        constant series of ``order``, anything else NotImplemented."""
         if isinstance(value, PowerSeries):
             return value
-        if isinstance(value, (int, Fraction)):
+        if _all_exact((value,)):
             return PowerSeries.from_coeffs([value], order)
         return NotImplemented
 
@@ -139,9 +145,8 @@ class PowerSeries(FrozenValue):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PowerSeries(tuple(other * a for a in self.coeffs))
-        if not isinstance(other, PowerSeries):
+        other = self._coerce(other, self.order)
+        if other is NotImplemented:
             return NotImplemented
         m = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs

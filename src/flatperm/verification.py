@@ -19,7 +19,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from . import bijections, closed_forms, perm_core, recurrences, series
-from ._value import Value
+from ._value import Value, _check_int
 from .qpoly import QPoly, _derivative_at_one, complete_h, \
     e_on_qints_closed_form, elementary_e, h_on_qint_window_closed_form, q_int
 from .recurrences import ALL_PATTERNS, PatternId
@@ -408,10 +408,8 @@ def _suite_bijections(report: Report, n_max: int):
             for _, cf, word, contains in sources(n):
                 if contains:   # map_23_1_to_32_1's own domain check
                     raise bijections._domain_error(pat231)
-                # the image is the reversed word cut at cf's cycle lengths
-                # (map_23_1_to_32_1), built through the checking constructor
-                out_word = tuple(bijections._chain_reversal(word))
-                out = perm_core.CycleForm(bijections._cut(out_word, cf))
+                # map_23_1_to_32_1's word and image, past its domain check
+                out_word, out = bijections._reversal(cf, word)
                 if bijections._contains_32_1(out_word):
                     raise AssertionError(f"n={n}: image contains 32-1: {cf}")
                 for before, after in zip(cf.cycles, out.cycles):
@@ -594,13 +592,13 @@ def run_suite(suite: str, n_max: int | None = None) -> Report:
         raise ValueError(
             f"unknown suite {suite!r}; expected one of {SUITES + ('all',)}")
     names = SUITES if suite == "all" else (suite,)
-    if n_max is not None and type(n_max) is not int:
-        raise ValueError(f"n_max must be an int, got {n_max!r}")
-    if n_max is not None and n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
-    if n_max is not None and n_max > (top := min(map(MAX_N_MAX.get, names))):
-        raise ValueError(
-            f"n_max={n_max} exceeds the limit {top} of suite {suite!r}")
+    if n_max is not None:
+        _check_int("n_max", n_max)
+        if n_max < 1:
+            raise ValueError(f"n_max must be positive, got {n_max}")
+        if n_max > (top := min(map(MAX_N_MAX.get, names))):
+            raise ValueError(
+                f"n_max={n_max} exceeds the limit {top} of suite {suite!r}")
     report = Report()
     for name in names:
         _SUITE_RUNNERS[name](
